@@ -15,9 +15,11 @@
 //!
 //! With a second argument it additionally compares against the committed
 //! baseline: each stage present in both files must reach at least
-//! `tolerance × baseline` throughput, and each recorded speedup ratio
-//! (`wide_kernel_speedup_vs_naive`, `wide_agg_speedup_vs_unpartitioned`)
-//! must reach `tolerance × baseline`. `tolerance` comes from
+//! `tolerance × baseline` throughput, and the recorded speedup ratio
+//! `wide_kernel_speedup_vs_naive` must reach `tolerance × baseline`.
+//! A `default` or `paper_scale` baseline recorded on a 1-core host
+//! (`host_threads: 1`) or with `oversubscribed: true` is refused: its
+//! numbers say nothing about parallel throughput. `tolerance` comes from
 //! `M3D_BENCH_TOLERANCE` (default 0.25 — a wide band, because CI runners
 //! vary several-fold in single-core speed; the guard exists to catch
 //! algorithmic regressions, not scheduler noise).
@@ -92,6 +94,8 @@ struct Report {
     /// `"default"`, `"paper_scale"`, or `"serve"`; empty in files that
     /// predate the field.
     tier: String,
+    /// The host's core count; zero in files that predate the field.
+    host_threads: u64,
     configured_threads: u64,
     all_deterministic: bool,
     /// Pool width above the host's core count; speedup-floor checks are
@@ -117,12 +121,9 @@ fn str_field(line: &str, key: &str) -> Option<String> {
     Some(field(line, key)?.trim_matches('"').to_string())
 }
 
-/// The speedup ratios bench_pipeline records per archetype that the
+/// The speedup ratio bench_pipeline records per archetype that the
 /// guard holds to the baseline.
-const RATIO_KEYS: [&str; 2] = [
-    "wide_kernel_speedup_vs_naive",
-    "wide_agg_speedup_vs_unpartitioned",
-];
+const RATIO_KEY: &str = "wide_kernel_speedup_vs_naive";
 
 /// Parses the fixed format written by `bench_pipeline`. Stage objects
 /// occupy one line each; the paper tier nests them under an archetype
@@ -137,6 +138,9 @@ fn parse_report(text: &str) -> Result<Report, String> {
             if let Some(v) = str_field(trimmed, "tier") {
                 report.tier = v;
             }
+        }
+        if let Some(v) = field(trimmed, "host_threads") {
+            report.host_threads = v.parse().map_err(|e| format!("host_threads: {e}"))?;
         }
         if let Some(v) = field(trimmed, "configured_threads") {
             report.configured_threads =
@@ -186,13 +190,9 @@ fn parse_report(text: &str) -> Result<Report, String> {
             });
         } else if trimmed.starts_with("\"name\":") {
             arch = str_field(trimmed, "name");
-        } else if let Some(a) = &arch {
-            for k in RATIO_KEYS {
-                if let Some(v) = field(trimmed, k) {
-                    let x: f64 = v.parse().map_err(|e| format!("{k}: {e}"))?;
-                    report.ratios.push((format!("{a}/{k}"), x));
-                }
-            }
+        } else if let (Some(a), Some(v)) = (&arch, field(trimmed, RATIO_KEY)) {
+            let x: f64 = v.parse().map_err(|e| format!("{RATIO_KEY}: {e}"))?;
+            report.ratios.push((format!("{a}/{RATIO_KEY}"), x));
         }
     }
     if report.stages.is_empty() {
@@ -250,6 +250,15 @@ fn check(current: &Report, baseline: Option<&Report>, tolerance: f64) -> Result<
     let Some(base) = baseline else {
         return Ok(());
     };
+    if matches!(base.tier.as_str(), "default" | "paper_scale")
+        && (base.oversubscribed || base.host_threads == 1)
+    {
+        return Err(format!(
+            "baseline recorded with host_threads {} and oversubscribed {}; \
+             re-record it on a multicore host at a pool width within its core count",
+            base.host_threads, base.oversubscribed
+        ));
+    }
     let mut compared = 0;
     for b in &base.stages {
         let Some(c) = current.stages.iter().find(|s| s.key == b.key) else {
@@ -429,7 +438,6 @@ mod tests {
   "host_threads": 4,
   "configured_threads": 4,
   "oversubscribed": false,
-  "partition_budget": 262144,
   "stages": [
     {"name": "gnn_fit", "secs_1t": 0.04, "secs_nt": 0.02, "secs_nt_obs": 0.02, "effective_threads": 4, "speedup": 2.0, "scaling_efficiency": 0.5, "obs_overhead_pct": 1.0, "noise_floor_pct": 2.0, "obs_noise": true, "throughput_nt": 3000.0, "unit": "epochs/s", "deterministic": true},
     {"name": "fault_simulation", "secs_1t": 0.04, "secs_nt": 0.02, "secs_nt_obs": 0.02, "effective_threads": 4, "speedup": 2.0, "scaling_efficiency": 0.5, "obs_overhead_pct": 1.0, "noise_floor_pct": 2.0, "obs_noise": true, "throughput_nt": 150000.0, "unit": "faults/s", "deterministic": true}
@@ -441,6 +449,7 @@ mod tests {
     #[test]
     fn parses_and_accepts_a_clean_default_tier() {
         let r = parse_report(DEFAULT_TIER).unwrap();
+        assert_eq!(r.host_threads, 4);
         assert_eq!(r.configured_threads, 4);
         assert!(!r.oversubscribed);
         assert_eq!(r.stages.len(), 2);
@@ -481,7 +490,6 @@ mod tests {
     {
       "name": "aes",
       "wide_kernel_speedup_vs_naive": 4.2,
-      "wide_agg_speedup_vs_unpartitioned": 1.3,
       "stages": [
         {"name": "atpg", "effective_threads": 4, "throughput_nt": 100.0, "deterministic": true}
       ]
@@ -494,14 +502,11 @@ mod tests {
         assert_eq!(r.stages[0].key, "aes/atpg");
         assert_eq!(
             r.ratios,
-            vec![
-                ("aes/wide_kernel_speedup_vs_naive".to_string(), 4.2),
-                ("aes/wide_agg_speedup_vs_unpartitioned".to_string(), 1.3),
-            ]
+            vec![("aes/wide_kernel_speedup_vs_naive".to_string(), 4.2)]
         );
         // A regressed ratio in a new run fails against this baseline.
         let mut cur = parse_report(text).unwrap();
-        cur.ratios[1].1 = 0.2; // below 0.25 × 1.3
+        cur.ratios[0].1 = 1.0; // below 0.25 × 4.2
         assert!(check(&cur, Some(&r), 0.25).unwrap_err().contains("ratio"));
     }
 
@@ -640,6 +645,23 @@ mod tests {
         assert!(check_slo(&cur, Some(&base), &default_slo(), 0.25)
             .unwrap_err()
             .contains("baseline"));
+    }
+
+    #[test]
+    fn refuses_a_single_core_or_oversubscribed_baseline() {
+        let cur = parse_report(DEFAULT_TIER).unwrap();
+        let mut base = parse_report(DEFAULT_TIER).unwrap();
+        base.oversubscribed = true;
+        assert!(check(&cur, Some(&base), 0.25)
+            .unwrap_err()
+            .contains("multicore"));
+        base.oversubscribed = false;
+        base.host_threads = 1;
+        assert!(check(&cur, Some(&base), 0.25)
+            .unwrap_err()
+            .contains("multicore"));
+        // The same file is still a valid *current* run to check alone.
+        check(&base, None, 0.25).unwrap();
     }
 
     #[test]

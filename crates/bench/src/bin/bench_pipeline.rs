@@ -17,7 +17,7 @@
 //! generation, GNN training, the raw GCN kernels, and per-fault
 //! simulation at pool widths {1, N}. It additionally records, per
 //! archetype, the compiled-simulator speedup over a per-gate object-walk
-//! reference, the blocked-kernel speedup over the retained naive kernels,
+//! reference, the blocked-kernel speedup over the naive reference kernels,
 //! and the process peak RSS, and asserts every stage is bitwise
 //! deterministic across thread counts.
 //!
@@ -25,9 +25,7 @@
 //! (`M3D_QUICK=1` for the smoke scale, `M3D_THREADS=N` to pin the pool).
 //! Paper tier: `bench_pipeline --paper-scale [--archetype NAME]
 //! [--gates-cap N]` — the cap shrinks the sizing target for CI smoke
-//! runs. `--partition-budget BYTES` overrides the aggregation partition
-//! budget (smaller values force multi-partition plans at smoke scale);
-//! the active budget is recorded in the JSON either way.
+//! runs.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -36,6 +34,9 @@ use m3d_dataflow::{ConstProp, StaticProofs};
 use m3d_dft::ObsMode;
 use m3d_fault_localization::{
     generate_samples, DiagSample, InjectionKind, ModelConfig, TestEnv, TierPredictor,
+};
+use m3d_gnn::reference::{
+    aggregate_naive, aggregate_transpose_naive, matmul_naive, matmul_t_naive, t_matmul_naive,
 };
 use m3d_gnn::{GcnGraph, Matrix, TrainConfig};
 use m3d_netlist::generate::Benchmark;
@@ -288,14 +289,8 @@ struct ArchReport {
     /// (bitwise-equal gradients asserted).
     kernel_speedup_vs_naive: f64,
     /// Same comparison for the 32-column chain, which dispatches to the
-    /// partitioned + SpMM aggregation path at paper scale.
+    /// SpMM aggregation branch.
     wide_kernel_speedup_vs_naive: f64,
-    /// Aggregate+transpose only, one thread, 32 columns: direct SpMM
-    /// streaming the feature matrix from DRAM vs the same kernel run
-    /// per cache-resident partition. Isolates the locality win.
-    wide_agg_speedup_vs_unpartitioned: f64,
-    /// Partition count of the 32-column plan at the active budget.
-    partitions: usize,
     stages: Vec<StageResult>,
 }
 
@@ -475,14 +470,6 @@ fn paper_archetype(
         }
     }
     let gcn = GcnGraph::from_edges(gates, &edges);
-    // Warm the partition-plan cache for both feature widths up front:
-    // plans are pure one-off artifacts reused across every epoch in
-    // steady-state training, and the paper tier times single
-    // repetitions, so a cold first construction would be charged to
-    // whichever timed run happens to come first (the 1t one).
-    let _ = gcn.partition_plan(16);
-    let plan32 = gcn.partition_plan(32);
-    let partitions = plan32.len();
     let x = Matrix::xavier(gates, 16, 11);
     let w = Matrix::xavier(16, 16, 13);
     let chain = |threads: usize| {
@@ -496,11 +483,11 @@ fn paper_archetype(
         })
     };
     let (naive_grads, naive_times) = timed(1, || {
-        let a = gcn.aggregate_naive(&x);
-        let h = a.matmul_naive(&w);
-        let dw = a.t_matmul_naive(&h);
-        let dx = h.matmul_t_naive(&w);
-        let da = gcn.aggregate_transpose_naive(&dx);
+        let a = aggregate_naive(&gcn, &x);
+        let h = matmul_naive(&a, &w);
+        let dw = t_matmul_naive(&a, &h);
+        let dx = matmul_t_naive(&h, &w);
+        let da = aggregate_transpose_naive(&gcn, &dx);
         (dw, da)
     });
     let (grads_nt, mut kernels) = stage(
@@ -517,9 +504,8 @@ fn paper_archetype(
     let kernel_speedup_vs_naive = min_of(&naive_times) / kernels.secs_1t.max(1e-12);
     stages.push(kernels);
 
-    // Stage 5b: the same chain at 32 columns. At paper scale the feature
-    // matrix overflows the partition budget, so `aggregate` dispatches to
-    // the cache-resident partitioned + SpMM path (ISSUE 8).
+    // Stage 5b: the same chain at 32 columns, past the narrow-output
+    // boundary, so `aggregate` dispatches to the SpMM branch.
     let xw = Matrix::xavier(gates, 32, 17);
     let ww = Matrix::xavier(32, 32, 19);
     let wide_chain = |threads: usize| {
@@ -533,11 +519,11 @@ fn paper_archetype(
         })
     };
     let (naive_wide, naive_wide_times) = timed(1, || {
-        let a = gcn.aggregate_naive(&xw);
-        let h = a.matmul_naive(&ww);
-        let dw = a.t_matmul_naive(&h);
-        let dx = h.matmul_t_naive(&ww);
-        let da = gcn.aggregate_transpose_naive(&dx);
+        let a = aggregate_naive(&gcn, &xw);
+        let h = matmul_naive(&a, &ww);
+        let dw = t_matmul_naive(&a, &h);
+        let dx = matmul_t_naive(&h, &ww);
+        let da = aggregate_transpose_naive(&gcn, &dx);
         (dw, da)
     });
     let (wide_nt, mut wide) = stage(
@@ -552,33 +538,6 @@ fn paper_archetype(
     wide.deterministic = wide.deterministic && wide_nt == naive_wide;
     let wide_kernel_speedup_vs_naive = min_of(&naive_wide_times) / wide.secs_1t.max(1e-12);
     stages.push(wide);
-
-    // Aggregation only, one thread each: the unpartitioned path streams
-    // the feature matrix straight off the global CSR, the partitioned
-    // path runs the identical SpMM kernel per gathered L2-resident
-    // scratch block. Same adds in the same order — asserted — so the
-    // ratio is purely the cache behaviour.
-    let (unpart, unpart_times) = timed(1, || {
-        m3d_par::with_threads(1, || {
-            (
-                gcn.aggregate_unpartitioned(&xw),
-                gcn.aggregate_transpose_unpartitioned(&xw),
-            )
-        })
-    });
-    let (part, part_times) = timed(1, || {
-        m3d_par::with_threads(1, || {
-            (
-                gcn.aggregate_with_plan(&xw, &plan32),
-                gcn.aggregate_transpose_with_plan(&xw, &plan32),
-            )
-        })
-    });
-    assert!(
-        unpart == part,
-        "{name}: partitioned aggregation diverged from the unpartitioned path"
-    );
-    let wide_agg_speedup_vs_unpartitioned = min_of(&unpart_times) / min_of(&part_times).max(1e-12);
 
     // Stage 6: per-fault simulation over an even sample of the detected
     // faults (the diagnosis-time workload).
@@ -619,8 +578,6 @@ fn paper_archetype(
         compiled_sim_speedup,
         kernel_speedup_vs_naive,
         wide_kernel_speedup_vs_naive,
-        wide_agg_speedup_vs_unpartitioned,
-        partitions,
         stages,
     }
 }
@@ -703,8 +660,7 @@ fn paper_tier(configured: usize, host: usize, arch_filter: Option<&str>, gates_c
         println!(
             "\n== {name}: {} gates, {} patterns, coverage {:.3}, build {:.1}s, \
              peak RSS {} MB, compiled-sim {:.2}x, kernels-vs-naive {:.2}x, \
-             wide-kernels-vs-naive {:.2}x, wide-agg-vs-unpartitioned {:.2}x \
-             ({} partitions) ==",
+             wide-kernels-vs-naive {:.2}x ==",
             report.gates,
             report.patterns,
             report.fault_coverage,
@@ -715,8 +671,6 @@ fn paper_tier(configured: usize, host: usize, arch_filter: Option<&str>, gates_c
             report.compiled_sim_speedup,
             report.kernel_speedup_vs_naive,
             report.wide_kernel_speedup_vs_naive,
-            report.wide_agg_speedup_vs_unpartitioned,
-            report.partitions,
         );
         print_stage_table(&report.stages, configured);
         reports.push(report);
@@ -741,11 +695,6 @@ fn paper_tier(configured: usize, host: usize, arch_filter: Option<&str>, gates_c
             &format!("{p}.wide_kernel_speedup_vs_naive"),
             r.wide_kernel_speedup_vs_naive,
         );
-        m3d_obs::gauge(
-            &format!("{p}.wide_agg_speedup_vs_unpartitioned"),
-            r.wide_agg_speedup_vs_unpartitioned,
-        );
-        m3d_obs::counter(&format!("{p}.partitions"), r.partitions as u64);
         if let Some(m) = r.peak_rss_mb {
             m3d_obs::gauge(&format!("{p}.peak_rss_mb"), m);
         }
@@ -784,11 +733,6 @@ fn paper_tier(configured: usize, host: usize, arch_filter: Option<&str>, gates_c
     let _ = writeln!(json, "  \"host_threads\": {host},");
     let _ = writeln!(json, "  \"configured_threads\": {configured},");
     let _ = writeln!(json, "  \"oversubscribed\": {},", configured > host);
-    let _ = writeln!(
-        json,
-        "  \"partition_budget\": {},",
-        m3d_gnn::partition_budget()
-    );
     let _ = writeln!(
         json,
         "  \"peak_rss_note\": \"peak_rss_mb is the process high-water mark, \
@@ -830,12 +774,6 @@ fn paper_tier(configured: usize, host: usize, arch_filter: Option<&str>, gates_c
             "      \"wide_kernel_speedup_vs_naive\": {:.3},",
             r.wide_kernel_speedup_vs_naive
         );
-        let _ = writeln!(
-            json,
-            "      \"wide_agg_speedup_vs_unpartitioned\": {:.3},",
-            r.wide_agg_speedup_vs_unpartitioned
-        );
-        let _ = writeln!(json, "      \"partitions\": {},", r.partitions);
         let _ = writeln!(json, "      \"stages\": [");
         for (j, s) in r.stages.iter().enumerate() {
             let c = if j + 1 < r.stages.len() { "," } else { "" };
@@ -1078,11 +1016,6 @@ fn default_tier(quick: bool, configured: usize, host: usize) {
     let _ = writeln!(json, "  \"host_threads\": {host},");
     let _ = writeln!(json, "  \"configured_threads\": {configured},");
     let _ = writeln!(json, "  \"oversubscribed\": {},", configured > host);
-    let _ = writeln!(
-        json,
-        "  \"partition_budget\": {},",
-        m3d_gnn::partition_budget()
-    );
     if configured <= 1 {
         let _ = writeln!(
             json,
@@ -1150,21 +1083,8 @@ fn main() {
                         .expect("--gates-cap must be an integer"),
                 );
             }
-            "--partition-budget" => {
-                i += 1;
-                let bytes: usize = args
-                    .get(i)
-                    .unwrap_or_else(|| panic!("--partition-budget needs a byte count"))
-                    .parse()
-                    .expect("--partition-budget must be an integer");
-                assert!(bytes > 0, "--partition-budget must be positive");
-                m3d_gnn::set_partition_budget(bytes);
-            }
             other => {
-                panic!(
-                    "unknown argument {other}; see --paper-scale, --archetype, \
-                     --gates-cap, --partition-budget"
-                )
+                panic!("unknown argument {other}; see --paper-scale, --archetype, --gates-cap")
             }
         }
         i += 1;
@@ -1174,15 +1094,13 @@ fn main() {
     let configured = m3d_par::num_threads();
     let host = std::thread::available_parallelism().map_or(1, usize::from);
     eprintln!(
-        "bench_pipeline: pool width {configured} (host has {host}{}), tier = {}, \
-         partition budget {} B",
+        "bench_pipeline: pool width {configured} (host has {host}{}), tier = {}",
         if configured > host {
             ", oversubscribed"
         } else {
             ""
         },
         if paper { "paper_scale" } else { "default" },
-        m3d_gnn::partition_budget(),
     );
     if paper {
         paper_tier(configured, host, arch_filter.as_deref(), gates_cap);

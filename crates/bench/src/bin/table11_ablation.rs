@@ -80,7 +80,7 @@ fn main() {
             }
             Some(sg) => {
                 let tier_pred = fw.tier.predict(sg);
-                let mivs = fw.miv.predict_faulty_mivs(sg);
+                let mivs = fw.miv.predict_faulty_mivs(sg).unwrap_or_default();
                 let approves = fw.classifier.as_ref().is_some_and(|c| c.should_prune(sg));
                 // (1) Tier-predictor standalone (no MIV protection).
                 let t_only = prune_and_reorder(

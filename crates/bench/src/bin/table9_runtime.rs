@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use m3d_bench::{print_table, test_samples, train_transferred, Scale};
 use m3d_dft::ObsMode;
-use m3d_fault_localization::{diagnose_all, parallel_map, FaultLocalizer, TestEnv};
+use m3d_fault_localization::{diagnose_all, FaultLocalizer, TestEnv};
 use m3d_hetgraph::HetGraph;
 use m3d_netlist::generate::Benchmark;
 use m3d_part::DesignConfig;
@@ -40,7 +40,7 @@ fn main() {
         let t_atpg = t2.elapsed().as_secs_f64();
 
         let t3 = Instant::now();
-        let preds = parallel_map(&samples, |s| {
+        let preds = m3d_par::par_map(&samples, |s| {
             s.subgraph
                 .as_ref()
                 .map(|sg| (fw.tier.predict(sg), fw.miv.predict_faulty_mivs(sg)))
@@ -49,7 +49,7 @@ fn main() {
 
         let t4 = Instant::now();
         let indices: Vec<usize> = (0..samples.len()).collect();
-        let _ = parallel_map(&indices, |&i| {
+        let _ = m3d_par::par_map(&indices, |&i| {
             fw.enhance(&env.design, &reports[i], &samples[i])
         });
         let t_update = t4.elapsed().as_secs_f64();

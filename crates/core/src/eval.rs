@@ -41,7 +41,7 @@ pub fn evaluate_methods(
     let diagnoser = Diagnoser::new(fsim, &env.scan, mode, DiagnosisConfig::default());
 
     // Per-sample work is independent; fan out across threads.
-    let results = parallel_map(samples, |sample| {
+    let results = m3d_par::par_map(samples, |sample| {
         let atpg = diagnoser.diagnose(&sample.log);
         let base = baseline_filter(&atpg);
         let outcome = framework.enhance(&env.design, &atpg, sample);
@@ -89,16 +89,7 @@ pub fn diagnose_all(
     samples: &[DiagSample],
 ) -> Vec<DiagnosisReport> {
     let diagnoser = Diagnoser::new(fsim, &env.scan, mode, DiagnosisConfig::default());
-    parallel_map(samples, |s| diagnoser.diagnose(&s.log))
-}
-
-/// Order-preserving parallel map over a slice.
-///
-/// Re-exported wrapper over [`m3d_par::par_map`]: the pool honours
-/// `M3D_THREADS` and `m3d_par::with_threads`, balances load by chunk
-/// stealing, and reassembles results in input order.
-pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    m3d_par::par_map(items, f)
+    m3d_par::par_map(samples, |s| diagnoser.diagnose(&s.log))
 }
 
 #[cfg(test)]
@@ -109,13 +100,6 @@ mod tests {
     use m3d_gnn::TrainConfig;
     use m3d_netlist::generate::Benchmark;
     use m3d_part::DesignConfig;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let doubled = parallel_map(&items, |&x| x * 2);
-        assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn evaluation_produces_consistent_metrics() {

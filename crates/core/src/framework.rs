@@ -83,9 +83,10 @@ impl FaultLocalizer {
     /// one diagnosed sample, producing the final report.
     ///
     /// Samples without a sub-graph (empty back-trace) pass through
-    /// unchanged. If the Tier-predictor emits a non-finite confidence (a
-    /// numerically damaged model), the GNN outputs are discarded and the
-    /// report falls back to the structural baseline ranker \[11\], tagged
+    /// unchanged. If the Tier-predictor emits a non-finite confidence or
+    /// the MIV-pinpointer a non-finite probability (a numerically damaged
+    /// model), the GNN outputs are discarded and the report falls back to
+    /// the structural baseline ranker \[11\], tagged
     /// [`DiagnosisReport::degraded`] — graceful degradation instead of
     /// pruning on garbage or panicking.
     pub fn enhance(
@@ -101,7 +102,9 @@ impl FaultLocalizer {
         if !predicted_tier.1.is_finite() || !self.tp_threshold.is_finite() {
             return PolicyOutcome::degraded(report);
         }
-        let predicted_mivs = self.miv.predict_faulty_mivs(sg);
+        let Some(predicted_mivs) = self.miv.predict_faulty_mivs(sg) else {
+            return PolicyOutcome::degraded(report);
+        };
         let approves = self.classifier.as_ref().is_some_and(|c| c.should_prune(sg));
         prune_and_reorder(
             design,
@@ -199,5 +202,30 @@ mod tests {
         let out2 = fw2.enhance(&env.design, &report, &samples[0]);
         assert_eq!(out2.action, PolicyAction::Degraded);
         assert!(out2.report.degraded());
+
+        // Fault 3: NaN weights in the MIV-pinpointer → NaN node
+        // probabilities on a sub-graph with MIV nodes. NaN fails every
+        // `p > threshold` test, so this must degrade rather than read as
+        // "no faulty MIV".
+        let miv_sample = samples
+            .iter()
+            .find(|s| {
+                s.subgraph
+                    .as_ref()
+                    .is_some_and(|sg| !sg.miv_nodes.is_empty())
+            })
+            .expect("a sample whose sub-graph has MIV nodes");
+        let miv_report = diag.diagnose(&miv_sample.log);
+        let mut fw3 = FaultLocalizer::train(&refs, &cfg);
+        assert_ne!(
+            fw3.enhance(&env.design, &miv_report, miv_sample).action,
+            PolicyAction::Degraded
+        );
+        for p in fw3.miv.model_mut().params_mut() {
+            p.value.data_mut()[0] = f32::NAN;
+        }
+        let out3 = fw3.enhance(&env.design, &miv_report, miv_sample);
+        assert_eq!(out3.action, PolicyAction::Degraded);
+        assert!(out3.report.degraded());
     }
 }

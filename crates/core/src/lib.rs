@@ -51,7 +51,7 @@ mod sample;
 
 pub use classifier::{PruneClassifier, CLASS_PRUNE, CLASS_REORDER};
 pub use env::TestEnv;
-pub use eval::{diagnose_all, evaluate_methods, parallel_map, MethodEval};
+pub use eval::{diagnose_all, evaluate_methods, MethodEval};
 pub use framework::{FaultLocalizer, FrameworkConfig};
 pub use models::{MivPinpointer, ModelConfig, TierPredictor};
 pub use policy::{prune_and_reorder, PolicyAction, PolicyOutcome};

@@ -211,20 +211,28 @@ impl MivPinpointer {
         &mut self.model
     }
 
-    /// MIV indices predicted faulty in a sub-graph.
-    pub fn predict_faulty_mivs(&self, subgraph: &SubGraph) -> Vec<u32> {
+    /// MIV indices predicted faulty in a sub-graph, or `None` when a node
+    /// probability or the threshold is non-finite (a numerically damaged
+    /// model): NaN fails every `p > threshold` test, so without the check
+    /// it would read as "no faulty MIV".
+    pub fn predict_faulty_mivs(&self, subgraph: &SubGraph) -> Option<Vec<u32>> {
         if subgraph.miv_nodes.is_empty() {
-            return Vec::new();
+            return Some(Vec::new());
         }
         let nodes: Vec<usize> = subgraph.miv_nodes.iter().map(|&(n, _)| n).collect();
         let probs = self.model.predict_nodes(&subgraph.data, &nodes);
-        subgraph
-            .miv_nodes
-            .iter()
-            .zip(probs)
-            .filter(|&(_, p)| p > self.threshold)
-            .map(|(&(_, m), _)| m)
-            .collect()
+        if !self.threshold.is_finite() || probs.iter().any(|p| !p.is_finite()) {
+            return None;
+        }
+        Some(
+            subgraph
+                .miv_nodes
+                .iter()
+                .zip(probs)
+                .filter(|&(_, p)| p > self.threshold)
+                .map(|(&(_, m), _)| m)
+                .collect(),
+        )
     }
 
     /// Sample-level accuracy: an MIV-fault sample counts when an injected
@@ -238,7 +246,9 @@ impl MivPinpointer {
                 continue;
             }
             total += 1;
-            let predicted = self.predict_faulty_mivs(sg);
+            let Some(predicted) = self.predict_faulty_mivs(sg) else {
+                continue;
+            };
             let ok = if s.miv_truth.is_empty() {
                 predicted.is_empty()
             } else {

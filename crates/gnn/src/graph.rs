@@ -3,24 +3,13 @@
 //! The CSR is built with a two-pass counting sort (count, prefix-sum,
 //! scatter — the same construction as `hetgraph::to_csr`), so building a
 //! 300K-node graph touches no per-node heap allocations. Aggregation
-//! picks between three bitwise-identical paths by feature-matrix size:
-//! a row-wise loop for narrow features, the tiled SpMM kernel for wide
-//! cache-resident features, and — when the feature matrix overflows the
-//! [`partition_budget`](crate::partition_budget) — the cache-resident
-//! partitioned path, which gathers each partition's touched rows into a
-//! dense scratch before accumulating. All paths run over disjoint
-//! output-row units on the `m3d-par` pool and are bitwise identical to
-//! the retained naive references at any thread count and any budget.
-
-use std::fmt;
-use std::sync::{Arc, Mutex};
+//! picks between two bitwise-identical paths by feature width: a
+//! row-wise loop for narrow features and the tiled SpMM kernel for wide
+//! ones. Both run over disjoint output-row panels on the `m3d-par` pool
+//! and are bitwise identical to the naive references in
+//! [`reference`](crate::reference) at any thread count.
 
 use crate::matrix::{self, Matrix};
-use crate::partition::{partition_budget, GraphPartition};
-
-/// Partition plans cached per graph, keyed by `(cols, budget)`; bounded
-/// so a budget sweep can't grow a graph's cache without limit.
-const PLAN_CACHE_CAP: usize = 8;
 
 /// An undirected graph in CSR form with self-loops, ready for GCN
 /// aggregation (paper eq. (1): mean over neighbours).
@@ -34,45 +23,12 @@ const PLAN_CACHE_CAP: usize = 8;
 /// assert_eq!(g.node_count(), 3);
 /// assert_eq!(g.degree(1), 3); // two neighbours + self-loop
 /// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GcnGraph {
     n: usize,
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
-    /// Partition plans keyed by `(cols, budget_bytes)`. Plans are pure
-    /// functions of the CSR and the key, so the cache only skips
-    /// recomputation — it can never change a result. Not part of the
-    /// graph's identity: ignored by `Clone`/`PartialEq`/`Debug`.
-    plans: Mutex<Vec<(usize, usize, Arc<GraphPartition>)>>,
 }
-
-impl Clone for GcnGraph {
-    fn clone(&self) -> Self {
-        GcnGraph {
-            n: self.n,
-            offsets: self.offsets.clone(),
-            neighbors: self.neighbors.clone(),
-            plans: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl fmt::Debug for GcnGraph {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("GcnGraph")
-            .field("n", &self.n)
-            .field("offsets", &self.offsets)
-            .field("neighbors", &self.neighbors)
-            .finish()
-    }
-}
-
-impl PartialEq for GcnGraph {
-    fn eq(&self, other: &Self) -> bool {
-        self.n == other.n && self.offsets == other.offsets && self.neighbors == other.neighbors
-    }
-}
-
-impl Eq for GcnGraph {}
 
 impl GcnGraph {
     /// Builds the graph from undirected edges over `n` nodes; duplicate
@@ -139,7 +95,6 @@ impl GcnGraph {
             n,
             offsets: merged,
             neighbors,
-            plans: Mutex::new(Vec::new()),
         }
     }
 
@@ -171,32 +126,13 @@ impl GcnGraph {
 
     /// Mean-neighbour aggregation: `out[v] = (1/|N(v)|) Σ_{u∈N(v)} x[u]`.
     ///
-    /// Dispatches by feature-matrix size: narrow features take the
-    /// row-wise loop, wide cache-resident features take the tiled SpMM
-    /// kernel, and features overflowing the
-    /// [`partition_budget`](crate::partition_budget) take the
-    /// cache-resident partitioned path. Every path adds each output
+    /// Dispatches by feature width: narrow features take the row-wise
+    /// loop, wide ones the tiled SpMM kernel. Both add each output
     /// element's contributions in ascending neighbour order, so the
-    /// result is bitwise identical to [`GcnGraph::aggregate_naive`] at
-    /// any thread count and any budget.
+    /// result is bitwise identical to
+    /// [`aggregate_naive`](crate::reference::aggregate_naive) at any
+    /// thread count.
     pub fn aggregate(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.rows(), self.n, "feature rows must match nodes");
-        let c = x.cols();
-        if c > 0 && self.n * c * 4 > partition_budget() {
-            let plan = self.partition_plan(c);
-            self.aggregate_with_plan(x, &plan)
-        } else {
-            self.aggregate_unpartitioned(x)
-        }
-    }
-
-    /// The unpartitioned aggregation path: direct accumulation off the
-    /// CSR (row-wise for narrow features, tiled SpMM for wide ones),
-    /// streaming neighbour rows from wherever they live. This is the
-    /// small-graph path and the baseline the partitioned path is
-    /// benchmarked against (`wide_agg_speedup_vs_unpartitioned` in
-    /// `bench_pipeline`). Bitwise identical to [`GcnGraph::aggregate`].
-    pub fn aggregate_unpartitioned(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.rows(), self.n, "feature rows must match nodes");
         let c = x.cols();
         let work = self.neighbors.len() as u64 * c as u64;
@@ -247,24 +183,11 @@ impl GcnGraph {
     /// ascending. Because the graph is undirected with self-loops
     /// (`u ∈ N(v) ⇔ v ∈ N(u)`) and neighbour lists are sorted, this adds
     /// exactly the same contributions in exactly the same order as the
-    /// scatter formulation [`GcnGraph::aggregate_transpose_naive`] —
-    /// which is what makes both row-panel and partition parallelism
-    /// bitwise safe here. Dispatches across the same three paths as
-    /// [`GcnGraph::aggregate`].
+    /// scatter formulation
+    /// [`aggregate_transpose_naive`](crate::reference::aggregate_transpose_naive)
+    /// — which is what makes row-panel parallelism bitwise safe here.
+    /// Dispatches across the same two paths as [`GcnGraph::aggregate`].
     pub fn aggregate_transpose(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.rows(), self.n, "feature rows must match nodes");
-        let c = x.cols();
-        if c > 0 && self.n * c * 4 > partition_budget() {
-            let plan = self.partition_plan(c);
-            self.aggregate_transpose_with_plan(x, &plan)
-        } else {
-            self.aggregate_transpose_unpartitioned(x)
-        }
-    }
-
-    /// The unpartitioned transposed-aggregation path; see
-    /// [`GcnGraph::aggregate_unpartitioned`] for its role.
-    pub fn aggregate_transpose_unpartitioned(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.rows(), self.n, "feature rows must match nodes");
         let c = x.cols();
         let work = self.neighbors.len() as u64 * c as u64;
@@ -305,153 +228,6 @@ impl GcnGraph {
             }
         })
     }
-
-    /// Plans cache-resident partitions of this graph's CSR for `cols`
-    /// `f32` feature columns under `budget_bytes` (no caching; see
-    /// [`GcnGraph::partition_plan`] for the cached entry point the
-    /// aggregation paths use).
-    pub fn plan_partitions(&self, cols: usize, budget_bytes: usize) -> GraphPartition {
-        GraphPartition::plan(&self.offsets, &self.neighbors, self.n, cols, budget_bytes)
-    }
-
-    /// The cached partition plan for `cols` feature columns at the
-    /// current [`partition_budget`](crate::partition_budget).
-    pub fn partition_plan(&self, cols: usize) -> Arc<GraphPartition> {
-        let budget = partition_budget();
-        let mut plans = self.plans.lock().expect("plan cache poisoned");
-        if let Some((_, _, p)) = plans
-            .iter()
-            .find(|(pc, pb, _)| *pc == cols && *pb == budget)
-        {
-            return Arc::clone(p);
-        }
-        let plan = Arc::new(self.plan_partitions(cols, budget));
-        if plans.len() >= PLAN_CACHE_CAP {
-            plans.remove(0);
-        }
-        plans.push((cols, budget, Arc::clone(&plan)));
-        plan
-    }
-
-    /// Mean-neighbour aggregation over an explicit partition plan:
-    /// per partition, gather the touched feature rows into a dense
-    /// scratch, accumulate through the SpMM kernel against the scratch,
-    /// then scale by `1/deg`. Partitions fan out across the pool (their
-    /// output row ranges are disjoint and ordered); within each
-    /// partition the sorted gather keeps local neighbour order equal to
-    /// global order, so the result is bitwise identical to
-    /// [`GcnGraph::aggregate_naive`] for **any** plan of this graph.
-    pub fn aggregate_with_plan(&self, x: &Matrix, plan: &GraphPartition) -> Matrix {
-        self.aggregate_partitioned(x, plan, false)
-    }
-
-    /// Transposed aggregation over an explicit partition plan; bitwise
-    /// identical to [`GcnGraph::aggregate_transpose_naive`] for any plan
-    /// of this graph. See [`GcnGraph::aggregate_with_plan`].
-    pub fn aggregate_transpose_with_plan(&self, x: &Matrix, plan: &GraphPartition) -> Matrix {
-        self.aggregate_partitioned(x, plan, true)
-    }
-
-    fn aggregate_partitioned(&self, x: &Matrix, plan: &GraphPartition, transpose: bool) -> Matrix {
-        assert_eq!(x.rows(), self.n, "feature rows must match nodes");
-        assert_eq!(plan.row_count(), self.n, "plan must cover this graph");
-        let c = x.cols();
-        assert_eq!(plan.cols(), c, "plan was sized for a different width");
-        let inv_deg: Vec<f32> = (0..self.n).map(|v| 1.0 / self.degree(v) as f32).collect();
-        let work = self.neighbors.len() as u64 * c as u64;
-        let part_ids: Vec<usize> = (0..plan.len()).collect();
-        let bufs = m3d_par::with_threads(m3d_par::par_gate(work), || {
-            m3d_par::par_map(&part_ids, |&p| {
-                let part = &plan.parts[p];
-                let mut scratch = vec![0.0f32; part.gather.len() * c];
-                for (li, &g) in part.gather.iter().enumerate() {
-                    scratch[li * c..(li + 1) * c].copy_from_slice(x.row(g as usize));
-                }
-                let rows = (part.row_end - part.row_start) as usize;
-                let mut out = vec![0.0f32; rows * c];
-                if transpose {
-                    let base = self.offsets[part.row_start as usize] as usize;
-                    let vals: Vec<f32> = self.neighbors[base..base + part.indices.len()]
-                        .iter()
-                        .map(|&v| inv_deg[v as usize])
-                        .collect();
-                    matrix::spmm_panel(
-                        &part.offsets,
-                        &part.indices,
-                        Some(&vals),
-                        &scratch,
-                        c,
-                        0..rows,
-                        &mut out,
-                    );
-                } else {
-                    matrix::spmm_panel(
-                        &part.offsets,
-                        &part.indices,
-                        None,
-                        &scratch,
-                        c,
-                        0..rows,
-                        &mut out,
-                    );
-                    // `c > 0` is guaranteed: plans reject zero widths.
-                    for (r, chunk) in out.chunks_exact_mut(c).enumerate() {
-                        let inv = inv_deg[part.row_start as usize + r];
-                        for o in chunk {
-                            *o *= inv;
-                        }
-                    }
-                }
-                out
-            })
-        });
-        let mut data = Vec::with_capacity(self.n * c);
-        for buf in &bufs {
-            data.extend_from_slice(buf);
-        }
-        Matrix::from_vec(self.n, c, data)
-    }
-
-    /// Reference serial aggregation; [`GcnGraph::aggregate`] is
-    /// proptest-proven bitwise equal to this at any thread count.
-    pub fn aggregate_naive(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.rows(), self.n, "feature rows must match nodes");
-        let mut out = Matrix::zeros(self.n, x.cols());
-        for v in 0..self.n {
-            let ns = self.neighbors(v);
-            let inv = 1.0 / ns.len() as f32;
-            let row = out.row_mut(v);
-            for &u in ns {
-                for (o, &val) in row.iter_mut().zip(x.row(u as usize)) {
-                    *o += val;
-                }
-            }
-            for o in row {
-                *o *= inv;
-            }
-        }
-        out
-    }
-
-    /// Reference transposed aggregation in its natural scatter form:
-    /// `out[u] += x[v] / |N(v)|` for every `v` with `u ∈ N(v)`, `v`
-    /// ascending. [`GcnGraph::aggregate_transpose`] is proptest-proven
-    /// bitwise equal to this at any thread count.
-    pub fn aggregate_transpose_naive(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.rows(), self.n, "feature rows must match nodes");
-        let mut out = Matrix::zeros(self.n, x.cols());
-        for v in 0..self.n {
-            let ns = self.neighbors(v);
-            let inv = 1.0 / ns.len() as f32;
-            for &u in ns {
-                let row = out.row_mut(u as usize);
-                for (o, &val) in row.iter_mut().zip(x.row(v)) {
-                    *o += val * inv;
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -482,7 +258,6 @@ mod tests {
             n,
             offsets,
             neighbors,
-            plans: Mutex::new(Vec::new()),
         }
     }
 
@@ -552,14 +327,13 @@ mod tests {
         );
         let x = Matrix::xavier(9, 5, 7);
         let fast = g.aggregate_transpose(&x);
-        let slow = g.aggregate_transpose_naive(&x);
+        let slow = crate::reference::aggregate_transpose_naive(&g, &x);
         for (a, b) in fast.data().iter().zip(slow.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
-    /// A ring with chords — enough structure that small budgets split it
-    /// into many partitions with cross-partition gathers.
+    /// A ring with chords: rows of mixed degree.
     fn chord_ring(n: usize) -> GcnGraph {
         let mut edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
         edges.extend((0..n).step_by(3).map(|v| (v, (v + n / 2) % n)));
@@ -567,54 +341,21 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_paths_match_naive_bitwise_across_budgets() {
-        let g = chord_ring(90);
-        for &c in &[3usize, 24] {
-            let x = Matrix::xavier(90, c, 11);
-            let want = g.aggregate_naive(&x);
-            let want_t = g.aggregate_transpose_naive(&x);
-            for &budget in &[16usize, 256, 4096, 1 << 20] {
-                let plan = g.plan_partitions(c, budget);
-                let got = g.aggregate_with_plan(&x, &plan);
-                let got_t = g.aggregate_transpose_with_plan(&x, &plan);
-                for (a, b) in got.data().iter().zip(want.data()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "budget {budget} cols {c}");
-                }
-                for (a, b) in got_t.data().iter().zip(want_t.data()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "budget {budget} cols {c} (T)");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn wide_spmm_paths_match_naive_bitwise() {
         let g = chord_ring(70);
-        // Past NARROW_N, so the unpartitioned dispatch takes the SpMM
-        // kernel instead of the row-wise loop.
+        // Past NARROW_N, so the dispatch takes the SpMM kernel instead
+        // of the row-wise loop.
         let x = Matrix::xavier(70, 33, 13);
-        let fast = g.aggregate_unpartitioned(&x);
-        let slow = g.aggregate_naive(&x);
+        let fast = g.aggregate(&x);
+        let slow = crate::reference::aggregate_naive(&g, &x);
         for (a, b) in fast.data().iter().zip(slow.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        let fast_t = g.aggregate_transpose_unpartitioned(&x);
-        let slow_t = g.aggregate_transpose_naive(&x);
+        let fast_t = g.aggregate_transpose(&x);
+        let slow_t = crate::reference::aggregate_transpose_naive(&g, &x);
         for (a, b) in fast_t.data().iter().zip(slow_t.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn partition_plan_cache_reuses_and_bounds() {
-        let g = chord_ring(40);
-        let a = g.partition_plan(8);
-        let b = g.partition_plan(8);
-        assert!(Arc::ptr_eq(&a, &b), "same key must hit the cache");
-        for c in 1..=2 * PLAN_CACHE_CAP {
-            let _ = g.partition_plan(c);
-        }
-        assert!(g.plans.lock().unwrap().len() <= PLAN_CACHE_CAP);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`NodeClassifier`] — per-node sigmoid head (MIV-pinpointer),
 //! * [`PrCurve`] — precision-recall analysis and the `T_p` threshold rule,
 //! * [`pca_project`] — PCA for the Fig. 5 feature visualization,
-//! * [`permutation_significance`] — the Table II feature-importance scores.
+//! * [`permutation_significance`] — the Table II feature-importance scores,
+//! * [`reference`](mod@reference) — the naive kernels the fast ones are tested against.
 //!
 //! Everything is deterministic in the provided seeds and trains on CPU in
 //! seconds at the workspace's benchmark scale.
@@ -39,8 +40,8 @@ mod layers;
 mod matrix;
 mod metrics;
 mod model;
-mod partition;
 mod pca;
+pub mod reference;
 mod significance;
 
 pub use graph::GcnGraph;
@@ -49,11 +50,8 @@ pub use guard::{
     TrainReport,
 };
 pub use layers::{sigmoid, softmax, DenseLayer, GcnLayer, Param};
-pub use matrix::{spmm, spmm_naive, Matrix};
+pub use matrix::{spmm, Matrix};
 pub use metrics::{accuracy, PrCurve, PrPoint, RocCurve, RocPoint, ScoredSample};
 pub use model::{GcnClassifier, GraphData, NodeClassifier, TrainConfig, TrainCursor};
-pub use partition::{
-    partition_budget, set_partition_budget, GraphPartition, DEFAULT_PARTITION_BUDGET,
-};
 pub use pca::pca_project;
 pub use significance::permutation_significance;

@@ -3,7 +3,7 @@
 //! Row-major storage. The product kernels are cache-blocked and
 //! register-tiled, and split their output rows into panels across the
 //! `m3d-par` pool — while staying **bitwise identical** to the naive
-//! triple-loop references ([`Matrix::matmul_naive`] and friends): every
+//! triple-loop references in [`reference`](crate::reference): every
 //! output element accumulates its contributions in ascending inner-index
 //! order as separate adds, so no float reassociation ever happens and the
 //! result is the same at any thread count, tile size or block size.
@@ -150,8 +150,8 @@ impl Matrix {
     /// output rows are computed on the `m3d-par` pool and reassembled in
     /// order. Each output element receives its `k` contributions in
     /// ascending order as separate adds, so the result is **bitwise
-    /// identical** to [`Matrix::matmul_naive`] at any thread count (the
-    /// property tests assert exactly that).
+    /// identical** to [`matmul_naive`](crate::reference::matmul_naive) at
+    /// any thread count (the property tests assert exactly that).
     ///
     /// # Panics
     ///
@@ -169,7 +169,7 @@ impl Matrix {
     ///
     /// Blocked over the shared row dimension, register-tiled, and
     /// parallel over panels of *output* rows (columns of `self`); bitwise
-    /// identical to [`Matrix::t_matmul_naive`].
+    /// identical to [`t_matmul_naive`](crate::reference::t_matmul_naive).
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         let n = other.cols;
@@ -183,65 +183,13 @@ impl Matrix {
     ///
     /// Dot-product kernel over `MR × NR` accumulator tiles with the shared
     /// dimension cache-blocked; parallel over output-row panels; bitwise
-    /// identical to [`Matrix::matmul_t_naive`].
+    /// identical to [`matmul_t_naive`](crate::reference::matmul_t_naive).
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
         let work = (self.rows * other.rows * self.cols) as u64;
         Self::build_rows(self.rows, other.rows, work, |rows, out| {
             matmul_t_panel(&self.data, self.cols, &other.data, other.rows, rows, out);
         })
-    }
-
-    /// Reference `self · other`: the naive triple loop, each element
-    /// summed in ascending `k` order. The blocked kernel
-    /// [`Matrix::matmul`] is proptest-proven bitwise equal to this.
-    pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for j in 0..other.cols {
-                let mut s = 0.0f32;
-                for k in 0..self.cols {
-                    s += self[(i, k)] * other[(k, j)];
-                }
-                out[(i, j)] = s;
-            }
-        }
-        out
-    }
-
-    /// Reference `selfᵀ · other` (ascending shared-row order); see
-    /// [`Matrix::matmul_naive`].
-    pub fn t_matmul_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for i in 0..self.cols {
-            for j in 0..other.cols {
-                let mut s = 0.0f32;
-                for r in 0..self.rows {
-                    s += self[(r, i)] * other[(r, j)];
-                }
-                out[(i, j)] = s;
-            }
-        }
-        out
-    }
-
-    /// Reference `self · otherᵀ` (ascending `k` order); see
-    /// [`Matrix::matmul_naive`].
-    pub fn matmul_t_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            for j in 0..other.rows {
-                let mut s = 0.0f32;
-                for k in 0..self.cols {
-                    s += self[(i, k)] * other[(j, k)];
-                }
-                out[(i, j)] = s;
-            }
-        }
-        out
     }
 
     /// Builds a `rows × cols` matrix by running `f` over disjoint
@@ -337,9 +285,9 @@ impl Matrix {
 /// `NR`-wide register tiles over the dense columns and the nonzero walk
 /// unrolled by four; every output element still receives its
 /// contributions in ascending nonzero order as separate adds, so the
-/// result is bitwise identical to [`spmm_naive`] for any panel or tile
-/// size — and at any thread count (output-row panels fan out via the
-/// pool).
+/// result is bitwise identical to [`spmm_naive`](crate::reference::spmm_naive)
+/// for any panel or tile size — and at any thread count (output-row
+/// panels fan out via the pool).
 ///
 /// # Panics
 ///
@@ -364,47 +312,11 @@ pub fn spmm(offsets: &[u32], indices: &[u32], vals: Option<&[f32]>, b: &Matrix) 
     })
 }
 
-/// Reference CSR sparse × dense product: plain per-row nonzero walk in
-/// ascending order, pure adds when `vals` is `None`. [`spmm`] is
-/// proptest-proven bitwise equal to this at any thread count.
-pub fn spmm_naive(offsets: &[u32], indices: &[u32], vals: Option<&[f32]>, b: &Matrix) -> Matrix {
-    assert!(!offsets.is_empty(), "offsets must have rows + 1 entries");
-    assert_eq!(
-        *offsets.last().expect("nonempty") as usize,
-        indices.len(),
-        "offsets must cover indices"
-    );
-    let rows = offsets.len() - 1;
-    let n = b.cols();
-    let mut out = Matrix::zeros(rows, n);
-    for i in 0..rows {
-        let row = out.row_mut(i);
-        for nz in offsets[i] as usize..offsets[i + 1] as usize {
-            let brow = b.row(indices[nz] as usize);
-            match vals {
-                Some(v) => {
-                    let s = v[nz];
-                    for (o, &x) in row.iter_mut().zip(brow) {
-                        *o += s * x;
-                    }
-                }
-                None => {
-                    for (o, &x) in row.iter_mut().zip(brow) {
-                        *o += x;
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Rows `rows` of the CSR sparse × dense product into `out` (`out` is the
 /// zeroed panel buffer, `rows.len() * n` long). `offsets` index
 /// absolutely into `indices`/`vals`; column indices address rows of the
 /// dense operand `b` (row-major, `n` wide). Shared by [`spmm`] and the
-/// partitioned aggregation (which passes a *local* CSR over a gathered
-/// scratch as `b`).
+/// wide aggregation paths of [`GcnGraph`](crate::GcnGraph).
 pub(crate) fn spmm_panel(
     offsets: &[u32],
     indices: &[u32],
@@ -800,7 +712,7 @@ mod tests {
 
 #[cfg(test)]
 mod kernel_reference_tests {
-    //! The blocked kernels must be *bitwise* equal to the retained naive
+    //! The blocked kernels must be *bitwise* equal to the naive
     //! triple-loop references: each output element accumulates its terms
     //! in the same ascending-k order, so no float tolerance is needed (and
     //! the GNN's bitwise thread-count determinism can rest on these
@@ -808,6 +720,7 @@ mod kernel_reference_tests {
     //! `tests/kernel_equiv.rs`.
 
     use super::*;
+    use crate::reference::{matmul_naive, matmul_t_naive, spmm_naive, t_matmul_naive};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -851,14 +764,14 @@ mod kernel_reference_tests {
         ) {
             let a = random_matrix(m, k, seed);
             let b = random_matrix(k, n, seed.wrapping_add(1));
-            assert_bitwise_eq(&a.matmul(&b), &a.matmul_naive(&b), "matmul");
+            assert_bitwise_eq(&a.matmul(&b), &matmul_naive(&a, &b), "matmul");
 
             let at = random_matrix(k, m, seed.wrapping_add(2));
             let bt = random_matrix(k, n, seed.wrapping_add(3));
-            assert_bitwise_eq(&at.t_matmul(&bt), &at.t_matmul_naive(&bt), "t_matmul");
+            assert_bitwise_eq(&at.t_matmul(&bt), &t_matmul_naive(&at, &bt), "t_matmul");
 
             let c = random_matrix(n, k, seed.wrapping_add(4));
-            assert_bitwise_eq(&a.matmul_t(&c), &a.matmul_t_naive(&c), "matmul_t");
+            assert_bitwise_eq(&a.matmul_t(&c), &matmul_t_naive(&a, &c), "matmul_t");
         }
     }
 
@@ -948,11 +861,11 @@ mod kernel_reference_tests {
         for (si, &(m, n, k)) in shapes.iter().enumerate() {
             let a = random_matrix(m, k, si as u64 * 10 + 1);
             let b = random_matrix(k, n, si as u64 * 10 + 2);
-            assert_bitwise_eq(&a.matmul(&b), &a.matmul_naive(&b), "matmul");
+            assert_bitwise_eq(&a.matmul(&b), &matmul_naive(&a, &b), "matmul");
             let at = random_matrix(k, m, si as u64 * 10 + 3);
-            assert_bitwise_eq(&at.t_matmul(&b), &at.t_matmul_naive(&b), "t_matmul");
+            assert_bitwise_eq(&at.t_matmul(&b), &t_matmul_naive(&at, &b), "t_matmul");
             let c = random_matrix(n, k, si as u64 * 10 + 4);
-            assert_bitwise_eq(&a.matmul_t(&c), &a.matmul_t_naive(&c), "matmul_t");
+            assert_bitwise_eq(&a.matmul_t(&c), &matmul_t_naive(&a, &c), "matmul_t");
         }
     }
 }

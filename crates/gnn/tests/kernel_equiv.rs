@@ -2,16 +2,20 @@
 //!
 //! The contract under test: `Matrix::{matmul,t_matmul,matmul_t}`,
 //! [`m3d_gnn::spmm`], and `GcnGraph::{aggregate,aggregate_transpose}`
-//! (including the cache-resident partitioned path at arbitrary budgets)
-//! are **bitwise** equal to their retained naive references, at any pool
-//! width and any adaptive-granularity gate decision. Shapes deliberately
+//! (row-wise and SpMM branches) are **bitwise** equal to their naive
+//! references in [`m3d_gnn::reference`], at any pool width and any
+//! adaptive-granularity gate decision. Shapes deliberately
 //! cross the register-tile (4×8), cache-block (128) and parallel-row (64)
 //! boundaries: single-row, single-column, and k-not-divisible-by-block
 //! cases included. Parallel runs pin the `m3d-par` cost gate open
 //! (`with_par_threshold(0, ..)`) so small proptest shapes genuinely
 //! exercise the fan-out path instead of being gated back to serial.
 
-use m3d_gnn::{spmm, spmm_naive, GcnGraph, Matrix};
+use m3d_gnn::reference::{
+    aggregate_naive, aggregate_transpose_naive, matmul_naive, matmul_t_naive, spmm_naive,
+    t_matmul_naive,
+};
+use m3d_gnn::{spmm, GcnGraph, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -80,37 +84,38 @@ proptest! {
     ) {
         let a = random_matrix(m, k, seed);
         let b = random_matrix(k, n, seed.wrapping_add(1));
-        check_both_widths(&a.matmul_naive(&b), "matmul", || a.matmul(&b));
+        check_both_widths(&matmul_naive(&a, &b), "matmul", || a.matmul(&b));
 
         let at = random_matrix(k, m, seed.wrapping_add(2));
         let bt = random_matrix(k, n, seed.wrapping_add(3));
-        check_both_widths(&at.t_matmul_naive(&bt), "t_matmul", || at.t_matmul(&bt));
+        check_both_widths(&t_matmul_naive(&at, &bt), "t_matmul", || at.t_matmul(&bt));
 
         let c = random_matrix(n, k, seed.wrapping_add(4));
-        check_both_widths(&a.matmul_t_naive(&c), "matmul_t", || a.matmul_t(&c));
+        check_both_widths(&matmul_t_naive(&a, &c), "matmul_t", || a.matmul_t(&c));
     }
 
     /// Aggregation over random graphs (duplicate edges and self-loops
-    /// allowed by construction) at both pool widths.
+    /// allowed by construction) at both pool widths, with widths on both
+    /// sides of the narrow-output boundary (row-wise and SpMM branches).
     #[test]
     fn aggregation_bitwise_equal_at_1_and_4_threads(
         n in 1usize..200,
         extra in 0usize..400,
-        cols in 1usize..12,
+        cols in 1usize..36,
         seed in 0u64..1_000_000,
     ) {
         let g = random_graph(n, extra, seed);
         let x = random_matrix(n, cols, seed.wrapping_add(9));
-        check_both_widths(&g.aggregate_naive(&x), "aggregate", || g.aggregate(&x));
+        check_both_widths(&aggregate_naive(&g, &x), "aggregate", || g.aggregate(&x));
         check_both_widths(
-            &g.aggregate_transpose_naive(&x),
+            &aggregate_transpose_naive(&g, &x),
             "aggregate_transpose",
             || g.aggregate_transpose(&x),
         );
     }
 
-    /// The tiled SpMM (ISSUE 8): bitwise equal to the naive nonzero walk
-    /// at 1 vs 4 threads, unit-valued and scaled, for widths spanning the
+    /// The tiled SpMM: bitwise equal to the naive nonzero walk at 1 vs 4
+    /// threads, unit-valued and scaled, for widths spanning the
     /// narrow-output boundary.
     #[test]
     fn spmm_bitwise_equal_at_1_and_4_threads(
@@ -128,31 +133,6 @@ proptest! {
         let vals: Vec<f32> = (0..indices.len()).map(|_| rng.gen_range(-1.5f32..1.5)).collect();
         let wantv = spmm_naive(&offsets, &indices, Some(&vals), &b);
         check_both_widths(&wantv, "spmm scaled", || spmm(&offsets, &indices, Some(&vals), &b));
-    }
-
-    /// The partitioned aggregation (ISSUE 8): bitwise equal to the naive
-    /// references across random partition budgets — boundaries anywhere,
-    /// results identical — at 1 vs 4 threads and widths on both sides of
-    /// the narrow-output boundary.
-    #[test]
-    fn partitioned_aggregation_bitwise_equal_across_budgets(
-        n in 2usize..150,
-        extra in 0usize..300,
-        cols in 1usize..36,
-        budget in 4usize..32_768,
-        seed in 0u64..1_000_000,
-    ) {
-        let g = random_graph(n, extra, seed);
-        let x = random_matrix(n, cols, seed.wrapping_add(31));
-        let plan = g.plan_partitions(cols, budget);
-        let want = g.aggregate_naive(&x);
-        check_both_widths(&want, "partitioned aggregate", || g.aggregate_with_plan(&x, &plan));
-        let want_t = g.aggregate_transpose_naive(&x);
-        check_both_widths(
-            &want_t,
-            "partitioned aggregate_transpose",
-            || g.aggregate_transpose_with_plan(&x, &plan),
-        );
     }
 }
 
@@ -187,11 +167,11 @@ fn edge_shapes_bitwise_equal_at_1_and_4_threads() {
         let s = si as u64 * 100;
         let a = random_matrix(m, k, s + 1);
         let b = random_matrix(k, n, s + 2);
-        check_both_widths(&a.matmul_naive(&b), "matmul", || a.matmul(&b));
+        check_both_widths(&matmul_naive(&a, &b), "matmul", || a.matmul(&b));
         let at = random_matrix(k, m, s + 3);
-        check_both_widths(&at.t_matmul_naive(&b), "t_matmul", || at.t_matmul(&b));
+        check_both_widths(&t_matmul_naive(&at, &b), "t_matmul", || at.t_matmul(&b));
         let c = random_matrix(n, k, s + 4);
-        check_both_widths(&a.matmul_t_naive(&c), "matmul_t", || a.matmul_t(&c));
+        check_both_widths(&matmul_t_naive(&a, &c), "matmul_t", || a.matmul_t(&c));
     }
 }
 
@@ -201,37 +181,27 @@ fn edge_shapes_bitwise_equal_at_1_and_4_threads() {
 fn large_graph_aggregation_bitwise_equal() {
     let g = random_graph(3000, 9000, 11);
     let x = random_matrix(3000, 8, 12);
-    check_both_widths(&g.aggregate_naive(&x), "aggregate", || g.aggregate(&x));
+    check_both_widths(&aggregate_naive(&g, &x), "aggregate", || g.aggregate(&x));
     check_both_widths(
-        &g.aggregate_transpose_naive(&x),
+        &aggregate_transpose_naive(&g, &x),
         "aggregate_transpose",
         || g.aggregate_transpose(&x),
     );
 }
 
-/// A graph and width large enough that the default dispatch in
-/// `aggregate`/`aggregate_transpose` takes the partitioned path at the
-/// default 256 KiB budget (3000 × 32 × 4 B = 375 KiB of features): the
-/// automatic dispatch — not just the explicit `_with_plan` entry points —
-/// must reproduce the naive scatter bit for bit.
+/// A graph of the same size at 32 columns, past the narrow-output
+/// boundary, so `aggregate`/`aggregate_transpose` dispatch to the SpMM
+/// branch with many rows per pool chunk.
 #[test]
-fn dispatched_partitioned_aggregation_bitwise_equal() {
+fn wide_dispatch_aggregation_bitwise_equal() {
     let g = random_graph(3000, 9000, 13);
     let x = random_matrix(3000, 32, 14);
-    assert!(
-        3000 * 32 * 4 > m3d_gnn::partition_budget(),
-        "shape must overflow the budget for this test to bite"
-    );
-    assert!(
-        g.partition_plan(32).len() > 1,
-        "expected a multi-partition plan"
-    );
-    check_both_widths(&g.aggregate_naive(&x), "aggregate (dispatched)", || {
+    check_both_widths(&aggregate_naive(&g, &x), "aggregate (wide)", || {
         g.aggregate(&x)
     });
     check_both_widths(
-        &g.aggregate_transpose_naive(&x),
-        "aggregate_transpose (dispatched)",
+        &aggregate_transpose_naive(&g, &x),
+        "aggregate_transpose (wide)",
         || g.aggregate_transpose(&x),
     );
 }

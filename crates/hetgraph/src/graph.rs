@@ -310,23 +310,6 @@ impl HetGraph {
         csr_row(&self.out_offsets, &self.out_edges, site.index())
     }
 
-    /// Plans cache-resident row partitions of the circuit-level successor
-    /// CSR for `cols` `f32` feature columns under `budget_bytes`, using
-    /// the same deterministic partitioner as
-    /// [`m3d_gnn::GcnGraph::partition_plan`]. Message-passing over site
-    /// features at paper scale (hundreds of thousands of sites) can walk
-    /// the plan's partitions so each partition's touched feature rows
-    /// stay L2-resident.
-    pub fn partition_plan(&self, cols: usize, budget_bytes: usize) -> m3d_gnn::GraphPartition {
-        m3d_gnn::GraphPartition::plan(
-            &self.out_offsets,
-            &self.out_edges,
-            self.node_count,
-            cols,
-            budget_bytes,
-        )
-    }
-
     /// Predecessor sites of `site`.
     #[inline]
     pub fn predecessors(&self, site: SiteId) -> &[u32] {
@@ -415,28 +398,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn partition_plan_covers_successor_csr_within_budget() {
-        let (_, g) = graph();
-        let cols = 16;
-        let budget = 2048; // 32 rows of 16 f32 cols — forces many partitions
-        let plan = g.partition_plan(cols, budget);
-        assert!(plan.len() > 1, "small budget must split the site graph");
-        assert_eq!(plan.row_count(), g.node_count());
-        let budget_rows = budget / (cols * 4);
-        let mut next = 0;
-        for p in 0..plan.len() {
-            let r = plan.part_rows(p);
-            assert_eq!(r.start, next);
-            next = r.end;
-            assert!(plan.gather_len(p) <= budget_rows || r.len() == 1);
-        }
-        assert_eq!(next, g.node_count());
-        // Deterministic: independent of pool width.
-        let again = m3d_par::with_threads(4, || g.partition_plan(cols, budget));
-        assert_eq!(plan, again);
     }
 
     #[test]

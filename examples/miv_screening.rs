@@ -62,7 +62,7 @@ fn main() {
     println!("\nchip  injected MIV  predicted MIVs  rank of MIV candidate");
     for (i, chip) in chips.iter().enumerate() {
         let Some(sg) = &chip.subgraph else { continue };
-        let predicted = framework.miv.predict_faulty_mivs(sg);
+        let predicted = framework.miv.predict_faulty_mivs(sg).unwrap_or_default();
         let truth = chip.miv_truth.first().copied();
         if truth.is_some_and(|t| predicted.contains(&t)) {
             hits += 1;

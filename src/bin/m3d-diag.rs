@@ -90,7 +90,10 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String], bool_flags: &[&str]) -> Result<Flags, String> {
+    /// Parses `args` against a command's declared flags: `value_flags`
+    /// take the next argument, `bool_flags` stand alone, and any other
+    /// flag is an error naming it.
+    fn parse(args: &[String], value_flags: &[&str], bool_flags: &[&str]) -> Result<Flags, String> {
         let mut values = HashMap::new();
         let mut bools = Vec::new();
         let mut it = args.iter();
@@ -101,11 +104,13 @@ impl Flags {
                 .ok_or_else(|| format!("unexpected argument `{a}`"))?;
             if bool_flags.contains(&key) {
                 bools.push(key.to_owned());
-            } else {
+            } else if value_flags.contains(&key) {
                 let v = it
                     .next()
                     .ok_or_else(|| format!("flag `--{key}` needs a value"))?;
                 values.insert(key.to_owned(), v.clone());
+            } else {
+                return Err(format!("unknown flag `{a}`"));
             }
         }
         Ok(Flags { values, bools })
@@ -499,7 +504,7 @@ fn cmd_help(args: &[String]) -> Result<(), String> {
 /// deadline counters, sliding latency quantiles, pool utilization, and
 /// SLO burn, one block per scrape.
 fn cmd_watch(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["once"])?;
+    let flags = Flags::parse(args, &["addr", "interval-ms"], &["once"])?;
     let addr: std::net::SocketAddr = flags
         .require("addr")?
         .parse()
@@ -585,6 +590,9 @@ fn render_watch(snap: &m3d_fault_diagnosis::obs::Json) -> String {
 /// more than one file is given. `--flight` renders only the causal
 /// flight-recorder timeline (for `flight-*.jsonl` crash artifacts).
 fn cmd_report(args: &[String]) -> Result<(), String> {
+    if let Some(bad) = args.iter().find(|a| a.starts_with('-') && *a != "--flight") {
+        return Err(format!("unknown flag `{bad}`"));
+    }
     let flight_only = args.iter().any(|a| a == "--flight");
     let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
     if paths.is_empty() {
@@ -655,7 +663,7 @@ fn mode_of(flags: &Flags) -> ObsMode {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["bench", "target", "synth-seed", "o"], &[])?;
     let bench = parse_bench(flags.require("bench")?)?;
     let mut params = GenParams::new(flags.num("synth-seed", 1u64)?);
     if let Some(t) = flags.get("target") {
@@ -666,7 +674,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_partition(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["netlist", "algo", "seed", "o"], &[])?;
     let nl = load_netlist(&flags)?;
     let algo = match flags.get("algo").unwrap_or("mincut") {
         "mincut" => PartitionAlgo::MinCut,
@@ -679,7 +687,7 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["netlist", "partition"], &[])?;
     let nl = load_netlist(&flags)?;
     let s = nl.stats();
     println!("design {}", nl.name());
@@ -718,7 +726,18 @@ fn test_setup(
 }
 
 fn cmd_inject(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["compacted", "fall"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "netlist",
+            "partition",
+            "site",
+            "patterns",
+            "pattern-seed",
+            "o",
+        ],
+        &["compacted", "fall"],
+    )?;
     let design = load_design(&flags)?;
     let site: usize = flags.require("site")?.parse().map_err(|_| "bad --site")?;
     if site >= design.sites().len() {
@@ -747,7 +766,11 @@ fn cmd_inject(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_diagnose(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["compacted"])?;
+    let flags = Flags::parse(
+        args,
+        &["netlist", "partition", "log", "patterns", "pattern-seed"],
+        &["compacted"],
+    )?;
     let design = load_design(&flags)?;
     let log_path = flags.require("log")?;
     let log_text =
@@ -818,7 +841,20 @@ fn write_baseline(
 fn cmd_lint(args: &[String]) -> Result<(), String> {
     use m3d_fault_diagnosis::lint::{LintReport, LintRunner, LintTarget};
 
-    let flags = Flags::parse(args, &["json", "compacted", "deny"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "bench",
+            "target",
+            "samples",
+            "seed",
+            "netlist",
+            "partition",
+            "baseline",
+            "write-baseline",
+        ],
+        &["json", "compacted", "deny"],
+    )?;
     let runner = LintRunner::new();
     let mut reports: Vec<LintReport> = Vec::new();
 
@@ -906,7 +942,20 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     use m3d_fault_diagnosis::dataflow::{verify_design, UntestableClass, VerifyConfig};
     use m3d_fault_diagnosis::lint::{passes, LintReport};
 
-    let flags = Flags::parse(args, &["json", "deny"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "bench",
+            "target",
+            "netlist",
+            "partition",
+            "clock-factor",
+            "slack-frac",
+            "baseline",
+            "write-baseline",
+        ],
+        &["json", "deny"],
+    )?;
     let mut named: Vec<(String, M3dDesign)> = Vec::new();
     if flags.get("netlist").is_some() {
         let design = load_design(&flags)?;
@@ -1001,7 +1050,22 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     use m3d_fault_diagnosis::hetgraph::FEATURE_DIM;
     use m3d_fault_diagnosis::resilient::{train_resilient, weights_digest, CheckpointConfig};
 
-    let flags = Flags::parse(args, &["compacted", "resume"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "checkpoint-dir",
+            "bench",
+            "target",
+            "samples",
+            "epochs",
+            "seed",
+            "model-seed",
+            "checkpoint-every",
+            "guard-policy",
+            "halt-after",
+        ],
+        &["compacted", "resume"],
+    )?;
     let bench = parse_bench(flags.get("bench").unwrap_or("aes"))?;
     let target = flags
         .get("target")
@@ -1096,7 +1160,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_demo(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["compacted"])?;
+    let flags = Flags::parse(args, &["bench", "target"], &["compacted"])?;
     let bench = parse_bench(flags.get("bench").unwrap_or("aes"))?;
     let target = flags
         .get("target")
@@ -1125,6 +1189,27 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
     print!("{}", outcome.report);
     Ok(())
 }
+
+/// The artifact-spec flags [`bundle_spec_of`] reads (plus `--compacted`).
+const BUNDLE_FLAGS: &[&str] = &[
+    "design-dir",
+    "bench",
+    "target",
+    "enhance-samples",
+    "epochs",
+    "sample-seed",
+    "model-seed",
+    "model-cache",
+];
+
+/// The admission flags [`admission_of`] reads.
+const ADMISSION_FLAGS: &[&str] = &[
+    "queue",
+    "watermark",
+    "default-deadline-ms",
+    "max-deadline-ms",
+    "batch-max",
+];
 
 /// Builds the serve/load artifact spec from the shared bundle flags.
 fn bundle_spec_of(flags: &Flags) -> Result<BundleSpec, String> {
@@ -1164,7 +1249,20 @@ fn admission_of(flags: &Flags) -> Result<AdmissionConfig, String> {
 /// the artifact bundle once, then serves framed requests until a client
 /// sends `shutdown`.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["compacted"])?;
+    let own: &[&str] = &[
+        "addr",
+        "width",
+        "frame-timeout-ms",
+        "chaos-panic-every",
+        "telemetry-addr",
+        "flight-dir",
+        "slo",
+    ];
+    let flags = Flags::parse(
+        args,
+        &[own, BUNDLE_FLAGS, ADMISSION_FLAGS].concat(),
+        &["compacted"],
+    )?;
     let spec = bundle_spec_of(&flags)?;
     let d = ServeConfig::default();
     let cfg = ServeConfig {
@@ -1216,7 +1314,25 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// Exits nonzero when any width phase saw a crashed clean connection or a
 /// report that differs from the offline diagnosis.
 fn cmd_load(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["compacted", "telemetry"])?;
+    let own: &[&str] = &[
+        "addr",
+        "clients",
+        "requests",
+        "widths",
+        "chaos-seed",
+        "chaos-rate",
+        "deadline-ms",
+        "log-pool",
+        "server-panic-every",
+        "frame-timeout-ms",
+        "flight-dir",
+        "o",
+    ];
+    let flags = Flags::parse(
+        args,
+        &[own, BUNDLE_FLAGS, ADMISSION_FLAGS].concat(),
+        &["compacted", "telemetry"],
+    )?;
     let widths = flags
         .get("widths")
         .unwrap_or("1,4")

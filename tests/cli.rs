@@ -108,6 +108,15 @@ fn cli_rejects_bad_input_with_useful_errors() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 
+    // A misspelt flag that takes a value (`--thread` for the global
+    // `--threads`) is an error naming it, not silently ignored.
+    let out = bin()
+        .args(["gen", "--bench", "aes", "--thread", "4"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--thread`"));
+
     let out = bin()
         .args(["inject", "--netlist", "/nonexistent"])
         .output()
