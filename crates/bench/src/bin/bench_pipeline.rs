@@ -38,7 +38,7 @@ use m3d_fault_localization::{
 use m3d_gnn::reference::{
     aggregate_naive, aggregate_transpose_naive, matmul_naive, matmul_t_naive, t_matmul_naive,
 };
-use m3d_gnn::{GcnGraph, Matrix, TrainConfig};
+use m3d_gnn::{GcnGraph, Matrix, TrainConfig, Trainable};
 use m3d_netlist::generate::Benchmark;
 use m3d_netlist::Netlist;
 use m3d_part::DesignConfig;

@@ -8,7 +8,7 @@
 //! skewed training set by synthesizing minority samples with dummy-buffer
 //! insertion.
 
-use m3d_gnn::{GcnClassifier, GraphData};
+use m3d_gnn::{GcnClassifier, GraphData, Trainable};
 use m3d_hetgraph::SubGraph;
 
 use crate::models::{ModelConfig, TierPredictor};

@@ -123,7 +123,7 @@ mod tests {
     use crate::env::TestEnv;
     use crate::sample::{generate_samples, InjectionKind};
     use m3d_dft::ObsMode;
-    use m3d_gnn::TrainConfig;
+    use m3d_gnn::{TrainConfig, Trainable};
     use m3d_netlist::generate::Benchmark;
     use m3d_part::DesignConfig;
 

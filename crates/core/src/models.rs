@@ -1,6 +1,8 @@
 //! The two GNN models of the framework: Tier-predictor and MIV-pinpointer.
 
-use m3d_gnn::{GcnClassifier, GraphData, NodeClassifier, PrCurve, ScoredSample, TrainConfig};
+use m3d_gnn::{
+    GcnClassifier, GraphData, NodeClassifier, PrCurve, ScoredSample, TrainConfig, Trainable,
+};
 use m3d_hetgraph::{SubGraph, FEATURE_DIM};
 use m3d_part::Tier;
 
@@ -177,17 +179,15 @@ impl MivPinpointer {
                 .collect();
             labelled.push((&sg.data, labels));
         }
-        let pos_weight = if pos == 0 {
-            1.0
-        } else {
-            (neg as f32 / pos as f32).clamp(1.0, 50.0)
-        };
         let refs: Vec<(&GraphData, &[(usize, bool)])> =
             labelled.iter().map(|(d, l)| (*d, l.as_slice())).collect();
         let dim = refs.first().map_or(FEATURE_DIM, |(d, _)| d.features.cols());
         let mut model =
             NodeClassifier::new(dim, cfg.hidden, cfg.layers, cfg.seed.wrapping_add(1000));
-        model.fit(&refs, pos_weight, &cfg.train);
+        if pos > 0 {
+            model.pos_weight = (neg as f32 / pos as f32).clamp(1.0, 50.0);
+        }
+        model.fit(&refs, &cfg.train);
         MivPinpointer {
             model,
             threshold: 0.5,

@@ -12,7 +12,7 @@
 //!   Table II sub-graph features, with the tier-location column replaced
 //!   by the normalized region index.
 
-use m3d_gnn::{GcnClassifier, GraphData};
+use m3d_gnn::{GcnClassifier, GraphData, Trainable};
 use m3d_hetgraph::{SubGraph, FEATURE_DIM};
 use m3d_netlist::{GateId, Netlist, SitePos};
 use m3d_part::{M3dDesign, PartitionAlgo, Tier};

@@ -2,12 +2,12 @@
 //! and merged gradients, with a configurable recovery policy.
 //!
 //! Training a GCN for hours and losing the run to one non-finite gradient
-//! is the failure mode this module removes. Every batch, the epoch runner
-//! ([`crate::GcnClassifier::train_epoch`] /
-//! [`crate::NodeClassifier::train_epoch`]) checks the per-sample losses and
-//! the merged gradient accumulators *before* the Adam step; a detected
-//! fault triggers the configured [`GuardPolicy`] and is recorded as a
-//! [`GuardEvent`] in the returned report.
+//! is the failure mode this module removes. Every batch, the one epoch
+//! runner every model trains through ([`crate::Trainable::train_epoch`])
+//! checks the per-sample losses and the merged gradient accumulators
+//! *before* the Adam step; a detected fault triggers the configured
+//! [`GuardPolicy`] and is recorded as a [`GuardEvent`] in the returned
+//! report.
 //!
 //! All checks are pure reads: on healthy data the guarded runner performs
 //! bit-for-bit the same arithmetic as the unguarded one, so PR 2's
@@ -61,7 +61,7 @@ impl FromStr for GuardPolicy {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GuardConfig {
     /// Whether the checks run at all. [`GuardConfig::off`] disables them;
-    /// the legacy `fit` entry points train with guards off.
+    /// [`crate::Trainable::fit`] trains with guards off.
     pub enabled: bool,
     /// The recovery policy when a fault is detected.
     pub policy: GuardPolicy,

@@ -145,8 +145,8 @@ impl GcnLayer {
 
     /// Pure backward pass: returns `(dW, db, dL/dX)` without touching the
     /// stored gradients. Safe to call concurrently from training workers;
-    /// the per-sample results are accumulated in sample order via
-    /// [`GcnLayer::accumulate`].
+    /// the epoch runner ([`crate::Trainable::train_epoch`]) accumulates the
+    /// per-sample results in sample order.
     pub fn backward_wrt(
         &self,
         g: &GcnGraph,
@@ -171,31 +171,6 @@ impl GcnLayer {
         // dX = Mᵀ · (dZ · Wᵀ)
         let dx = g.aggregate_transpose(&dz.matmul_t(&self.w.value));
         (dw, db, dx)
-    }
-
-    /// Backward pass: accumulates parameter gradients and returns `dL/dX`.
-    pub fn backward(&mut self, g: &GcnGraph, cache: &GcnCache, dh: &Matrix) -> Matrix {
-        let (dw, db, dx) = self.backward_wrt(g, cache, dh);
-        self.accumulate(&dw, &db);
-        dx
-    }
-
-    /// Adds externally-computed gradients into the stored accumulators.
-    pub fn accumulate(&mut self, dw: &Matrix, db: &Matrix) {
-        self.w.grad_mut().add_assign(dw);
-        self.b.grad_mut().add_assign(db);
-    }
-
-    /// Adam step over both parameters.
-    pub fn step(&mut self, lr: f32, t: u64) {
-        self.w.adam_step(lr, t);
-        self.b.adam_step(lr, t);
-    }
-
-    /// Clears both gradients.
-    pub fn zero_grad(&mut self) {
-        self.w.zero_grad();
-        self.b.zero_grad();
     }
 }
 
@@ -240,31 +215,6 @@ impl DenseLayer {
         }
         let dx = dy.matmul_t(&self.w.value);
         (dw, db, dx)
-    }
-
-    /// Backward pass: accumulates gradients and returns `dL/dX`.
-    pub fn backward(&mut self, x: &Matrix, dy: &Matrix) -> Matrix {
-        let (dw, db, dx) = self.backward_wrt(x, dy);
-        self.accumulate(&dw, &db);
-        dx
-    }
-
-    /// Adds externally-computed gradients into the stored accumulators.
-    pub fn accumulate(&mut self, dw: &Matrix, db: &Matrix) {
-        self.w.grad_mut().add_assign(dw);
-        self.b.grad_mut().add_assign(db);
-    }
-
-    /// Adam step over both parameters.
-    pub fn step(&mut self, lr: f32, t: u64) {
-        self.w.adam_step(lr, t);
-        self.b.adam_step(lr, t);
-    }
-
-    /// Clears both gradients.
-    pub fn zero_grad(&mut self) {
-        self.w.zero_grad();
-        self.b.zero_grad();
     }
 }
 
@@ -322,7 +272,7 @@ mod tests {
         };
         let (h, cache) = layer.forward(&g, &x);
         let dh = Matrix::from_vec(h.rows(), h.cols(), vec![1.0; h.rows() * h.cols()]);
-        let dx = layer.backward(&g, &cache, &dh);
+        let (dw, _, dx) = layer.backward_wrt(&g, &cache, &dh);
 
         let eps = 1e-3f32;
         // check dW numerically
@@ -334,7 +284,7 @@ mod tests {
             let dn = loss_of(&layer);
             layer.w.value.data_mut()[idx] = orig;
             let num = (up - dn) / (2.0 * eps);
-            let ana = layer.w.grad_mut().data()[idx];
+            let ana = dw.data()[idx];
             assert!(
                 (num - ana).abs() < 1e-2,
                 "dW[{idx}] numeric {num} vs analytic {ana}"
@@ -363,9 +313,8 @@ mod tests {
     fn dense_gradients_match_finite_differences() {
         let x = Matrix::xavier(3, 4, 1);
         let mut layer = DenseLayer::new(4, 2, 2);
-        let y = layer.forward(&x);
         let dy = Matrix::from_vec(3, 2, vec![1.0; 6]);
-        let _dx = layer.backward(&x, &dy);
+        let (dw, _, _) = layer.backward_wrt(&x, &dy);
         let eps = 1e-3f32;
         for idx in 0..layer.w.value.data().len() {
             let orig = layer.w.value.data()[idx];
@@ -375,10 +324,8 @@ mod tests {
             let dn: f32 = layer.forward(&x).data().iter().sum();
             layer.w.value.data_mut()[idx] = orig;
             let num = (up - dn) / (2.0 * eps);
-            let ana = layer.w.grad_mut().data()[idx];
-            assert!((num - ana).abs() < 1e-2);
+            assert!((num - dw.data()[idx]).abs() < 1e-2);
         }
-        let _ = y;
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //!   head (Tier-predictor / Classifier architecture), with network-based
 //!   transfer learning ([`GcnClassifier::transfer_from`]),
 //! * [`NodeClassifier`] — per-node sigmoid head (MIV-pinpointer),
+//! * [`Trainable`] — the one Adam epoch runner both models train through,
 //! * [`PrCurve`] — precision-recall analysis and the `T_p` threshold rule,
 //! * [`pca_project`] — PCA for the Fig. 5 feature visualization,
 //! * [`permutation_significance`] — the Table II feature-importance scores,
@@ -52,6 +53,6 @@ pub use guard::{
 pub use layers::{sigmoid, softmax, DenseLayer, GcnLayer, Param};
 pub use matrix::{spmm, Matrix};
 pub use metrics::{accuracy, PrCurve, PrPoint, RocCurve, RocPoint, ScoredSample};
-pub use model::{GcnClassifier, GraphData, NodeClassifier, TrainConfig, TrainCursor};
+pub use model::{GcnClassifier, GraphData, NodeClassifier, TrainConfig, TrainCursor, Trainable};
 pub use pca::pca_project;
 pub use significance::permutation_significance;

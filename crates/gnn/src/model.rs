@@ -1,5 +1,6 @@
 //! GCN models: graph-level classification (Tier-predictor / Classifier)
-//! and node-level classification (MIV-pinpointer).
+//! and node-level classification (MIV-pinpointer), both trained by the one
+//! epoch runner of [`Trainable`].
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -14,16 +15,6 @@ use crate::layers::{
     sigmoid, sigmoid_bce, softmax, softmax_ce, DenseLayer, GcnCache, GcnLayer, Param,
 };
 use crate::matrix::Matrix;
-
-/// Per-sample parameter gradients of a classifier, computed without
-/// mutating the model so training workers can run concurrently. Each entry
-/// is a `(dW, db)` pair; `layers` is empty when the backbone is frozen.
-struct SampleGrads {
-    loss: f32,
-    layers: Vec<(Matrix, Matrix)>,
-    head_hidden: Option<(Matrix, Matrix)>,
-    head: (Matrix, Matrix),
-}
 
 /// One graph with its node feature matrix.
 #[derive(Clone, Debug)]
@@ -128,9 +119,277 @@ impl TrainCursor {
     }
 }
 
+/// A model the shared epoch runner trains with Adam on shuffled
+/// mini-batches.
+///
+/// A model supplies its parameter list, how many leading parameters are
+/// frozen, and a pure per-sample forward/backward ([`Trainable::sample_grads`]).
+/// The provided methods do the rest once for every model: shuffling,
+/// batching, numeric guards, telemetry and the Adam step. Per-sample passes
+/// within a batch fan out over the [`m3d_par`] pool and their gradients
+/// merge in sample-index order before the step, so the trained weights are
+/// bitwise identical at any thread count (`M3D_THREADS=1` included).
+pub trait Trainable: Sync {
+    /// One sample's label: a class index for graph classification, the
+    /// labelled nodes for node classification.
+    type Label<'a>: Copy + Sync;
+
+    /// Every parameter in a fixed order: GCN layers, then the head layers,
+    /// weights before biases. The checkpoint format and
+    /// [`Trainable::flat_params`] are defined over this order.
+    fn params(&self) -> Vec<&Param>;
+
+    /// Mutable access to every parameter, in [`Trainable::params`] order
+    /// (checkpoint restore).
+    fn params_mut(&mut self) -> Vec<&mut Param>;
+
+    /// How many leading [`Trainable::params`] are frozen: they neither
+    /// accumulate gradients nor step.
+    fn frozen_params(&self) -> usize {
+        0
+    }
+
+    /// Forward + backward for one sample without mutating the model: the
+    /// loss and one gradient per trainable parameter, in
+    /// [`Trainable::params`] order after the frozen ones.
+    fn sample_grads(&self, data: &GraphData, label: Self::Label<'_>) -> (f32, Vec<Matrix>);
+
+    /// Every parameter flattened in [`Trainable::params`] order. Used to
+    /// compare trained models bitwise.
+    fn flat_params(&self) -> Vec<f32> {
+        self.params()
+            .iter()
+            .flat_map(|p| p.value.data().iter().copied())
+            .collect()
+    }
+
+    /// Trains for `cfg.epochs` epochs; returns the final-epoch mean
+    /// training loss. This is [`Trainable::fit_guarded`] with guards off.
+    fn fit(&mut self, samples: &[(&GraphData, Self::Label<'_>)], cfg: &TrainConfig) -> f32 {
+        self.fit_guarded(samples, cfg, &GuardConfig::off())
+            .expect("guards disabled: no numeric fault can surface")
+            .final_loss
+    }
+
+    /// [`Trainable::fit`] with numeric guardrails: per-sample losses and
+    /// merged gradients are checked for NaN/Inf before every Adam step
+    /// and the configured [`GuardPolicy`] applied. Returns a
+    /// [`TrainReport`] recording every intervention, or a typed
+    /// [`NumericFault`] under [`GuardPolicy::Abort`].
+    ///
+    /// On healthy data the result is bit-identical to [`Trainable::fit`]
+    /// — the checks are pure reads.
+    fn fit_guarded(
+        &mut self,
+        samples: &[(&GraphData, Self::Label<'_>)],
+        cfg: &TrainConfig,
+        guard: &GuardConfig,
+    ) -> Result<TrainReport, NumericFault> {
+        let mut span = m3d_obs::span("gnn_fit");
+        span.add("samples", samples.len() as u64);
+        let mut cursor = TrainCursor::start(cfg, samples.len());
+        let mut report = TrainReport::default();
+        while cursor.epoch < cfg.epochs {
+            report.absorb(self.train_epoch(samples, cfg, &mut cursor, guard)?);
+        }
+        Ok(report)
+    }
+
+    /// Runs exactly one training epoch from `cursor`, advancing it.
+    ///
+    /// This is the unit the crash-safe trainer in `m3d-resilient` wraps:
+    /// it checkpoints the model plus cursor between epochs. With
+    /// `guard.enabled` the batch loop checks per-sample losses and merged
+    /// gradients before stepping; a detected fault is handled per
+    /// `guard.policy` (see [`GuardConfig`]). After an `Err` the cursor is
+    /// mid-epoch and must not be reused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cursor was built for a different sample count.
+    fn train_epoch(
+        &mut self,
+        samples: &[(&GraphData, Self::Label<'_>)],
+        cfg: &TrainConfig,
+        cursor: &mut TrainCursor,
+        guard: &GuardConfig,
+    ) -> Result<EpochReport, NumericFault> {
+        assert_eq!(
+            cursor.order.len(),
+            samples.len(),
+            "cursor built for a different sample count"
+        );
+        // Observability here is a pure read of training state (loss,
+        // merged gradients, lr) recorded on the orchestrating thread —
+        // it never changes RNG draws, merge order, or trained weights.
+        let obs_on = m3d_obs::enabled();
+        let mut span = m3d_obs::span("train_epoch");
+        let mut grad_norm_sum = 0.0f64;
+        let mut steps = 0u64;
+        cursor.order.shuffle(&mut cursor.rng);
+        let epoch = cursor.epoch;
+        let order = cursor.order.clone();
+        let frozen = self.frozen_params();
+        let mut epoch_loss = 0.0f32;
+        let mut events = Vec::new();
+        for (batch, chunk) in order.chunks(cfg.batch_size).enumerate() {
+            // Adaptive granularity: tiny batches (small graphs × narrow
+            // features) run serial — pool dispatch would cost more than
+            // it saves — via the calibrated `m3d-par` cost gate. Serial
+            // and parallel paths are bitwise identical, so the gate can
+            // only change wall time, never trained weights.
+            let work: u64 = chunk
+                .iter()
+                .map(|&idx| {
+                    let data = samples[idx].0;
+                    data.graph.edge_count() as u64 * data.features.cols().max(1) as u64 * 8
+                })
+                .sum();
+            let model = &*self;
+            let grads = m3d_par::with_threads(m3d_par::par_gate(work), || {
+                m3d_par::par_map(chunk, |&idx| {
+                    let (data, label) = samples[idx];
+                    model.sample_grads(data, label)
+                })
+            });
+            let mut params = self.params_mut();
+            for p in &mut params {
+                p.zero_grad();
+            }
+            let loss_before = epoch_loss;
+            let mut fault = None;
+            for (&idx, (loss, sample_grads)) in chunk.iter().zip(&grads) {
+                if guard.enabled && fault.is_none() && !loss.is_finite() {
+                    fault = Some(GuardCause::NonFiniteLoss { sample: idx });
+                }
+                epoch_loss += loss;
+                debug_assert_eq!(sample_grads.len(), params.len() - frozen);
+                for (p, g) in params[frozen..].iter_mut().zip(sample_grads) {
+                    p.grad_mut().add_assign(g);
+                }
+            }
+            if guard.enabled
+                && fault.is_none()
+                && !params
+                    .iter()
+                    .all(|p| p.grad().data().iter().all(|g| g.is_finite()))
+            {
+                fault = Some(GuardCause::NonFiniteGrad);
+            }
+            if let Some(cause) = fault {
+                let action = match guard.policy {
+                    GuardPolicy::Abort => {
+                        m3d_obs::counter("gnn.guard.aborted", 1);
+                        return Err(NumericFault {
+                            epoch,
+                            batch,
+                            cause,
+                        });
+                    }
+                    GuardPolicy::SkipBatch => {
+                        m3d_obs::counter("gnn.guard.skipped_batch", 1);
+                        GuardAction::SkippedBatch
+                    }
+                    GuardPolicy::RollbackAndHalveLr => {
+                        cursor.lr = (cursor.lr * 0.5).max(guard.min_lr);
+                        m3d_obs::counter("gnn.guard.rolled_back", 1);
+                        GuardAction::RolledBack { new_lr: cursor.lr }
+                    }
+                };
+                epoch_loss = loss_before;
+                events.push(GuardEvent {
+                    epoch,
+                    batch,
+                    cause,
+                    action,
+                });
+                continue;
+            }
+            if obs_on {
+                // L2 norm of every merged gradient accumulator.
+                let sq: f64 = params
+                    .iter()
+                    .flat_map(|p| p.grad().data().iter())
+                    .map(|&g| f64::from(g) * f64::from(g))
+                    .sum();
+                grad_norm_sum += sq.sqrt();
+                steps += 1;
+            }
+            cursor.t += 1;
+            for p in &mut params[frozen..] {
+                p.adam_step(cursor.lr, cursor.t);
+            }
+        }
+        cursor.epoch += 1;
+        let mean_loss = epoch_loss / samples.len().max(1) as f32;
+        if obs_on {
+            let n_batches = samples.len().div_ceil(cfg.batch_size.max(1)) as u64;
+            span.add("batches", n_batches);
+            span.add("guard_events", events.len() as u64);
+            m3d_obs::counter("gnn.train.epochs", 1);
+            m3d_obs::counter("gnn.train.batches", n_batches);
+            m3d_obs::series_push("gnn.epoch_loss", f64::from(mean_loss));
+            m3d_obs::series_push("gnn.lr", f64::from(cursor.lr));
+            let mean_norm = if steps > 0 {
+                grad_norm_sum / steps as f64
+            } else {
+                0.0
+            };
+            m3d_obs::series_push("gnn.grad_norm", mean_norm);
+        }
+        Ok(EpochReport { mean_loss, events })
+    }
+}
+
+/// `num_layers` GCN layers of width `hidden`, layer `l` seeded with
+/// `seed + l`.
+///
+/// # Panics
+///
+/// Panics if `num_layers == 0`.
+fn gcn_stack(in_dim: usize, hidden: usize, num_layers: usize, seed: u64) -> Vec<GcnLayer> {
+    assert!(num_layers > 0, "need at least one GCN layer");
+    (0..num_layers)
+        .map(|l| {
+            let d_in = if l == 0 { in_dim } else { hidden };
+            GcnLayer::new(d_in, hidden, seed.wrapping_add(l as u64))
+        })
+        .collect()
+}
+
+/// Runs a GCN stack; returns per-layer caches and the final node
+/// embedding matrix.
+fn backbone(layers: &[GcnLayer], data: &GraphData) -> (Vec<GcnCache>, Matrix) {
+    let mut caches = Vec::with_capacity(layers.len());
+    let mut h = data.features.clone();
+    for layer in layers {
+        let (next, cache) = layer.forward(&data.graph, &h);
+        caches.push(cache);
+        h = next;
+    }
+    (caches, h)
+}
+
+/// Backpropagates `dh` through a GCN stack, pushing each layer's `db` and
+/// `dW` onto `grads` from the last layer to the first.
+fn backbone_backward(
+    layers: &[GcnLayer],
+    graph: &GcnGraph,
+    caches: &[GcnCache],
+    mut dh: Matrix,
+    grads: &mut Vec<Matrix>,
+) {
+    for (layer, cache) in layers.iter().zip(caches).rev() {
+        let (dw, db, dx) = layer.backward_wrt(graph, cache, &dh);
+        grads.extend([db, dw]);
+        dh = dx;
+    }
+}
+
 /// A GCN graph classifier: stacked GCN layers, mean graph pooling, and a
 /// dense softmax head (the paper's Tier-predictor architecture, with the
-/// two-dimensional `[p_top, p_bottom]` output).
+/// two-dimensional `[p_top, p_bottom]` output). Trains on softmax
+/// cross-entropy through [`Trainable`].
 ///
 /// # Examples
 ///
@@ -172,14 +431,8 @@ impl GcnClassifier {
         num_classes: usize,
         seed: u64,
     ) -> Self {
-        assert!(num_layers > 0, "need at least one GCN layer");
-        let mut layers = Vec::with_capacity(num_layers);
-        for l in 0..num_layers {
-            let d_in = if l == 0 { in_dim } else { hidden };
-            layers.push(GcnLayer::new(d_in, hidden, seed.wrapping_add(l as u64)));
-        }
         GcnClassifier {
-            layers,
+            layers: gcn_stack(in_dim, hidden, num_layers, seed),
             head_hidden: None,
             head: DenseLayer::new(hidden, num_classes, seed.wrapping_add(97)),
             freeze_backbone: false,
@@ -203,23 +456,10 @@ impl GcnClassifier {
         self.layers[0].in_dim()
     }
 
-    /// Runs the backbone; returns per-layer caches and the final node
-    /// embedding matrix.
-    fn backbone(&self, data: &GraphData) -> (Vec<(Matrix, GcnCache)>, Matrix) {
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut h = data.features.clone();
-        for layer in &self.layers {
-            let (next, cache) = layer.forward(&data.graph, &h);
-            caches.push((h, cache));
-            h = next;
-        }
-        (caches, h)
-    }
-
     /// Mean-pooled graph embedding (pre-head). Used for the paper's
     /// PCA feature visualization (Fig. 5) and as the transfer interface.
     pub fn pooled_embedding(&self, data: &GraphData) -> Vec<f32> {
-        let (_, h) = self.backbone(data);
+        let (_, h) = backbone(&self.layers, data);
         h.col_means()
     }
 
@@ -262,349 +502,6 @@ impl GcnClassifier {
             .expect("at least one class")
     }
 
-    /// Trains with Adam on softmax cross-entropy; returns the final-epoch
-    /// mean training loss.
-    ///
-    /// Per-sample forward/backward passes within a minibatch fan out over
-    /// the [`m3d_par`] pool; gradients are merged in sample-index order
-    /// before the Adam step, so the trained weights are bitwise identical
-    /// at any thread count (`M3D_THREADS=1` included).
-    pub fn fit(&mut self, samples: &[(&GraphData, usize)], cfg: &TrainConfig) -> f32 {
-        let mut span = m3d_obs::span("gnn_fit");
-        span.add("samples", samples.len() as u64);
-        let guard = GuardConfig::off();
-        let mut cursor = TrainCursor::start(cfg, samples.len());
-        let mut last_loss = 0.0f32;
-        while cursor.epoch < cfg.epochs {
-            let ep = self
-                .train_epoch(samples, cfg, &mut cursor, &guard)
-                .expect("guards disabled: no numeric fault can surface");
-            last_loss = ep.mean_loss;
-        }
-        last_loss
-    }
-
-    /// [`GcnClassifier::fit`] with numeric guardrails: per-sample losses
-    /// and merged gradients are checked for NaN/Inf before every Adam step
-    /// and the configured [`GuardPolicy`] applied. Returns a
-    /// [`TrainReport`] recording every intervention, or a typed
-    /// [`NumericFault`] under [`GuardPolicy::Abort`].
-    ///
-    /// On healthy data the result is bit-identical to [`GcnClassifier::fit`]
-    /// — the checks are pure reads.
-    pub fn fit_guarded(
-        &mut self,
-        samples: &[(&GraphData, usize)],
-        cfg: &TrainConfig,
-        guard: &GuardConfig,
-    ) -> Result<TrainReport, NumericFault> {
-        let mut cursor = TrainCursor::start(cfg, samples.len());
-        self.resume_guarded(samples, cfg, guard, &mut cursor)
-    }
-
-    /// Runs guarded training from an existing cursor (fresh or restored
-    /// from a checkpoint) until `cfg.epochs` epochs have completed.
-    pub fn resume_guarded(
-        &mut self,
-        samples: &[(&GraphData, usize)],
-        cfg: &TrainConfig,
-        guard: &GuardConfig,
-        cursor: &mut TrainCursor,
-    ) -> Result<TrainReport, NumericFault> {
-        let mut span = m3d_obs::span("gnn_fit");
-        span.add("samples", samples.len() as u64);
-        let mut report = TrainReport::default();
-        while cursor.epoch < cfg.epochs {
-            report.absorb(self.train_epoch(samples, cfg, cursor, guard)?);
-        }
-        Ok(report)
-    }
-
-    /// Runs exactly one training epoch from `cursor`, advancing it.
-    ///
-    /// This is the unit the crash-safe trainer in `m3d-resilient` wraps:
-    /// it checkpoints the model plus cursor between epochs. With
-    /// `guard.enabled` the batch loop checks per-sample losses and merged
-    /// gradients before stepping; a detected fault is handled per
-    /// `guard.policy` (see [`GuardConfig`]). After an `Err` the cursor is
-    /// mid-epoch and must not be reused.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cursor was built for a different sample count.
-    pub fn train_epoch(
-        &mut self,
-        samples: &[(&GraphData, usize)],
-        cfg: &TrainConfig,
-        cursor: &mut TrainCursor,
-        guard: &GuardConfig,
-    ) -> Result<EpochReport, NumericFault> {
-        assert_eq!(
-            cursor.order.len(),
-            samples.len(),
-            "cursor built for a different sample count"
-        );
-        // Observability here is a pure read of training state (loss,
-        // merged gradients, lr) recorded on the orchestrating thread —
-        // it never changes RNG draws, merge order, or trained weights.
-        let obs_on = m3d_obs::enabled();
-        let mut span = m3d_obs::span("train_epoch");
-        let mut grad_norm_sum = 0.0f64;
-        let mut steps = 0u64;
-        cursor.order.shuffle(&mut cursor.rng);
-        let epoch = cursor.epoch;
-        let order = cursor.order.clone();
-        let mut epoch_loss = 0.0f32;
-        let mut events = Vec::new();
-        for (batch, chunk) in order.chunks(cfg.batch_size).enumerate() {
-            self.zero_grads();
-            let model = &*self;
-            // Adaptive granularity: tiny batches (small graphs × narrow
-            // features) run serial — pool dispatch would cost more than
-            // it saves — via the calibrated `m3d-par` cost gate. Serial
-            // and parallel paths are bitwise identical, so the gate can
-            // only change wall time, never trained weights.
-            let work: u64 = chunk
-                .iter()
-                .map(|&idx| {
-                    let (data, _) = samples[idx];
-                    data.graph.edge_count() as u64 * data.features.cols().max(1) as u64 * 8
-                })
-                .sum();
-            let grads = m3d_par::with_threads(m3d_par::par_gate(work), || {
-                m3d_par::par_map(chunk, |&idx| {
-                    let (data, label) = samples[idx];
-                    model.sample_grads(data, label)
-                })
-            });
-            let loss_before = epoch_loss;
-            let mut fault = None;
-            for (&idx, g) in chunk.iter().zip(&grads) {
-                if guard.enabled && fault.is_none() && !g.loss.is_finite() {
-                    fault = Some(GuardCause::NonFiniteLoss { sample: idx });
-                }
-                epoch_loss += g.loss;
-                self.apply_grads(g);
-            }
-            if guard.enabled && fault.is_none() && !self.grads_finite() {
-                fault = Some(GuardCause::NonFiniteGrad);
-            }
-            if let Some(cause) = fault {
-                match guard.policy {
-                    GuardPolicy::Abort => {
-                        m3d_obs::counter("gnn.guard.aborted", 1);
-                        return Err(NumericFault {
-                            epoch,
-                            batch,
-                            cause,
-                        });
-                    }
-                    GuardPolicy::SkipBatch => {
-                        epoch_loss = loss_before;
-                        m3d_obs::counter("gnn.guard.skipped_batch", 1);
-                        events.push(GuardEvent {
-                            epoch,
-                            batch,
-                            cause,
-                            action: GuardAction::SkippedBatch,
-                        });
-                        continue;
-                    }
-                    GuardPolicy::RollbackAndHalveLr => {
-                        epoch_loss = loss_before;
-                        cursor.lr = (cursor.lr * 0.5).max(guard.min_lr);
-                        m3d_obs::counter("gnn.guard.rolled_back", 1);
-                        events.push(GuardEvent {
-                            epoch,
-                            batch,
-                            cause,
-                            action: GuardAction::RolledBack { new_lr: cursor.lr },
-                        });
-                        continue;
-                    }
-                }
-            }
-            if obs_on {
-                grad_norm_sum += self.grad_l2();
-                steps += 1;
-            }
-            cursor.t += 1;
-            self.step(cursor.lr, cursor.t);
-        }
-        cursor.epoch += 1;
-        let mean_loss = epoch_loss / samples.len().max(1) as f32;
-        if obs_on {
-            let n_batches = samples.len().div_ceil(cfg.batch_size.max(1)) as u64;
-            span.add("batches", n_batches);
-            span.add("guard_events", events.len() as u64);
-            m3d_obs::counter("gnn.train.epochs", 1);
-            m3d_obs::counter("gnn.train.batches", n_batches);
-            m3d_obs::series_push("gnn.epoch_loss", f64::from(mean_loss));
-            m3d_obs::series_push("gnn.lr", f64::from(cursor.lr));
-            let mean_norm = if steps > 0 {
-                grad_norm_sum / steps as f64
-            } else {
-                0.0
-            };
-            m3d_obs::series_push("gnn.grad_norm", mean_norm);
-        }
-        Ok(EpochReport { mean_loss, events })
-    }
-
-    /// L2 norm of every merged gradient accumulator (pure read; only
-    /// computed when observability is recording).
-    fn grad_l2(&self) -> f64 {
-        let sum: f64 = self
-            .params()
-            .iter()
-            .flat_map(|p| p.grad().data().iter())
-            .map(|&g| f64::from(g) * f64::from(g))
-            .sum();
-        sum.sqrt()
-    }
-
-    /// Whether every merged gradient accumulator is finite (pure read).
-    fn grads_finite(&self) -> bool {
-        self.params()
-            .iter()
-            .all(|p| p.grad().data().iter().all(|g| g.is_finite()))
-    }
-
-    /// Every trainable parameter, in the same fixed order as
-    /// [`GcnClassifier::flat_params`] (GCN layers, hidden head, head;
-    /// weights before biases). The checkpoint format is defined over this
-    /// order.
-    pub fn params(&self) -> Vec<&Param> {
-        let mut out = Vec::new();
-        for l in &self.layers {
-            out.push(&l.w);
-            out.push(&l.b);
-        }
-        if let Some(h) = &self.head_hidden {
-            out.push(&h.w);
-            out.push(&h.b);
-        }
-        out.push(&self.head.w);
-        out.push(&self.head.b);
-        out
-    }
-
-    /// Mutable access to every trainable parameter, in
-    /// [`GcnClassifier::params`] order (checkpoint restore).
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut out = Vec::new();
-        for l in &mut self.layers {
-            out.push(&mut l.w);
-            out.push(&mut l.b);
-        }
-        if let Some(h) = &mut self.head_hidden {
-            out.push(&mut h.w);
-            out.push(&mut h.b);
-        }
-        out.push(&mut self.head.w);
-        out.push(&mut self.head.b);
-        out
-    }
-
-    /// Forward + backward for one sample without mutating the model.
-    fn sample_grads(&self, data: &GraphData, label: usize) -> SampleGrads {
-        let (caches, h) = self.backbone(data);
-        let n = h.rows().max(1);
-        let hidden = h.cols();
-        let pooled = Matrix::from_vec(1, hidden, h.col_means());
-        let (pre_head, head_z) = self.apply_head_hidden(&pooled);
-        let logits = self.head.forward(&pre_head);
-        let (loss, dlogits) = softmax_ce(logits.row(0), label);
-        let dlogits = Matrix::from_vec(1, logits.cols(), dlogits);
-        let (head_dw, head_db, mut dpooled) = self.head.backward_wrt(&pre_head, &dlogits);
-        let mut head_hidden_g = None;
-        if let (Some(layer), Some(z)) = (self.head_hidden.as_ref(), head_z) {
-            // ReLU backward on the hidden head, then its dense backward.
-            for (d, &zv) in dpooled.data_mut().iter_mut().zip(z.data()) {
-                if zv <= 0.0 {
-                    *d = 0.0;
-                }
-            }
-            let (dw, db, dp) = layer.backward_wrt(&pooled, &dpooled);
-            head_hidden_g = Some((dw, db));
-            dpooled = dp;
-        }
-        let mut layer_grads = Vec::new();
-        if !self.freeze_backbone {
-            // Mean-pool backward: broadcast /n to every node row.
-            let mut dh = Matrix::zeros(h.rows(), hidden);
-            for r in 0..h.rows() {
-                for (d, &g) in dh.row_mut(r).iter_mut().zip(dpooled.row(0)) {
-                    *d = g / n as f32;
-                }
-            }
-            layer_grads.reserve(self.layers.len());
-            for (layer, (_, cache)) in self.layers.iter().zip(&caches).rev() {
-                let (dw, db, dx) = layer.backward_wrt(&data.graph, cache, &dh);
-                layer_grads.push((dw, db));
-                dh = dx;
-            }
-            layer_grads.reverse();
-        }
-        SampleGrads {
-            loss,
-            layers: layer_grads,
-            head_hidden: head_hidden_g,
-            head: (head_dw, head_db),
-        }
-    }
-
-    /// Adds one sample's gradients into the stored accumulators.
-    fn apply_grads(&mut self, g: &SampleGrads) {
-        for (layer, (dw, db)) in self.layers.iter_mut().zip(&g.layers) {
-            layer.accumulate(dw, db);
-        }
-        if let (Some(layer), Some((dw, db))) = (self.head_hidden.as_mut(), g.head_hidden.as_ref()) {
-            layer.accumulate(dw, db);
-        }
-        self.head.accumulate(&g.head.0, &g.head.1);
-    }
-
-    /// Every trainable parameter flattened in a fixed order (GCN layers,
-    /// hidden head, head; weights before biases). Used by the determinism
-    /// tests to compare trained models bitwise.
-    pub fn flat_params(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        for l in &self.layers {
-            out.extend_from_slice(l.w.value.data());
-            out.extend_from_slice(l.b.value.data());
-        }
-        if let Some(h) = &self.head_hidden {
-            out.extend_from_slice(h.w.value.data());
-            out.extend_from_slice(h.b.value.data());
-        }
-        out.extend_from_slice(self.head.w.value.data());
-        out.extend_from_slice(self.head.b.value.data());
-        out
-    }
-
-    fn zero_grads(&mut self) {
-        for l in &mut self.layers {
-            l.zero_grad();
-        }
-        if let Some(h) = &mut self.head_hidden {
-            h.zero_grad();
-        }
-        self.head.zero_grad();
-    }
-
-    fn step(&mut self, lr: f32, t: u64) {
-        if !self.freeze_backbone {
-            for l in &mut self.layers {
-                l.step(lr, t);
-            }
-        }
-        if let Some(h) = &mut self.head_hidden {
-            h.step(lr, t);
-        }
-        self.head.step(lr, t);
-    }
-
     /// Classification accuracy over a labelled set.
     pub fn accuracy(&self, samples: &[(&GraphData, usize)]) -> f64 {
         if samples.is_empty() {
@@ -618,13 +515,86 @@ impl GcnClassifier {
     }
 }
 
+impl Trainable for GcnClassifier {
+    /// The class index.
+    type Label<'a> = usize;
+
+    fn params(&self) -> Vec<&Param> {
+        let dense = self.head_hidden.iter().chain([&self.head]);
+        self.layers
+            .iter()
+            .flat_map(|l| [&l.w, &l.b])
+            .chain(dense.flat_map(|d| [&d.w, &d.b]))
+            .collect()
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        let dense = self.head_hidden.iter_mut().chain([&mut self.head]);
+        self.layers
+            .iter_mut()
+            .flat_map(|l| [&mut l.w, &mut l.b])
+            .chain(dense.flat_map(|d| [&mut d.w, &mut d.b]))
+            .collect()
+    }
+
+    /// The GCN layers' weights and biases when the backbone is frozen.
+    fn frozen_params(&self) -> usize {
+        if self.freeze_backbone {
+            2 * self.layers.len()
+        } else {
+            0
+        }
+    }
+
+    fn sample_grads(&self, data: &GraphData, label: usize) -> (f32, Vec<Matrix>) {
+        let (caches, h) = backbone(&self.layers, data);
+        let hidden = h.cols();
+        let pooled = Matrix::from_vec(1, hidden, h.col_means());
+        let (pre_head, head_z) = self.apply_head_hidden(&pooled);
+        let logits = self.head.forward(&pre_head);
+        let (loss, dlogits) = softmax_ce(logits.row(0), label);
+        let dlogits = Matrix::from_vec(1, logits.cols(), dlogits);
+        let (head_dw, head_db, mut dpooled) = self.head.backward_wrt(&pre_head, &dlogits);
+        // Gathered from the output back, then reversed into `params` order.
+        let mut grads = vec![head_db, head_dw];
+        if let (Some(layer), Some(z)) = (self.head_hidden.as_ref(), head_z) {
+            // ReLU backward on the hidden head, then its dense backward.
+            for (d, &zv) in dpooled.data_mut().iter_mut().zip(z.data()) {
+                if zv <= 0.0 {
+                    *d = 0.0;
+                }
+            }
+            let (dw, db, dp) = layer.backward_wrt(&pooled, &dpooled);
+            grads.extend([db, dw]);
+            dpooled = dp;
+        }
+        if !self.freeze_backbone {
+            // Mean-pool backward: broadcast /n to every node row.
+            let n = h.rows().max(1);
+            let mut dh = Matrix::zeros(h.rows(), hidden);
+            for r in 0..h.rows() {
+                for (d, &g) in dh.row_mut(r).iter_mut().zip(dpooled.row(0)) {
+                    *d = g / n as f32;
+                }
+            }
+            backbone_backward(&self.layers, &data.graph, &caches, dh, &mut grads);
+        }
+        grads.reverse();
+        (loss, grads)
+    }
+}
+
 /// A GCN node classifier: stacked GCN layers and a per-node sigmoid head
 /// (the paper's MIV-pinpointer — node classification over MIV nodes, where
 /// local information matters more than the global pooled representation).
+/// Trains on weighted sigmoid cross-entropy through [`Trainable`].
 #[derive(Clone, Debug)]
 pub struct NodeClassifier {
     layers: Vec<GcnLayer>,
     head: DenseLayer,
+    /// Training-loss weight of positive (faulty) nodes, countering class
+    /// imbalance; `1.0` in a fresh model.
+    pub pos_weight: f32,
 }
 
 impl NodeClassifier {
@@ -634,279 +604,66 @@ impl NodeClassifier {
     ///
     /// Panics if `num_layers == 0`.
     pub fn new(in_dim: usize, hidden: usize, num_layers: usize, seed: u64) -> Self {
-        assert!(num_layers > 0, "need at least one GCN layer");
-        let mut layers = Vec::with_capacity(num_layers);
-        for l in 0..num_layers {
-            let d_in = if l == 0 { in_dim } else { hidden };
-            layers.push(GcnLayer::new(
-                d_in,
-                hidden,
-                seed.wrapping_add(11 + l as u64),
-            ));
-        }
         NodeClassifier {
-            layers,
+            layers: gcn_stack(in_dim, hidden, num_layers, seed.wrapping_add(11)),
             head: DenseLayer::new(hidden, 1, seed.wrapping_add(131)),
+            pos_weight: 1.0,
         }
-    }
-
-    fn backbone(&self, data: &GraphData) -> (Vec<(Matrix, GcnCache)>, Matrix) {
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut h = data.features.clone();
-        for layer in &self.layers {
-            let (next, cache) = layer.forward(&data.graph, &h);
-            caches.push((h, cache));
-            h = next;
-        }
-        (caches, h)
     }
 
     /// Fault probability for the listed nodes.
     pub fn predict_nodes(&self, data: &GraphData, nodes: &[usize]) -> Vec<f32> {
-        let (_, h) = self.backbone(data);
+        let (_, h) = backbone(&self.layers, data);
         let logits = self.head.forward(&h);
         nodes.iter().map(|&n| sigmoid(logits[(n, 0)])).collect()
     }
+}
 
-    /// Trains on per-node binary labels; `pos_weight` scales the loss of
-    /// positive (faulty) nodes to counter class imbalance. Returns the
-    /// final-epoch mean loss.
-    ///
-    /// Like [`GcnClassifier::fit`], per-sample passes run on the
-    /// [`m3d_par`] pool with gradients merged in sample-index order, so
-    /// results are bitwise thread-count independent.
-    pub fn fit(
-        &mut self,
-        samples: &[(&GraphData, &[(usize, bool)])],
-        pos_weight: f32,
-        cfg: &TrainConfig,
-    ) -> f32 {
-        let guard = GuardConfig::off();
-        let mut cursor = TrainCursor::start(cfg, samples.len());
-        let mut last_loss = 0.0f32;
-        while cursor.epoch < cfg.epochs {
-            let ep = self
-                .train_epoch(samples, pos_weight, cfg, &mut cursor, &guard)
-                .expect("guards disabled: no numeric fault can surface");
-            last_loss = ep.mean_loss;
-        }
-        last_loss
-    }
+impl Trainable for NodeClassifier {
+    /// Binary labels of the supervised nodes.
+    type Label<'a> = &'a [(usize, bool)];
 
-    /// [`NodeClassifier::fit`] with numeric guardrails — the node-level
-    /// counterpart of [`GcnClassifier::fit_guarded`].
-    pub fn fit_guarded(
-        &mut self,
-        samples: &[(&GraphData, &[(usize, bool)])],
-        pos_weight: f32,
-        cfg: &TrainConfig,
-        guard: &GuardConfig,
-    ) -> Result<TrainReport, NumericFault> {
-        let mut cursor = TrainCursor::start(cfg, samples.len());
-        let mut report = TrainReport::default();
-        while cursor.epoch < cfg.epochs {
-            report.absorb(self.train_epoch(samples, pos_weight, cfg, &mut cursor, guard)?);
-        }
-        Ok(report)
-    }
-
-    /// Runs exactly one training epoch from `cursor`, advancing it — the
-    /// node-level counterpart of [`GcnClassifier::train_epoch`], with the
-    /// same guard semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cursor was built for a different sample count.
-    pub fn train_epoch(
-        &mut self,
-        samples: &[(&GraphData, &[(usize, bool)])],
-        pos_weight: f32,
-        cfg: &TrainConfig,
-        cursor: &mut TrainCursor,
-        guard: &GuardConfig,
-    ) -> Result<EpochReport, NumericFault> {
-        assert_eq!(
-            cursor.order.len(),
-            samples.len(),
-            "cursor built for a different sample count"
-        );
-        cursor.order.shuffle(&mut cursor.rng);
-        let epoch = cursor.epoch;
-        let order = cursor.order.clone();
-        let mut epoch_loss = 0.0f32;
-        let mut events = Vec::new();
-        for (batch, chunk) in order.chunks(cfg.batch_size).enumerate() {
-            for l in &mut self.layers {
-                l.zero_grad();
-            }
-            self.head.zero_grad();
-            let model = &*self;
-            // Same adaptive-granularity gate as `GcnClassifier`: the
-            // decision is timing-derived but the gated paths are bitwise
-            // identical, so results never depend on it.
-            let work: u64 = chunk
-                .iter()
-                .map(|&idx| {
-                    let (data, _) = samples[idx];
-                    data.graph.edge_count() as u64 * data.features.cols().max(1) as u64 * 8
-                })
-                .sum();
-            let grads = m3d_par::with_threads(m3d_par::par_gate(work), || {
-                m3d_par::par_map(chunk, |&idx| {
-                    let (data, labels) = samples[idx];
-                    model.sample_grads(data, labels, pos_weight)
-                })
-            });
-            let loss_before = epoch_loss;
-            let mut fault = None;
-            for (&idx, g) in chunk.iter().zip(&grads) {
-                if guard.enabled && fault.is_none() && !g.loss.is_finite() {
-                    fault = Some(GuardCause::NonFiniteLoss { sample: idx });
-                }
-                epoch_loss += g.loss;
-                for (layer, (dw, db)) in self.layers.iter_mut().zip(&g.layers) {
-                    layer.accumulate(dw, db);
-                }
-                self.head.accumulate(&g.head.0, &g.head.1);
-            }
-            if guard.enabled && fault.is_none() && !self.grads_finite() {
-                fault = Some(GuardCause::NonFiniteGrad);
-            }
-            if let Some(cause) = fault {
-                match guard.policy {
-                    GuardPolicy::Abort => {
-                        return Err(NumericFault {
-                            epoch,
-                            batch,
-                            cause,
-                        })
-                    }
-                    GuardPolicy::SkipBatch => {
-                        epoch_loss = loss_before;
-                        events.push(GuardEvent {
-                            epoch,
-                            batch,
-                            cause,
-                            action: GuardAction::SkippedBatch,
-                        });
-                        continue;
-                    }
-                    GuardPolicy::RollbackAndHalveLr => {
-                        epoch_loss = loss_before;
-                        cursor.lr = (cursor.lr * 0.5).max(guard.min_lr);
-                        events.push(GuardEvent {
-                            epoch,
-                            batch,
-                            cause,
-                            action: GuardAction::RolledBack { new_lr: cursor.lr },
-                        });
-                        continue;
-                    }
-                }
-            }
-            cursor.t += 1;
-            for l in &mut self.layers {
-                l.step(cursor.lr, cursor.t);
-            }
-            self.head.step(cursor.lr, cursor.t);
-        }
-        cursor.epoch += 1;
-        Ok(EpochReport {
-            mean_loss: epoch_loss / samples.len().max(1) as f32,
-            events,
-        })
-    }
-
-    /// Whether every merged gradient accumulator is finite (pure read).
-    fn grads_finite(&self) -> bool {
-        self.params()
+    fn params(&self) -> Vec<&Param> {
+        self.layers
             .iter()
-            .all(|p| p.grad().data().iter().all(|g| g.is_finite()))
+            .flat_map(|l| [&l.w, &l.b])
+            .chain([&self.head.w, &self.head.b])
+            .collect()
     }
 
-    /// Every trainable parameter, in [`NodeClassifier::flat_params`]
-    /// order.
-    pub fn params(&self) -> Vec<&Param> {
-        let mut out = Vec::new();
-        for l in &self.layers {
-            out.push(&l.w);
-            out.push(&l.b);
-        }
-        out.push(&self.head.w);
-        out.push(&self.head.b);
-        out
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| [&mut l.w, &mut l.b])
+            .chain([&mut self.head.w, &mut self.head.b])
+            .collect()
     }
 
-    /// Mutable access to every trainable parameter, in
-    /// [`NodeClassifier::params`] order (checkpoint restore).
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut out = Vec::new();
-        for l in &mut self.layers {
-            out.push(&mut l.w);
-            out.push(&mut l.b);
-        }
-        out.push(&mut self.head.w);
-        out.push(&mut self.head.b);
-        out
-    }
-
-    /// Forward + backward for one sample without mutating the model.
-    fn sample_grads(
-        &self,
-        data: &GraphData,
-        labels: &[(usize, bool)],
-        pos_weight: f32,
-    ) -> SampleGrads {
+    fn sample_grads(&self, data: &GraphData, labels: &[(usize, bool)]) -> (f32, Vec<Matrix>) {
         if labels.is_empty() {
-            // No layer entries and an all-zero head: accumulates nothing.
-            return SampleGrads {
-                loss: 0.0,
-                layers: Vec::new(),
-                head_hidden: None,
-                head: (
-                    Matrix::zeros(self.head.w.value.rows(), self.head.w.value.cols()),
-                    Matrix::zeros(1, self.head.w.value.cols()),
-                ),
-            };
+            // Nothing supervised: a zero gradient for every parameter.
+            let zeros = self.params().into_iter().map(|p| {
+                let v = &p.value;
+                Matrix::zeros(v.rows(), v.cols())
+            });
+            return (0.0, zeros.collect());
         }
-        let (caches, h) = self.backbone(data);
+        let (caches, h) = backbone(&self.layers, data);
         let logits = self.head.forward(&h);
         let mut dlogits = Matrix::zeros(logits.rows(), 1);
         let mut loss = 0.0f32;
         let norm = 1.0 / labels.len() as f32;
         for &(node, target) in labels {
-            let w = if target { pos_weight } else { 1.0 };
+            let w = if target { self.pos_weight } else { 1.0 };
             let (l, d) = sigmoid_bce(logits[(node, 0)], target, w);
             loss += l * norm;
             dlogits[(node, 0)] = d * norm;
         }
-        let (head_dw, head_db, mut dh) = self.head.backward_wrt(&h, &dlogits);
-        let mut layer_grads = Vec::with_capacity(self.layers.len());
-        for (layer, (_, cache)) in self.layers.iter().zip(&caches).rev() {
-            let (dw, db, dx) = layer.backward_wrt(&data.graph, cache, &dh);
-            layer_grads.push((dw, db));
-            dh = dx;
-        }
-        layer_grads.reverse();
-        SampleGrads {
-            loss,
-            layers: layer_grads,
-            head_hidden: None,
-            head: (head_dw, head_db),
-        }
-    }
-
-    /// Every trainable parameter flattened in a fixed order (see
-    /// [`GcnClassifier::flat_params`]).
-    pub fn flat_params(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        for l in &self.layers {
-            out.extend_from_slice(l.w.value.data());
-            out.extend_from_slice(l.b.value.data());
-        }
-        out.extend_from_slice(self.head.w.value.data());
-        out.extend_from_slice(self.head.b.value.data());
-        out
+        let (head_dw, head_db, dh) = self.head.backward_wrt(&h, &dlogits);
+        let mut grads = vec![head_db, head_dw];
+        backbone_backward(&self.layers, &data.graph, &caches, dh, &mut grads);
+        grads.reverse();
+        (loss, grads)
     }
 }
 
@@ -1024,7 +781,6 @@ mod tests {
         let mut model = NodeClassifier::new(2, 16, 1, 3);
         model.fit(
             &refs,
-            1.0,
             &TrainConfig {
                 epochs: 120,
                 ..TrainConfig::default()

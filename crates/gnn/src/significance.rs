@@ -57,7 +57,7 @@ mod tests {
     use super::*;
     use crate::graph::GcnGraph;
     use crate::matrix::Matrix;
-    use crate::model::TrainConfig;
+    use crate::model::{TrainConfig, Trainable};
     use rand::Rng;
 
     #[test]

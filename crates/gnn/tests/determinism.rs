@@ -6,7 +6,7 @@
 //! length only, and gradients merge in sample-index order (see the
 //! `m3d_par` crate docs).
 
-use m3d_gnn::{GcnClassifier, GcnGraph, GraphData, Matrix, NodeClassifier, TrainConfig};
+use m3d_gnn::{GcnClassifier, GcnGraph, GraphData, Matrix, NodeClassifier, TrainConfig, Trainable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -115,7 +115,8 @@ fn node_classifier_training_is_thread_count_independent() {
     let run = |threads: usize| {
         m3d_par::with_threads(threads, || {
             let mut model = NodeClassifier::new(2, 16, 1, 3);
-            let loss = model.fit(&refs, 2.0, &cfg);
+            model.pos_weight = 2.0;
+            let loss = model.fit(&refs, &cfg);
             (bits(&model.flat_params()), loss.to_bits())
         })
     };

@@ -1,11 +1,16 @@
 //! Observability must be a pure read of training: enabling span tracing
 //! and metrics recording must leave weights, loss, and predictions
-//! bit-identical to an uninstrumented run, at any pool width.
+//! bit-identical to an uninstrumented run, at any pool width — for the
+//! graph classifier and the node classifier alike, since both train
+//! through the one epoch runner.
 //!
 //! Single `#[test]`: obs state is process-global, so the four scenarios
-//! (obs off/on × threads 1/4) run sequentially inside one test function.
+//! (obs off/on × threads 1/4) of each model run sequentially inside one
+//! test function.
 
-use m3d_gnn::{GcnClassifier, GcnGraph, GraphData, Matrix, TrainConfig};
+use std::fmt::Debug;
+
+use m3d_gnn::{GcnClassifier, GcnGraph, GraphData, Matrix, NodeClassifier, TrainConfig, Trainable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,25 +36,22 @@ fn toy_dataset(n: usize, seed: u64) -> Vec<(GraphData, usize)> {
         .collect()
 }
 
-#[test]
-fn training_is_bit_identical_with_observability_on_or_off() {
-    let data = toy_dataset(30, 17);
-    let refs: Vec<(&GraphData, usize)> = data.iter().map(|(d, l)| (d, *l)).collect();
-    let cfg = TrainConfig {
-        epochs: 8,
-        ..TrainConfig::default()
-    };
+fn bits(params: &[f32]) -> Vec<u32> {
+    params.iter().map(|p| p.to_bits()).collect()
+}
 
+/// Runs `train` with obs off and on at pool widths 1 and 4: the results
+/// must be equal, and the instrumented run must record the fit span, one
+/// epoch counter tick and one loss point per epoch.
+fn assert_obs_is_a_pure_read<R: PartialEq + Debug>(
+    model: &str,
+    epochs: usize,
+    train: impl Fn() -> R,
+) {
     let run = |threads: usize, obs: bool| {
         m3d_obs::reset();
         m3d_obs::set_enabled(obs);
-        let out = m3d_par::with_threads(threads, || {
-            let mut model = GcnClassifier::new(3, 8, 2, 2, 5);
-            let loss = model.fit(&refs, &cfg);
-            let preds: Vec<usize> = data.iter().map(|(d, _)| model.predict(d)).collect();
-            let bits: Vec<u32> = model.flat_params().iter().map(|p| p.to_bits()).collect();
-            (bits, loss.to_bits(), preds)
-        });
+        let out = m3d_par::with_threads(threads, &train);
         m3d_obs::set_enabled(false);
         out
     };
@@ -64,17 +66,18 @@ fn training_is_bit_identical_with_observability_on_or_off() {
             e,
             m3d_obs::Event::Span { name, .. } if name == "gnn_fit"
         )),
-        "instrumented run records a gnn_fit span"
+        "{model}: instrumented run records a gnn_fit span"
     );
     let reg = m3d_obs::registry_snapshot();
     assert_eq!(
         reg.series("gnn.epoch_loss").map(<[f64]>::len),
-        Some(cfg.epochs),
-        "one loss point per epoch"
+        Some(epochs),
+        "{model}: one loss point per epoch"
     );
     assert_eq!(
         reg.counter_value("gnn.train.epochs"),
-        Some(cfg.epochs as u64)
+        Some(epochs as u64),
+        "{model}"
     );
     m3d_obs::reset();
 
@@ -83,7 +86,48 @@ fn training_is_bit_identical_with_observability_on_or_off() {
     let off_4t = run(4, false);
 
     // …while leaving every numeric result untouched.
-    assert_eq!(baseline, obs_1t, "obs on/off must match at 1 thread");
-    assert_eq!(baseline, obs_4t, "obs on must match at 4 threads");
-    assert_eq!(baseline, off_4t, "obs off must match at 4 threads");
+    assert_eq!(
+        baseline, obs_1t,
+        "{model}: obs on/off must match at 1 thread"
+    );
+    assert_eq!(baseline, obs_4t, "{model}: obs on must match at 4 threads");
+    assert_eq!(baseline, off_4t, "{model}: obs off must match at 4 threads");
+}
+
+#[test]
+fn training_is_bit_identical_with_observability_on_or_off() {
+    let data = toy_dataset(30, 17);
+    let cfg = TrainConfig {
+        epochs: 8,
+        ..TrainConfig::default()
+    };
+
+    let graphs: Vec<(&GraphData, usize)> = data.iter().map(|(d, l)| (d, *l)).collect();
+    assert_obs_is_a_pure_read("GcnClassifier", cfg.epochs, || {
+        let mut model = GcnClassifier::new(3, 8, 2, 2, 5);
+        let loss = model.fit(&graphs, &cfg);
+        let preds: Vec<usize> = data.iter().map(|(d, _)| model.predict(d)).collect();
+        (bits(&model.flat_params()), loss.to_bits(), preds)
+    });
+
+    // Node labels: whether a node's first feature is positive.
+    let labels: Vec<Vec<(usize, bool)>> = data
+        .iter()
+        .map(|(d, _)| {
+            (0..d.features.rows())
+                .map(|r| (r, d.features[(r, 0)] > 0.0))
+                .collect()
+        })
+        .collect();
+    let nodes: Vec<(&GraphData, &[(usize, bool)])> = data
+        .iter()
+        .zip(&labels)
+        .map(|((d, _), l)| (d, l.as_slice()))
+        .collect();
+    assert_obs_is_a_pure_read("NodeClassifier", cfg.epochs, || {
+        let mut model = NodeClassifier::new(3, 8, 2, 5);
+        model.pos_weight = 2.0;
+        let loss = model.fit(&nodes, &cfg);
+        (bits(&model.flat_params()), loss.to_bits())
+    });
 }

@@ -128,6 +128,14 @@ pub enum CheckpointError {
         /// Shape the snapshot holds.
         found: (usize, usize),
     },
+    /// The snapshot's shuffle order is not a permutation of the resumed
+    /// run's sample indices: it was written for another training set.
+    OrderMismatch {
+        /// Training samples in the resumed run.
+        expected: usize,
+        /// Entries in the snapshot's shuffle order.
+        found: usize,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -159,6 +167,11 @@ impl fmt::Display for CheckpointError {
             } => write!(
                 f,
                 "tensor {tensor} shape mismatch: model {expected:?}, checkpoint {found:?}"
+            ),
+            CheckpointError::OrderMismatch { expected, found } => write!(
+                f,
+                "checkpoint shuffle order has {found} entries, not a permutation of \
+                 this run's {expected} training samples"
             ),
         }
     }

@@ -18,7 +18,7 @@
 //!   is detected and recovered from.
 //!
 //! The numeric guardrails themselves ([`GuardPolicy`], [`TrainReport`],
-//! …) live in `m3d-gnn` next to the training loops and are re-exported
+//! …) live in `m3d-gnn` next to the training loop and are re-exported
 //! here for convenience.
 //!
 //! # Examples
@@ -60,7 +60,7 @@ pub use checkpoint::{
 };
 pub use trainer::{train_resilient, CheckpointConfig, ResilientError, TrainOutcome};
 
-// The guard types live next to the training loops in `m3d-gnn`;
+// The guard types live next to the training loop in `m3d-gnn`;
 // re-exported so resilience-focused callers need only this crate.
 pub use m3d_gnn::{
     EpochReport, GuardAction, GuardCause, GuardConfig, GuardEvent, GuardPolicy, NumericFault,

@@ -6,7 +6,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use m3d_gnn::{
-    GcnClassifier, GraphData, GuardConfig, NumericFault, TrainConfig, TrainCursor, TrainReport,
+    GraphData, GuardConfig, NumericFault, TrainConfig, TrainCursor, TrainReport, Trainable,
 };
 
 use crate::checkpoint::{self, CheckpointError, TrainCheckpoint};
@@ -97,14 +97,17 @@ pub struct TrainOutcome {
 ///   carries the full Adam state, RNG state, and shuffle order, a resumed
 ///   run produces weights **bit-identical** to an uninterrupted one, at
 ///   any thread count (the cross-process extension of `m3d-par`'s
-///   determinism contract).
+///   determinism contract). A snapshot whose shuffle order is not a
+///   permutation of `samples` (written for another training set) is
+///   rejected with [`CheckpointError::OrderMismatch`] before the model is
+///   touched.
 /// * `halt_after` — simulated crash for the resume-equivalence tests and
 ///   the CLI smoke: after completing epoch `k` (0-based count of completed
 ///   epochs ≥ `k`), write a checkpoint and return early with
 ///   `halted_at = Some(k)`.
-pub fn train_resilient(
-    model: &mut GcnClassifier,
-    samples: &[(&GraphData, usize)],
+pub fn train_resilient<M: Trainable>(
+    model: &mut M,
+    samples: &[(&GraphData, M::Label<'_>)],
     cfg: &TrainConfig,
     guard: &GuardConfig,
     ckpt: &CheckpointConfig,
@@ -116,8 +119,14 @@ pub fn train_resilient(
     let mut resumed_from = None;
     let mut cursor = if resume && path.exists() {
         let snap = checkpoint::load(&path)?;
-        let mut params = model.params_mut();
-        let cursor = snap.restore_into(&mut params)?;
+        if !is_permutation(&snap.order, samples.len()) {
+            return Err(CheckpointError::OrderMismatch {
+                expected: samples.len(),
+                found: snap.order.len(),
+            }
+            .into());
+        }
+        let cursor = snap.restore_into(&mut model.params_mut())?;
         resumed_from = Some(cursor.epoch);
         cursor
     } else {
@@ -151,4 +160,14 @@ pub fn train_resilient(
         checkpoints_written: written,
         halted_at: None,
     })
+}
+
+/// Whether `order` holds each index in `0..n` exactly once.
+fn is_permutation(order: &[u32], n: usize) -> bool {
+    let mut seen = vec![false; n];
+    order.len() == n
+        && order.iter().all(|&i| {
+            seen.get_mut(i as usize)
+                .is_some_and(|s| !std::mem::replace(s, true))
+        })
 }

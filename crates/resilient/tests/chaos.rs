@@ -7,7 +7,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use m3d_gnn::{
-    GcnClassifier, GcnGraph, GraphData, GuardAction, GuardConfig, GuardPolicy, Matrix, TrainConfig,
+    GcnClassifier, GcnGraph, GraphData, GuardAction, GuardConfig, GuardPolicy, Matrix,
+    NodeClassifier, TrainConfig, Trainable,
 };
 use m3d_resilient::{
     chaos, checkpoint, train_resilient, CheckpointConfig, CheckpointError, ResilientError,
@@ -33,6 +34,29 @@ fn toy_dataset(n: usize, seed: u64) -> Vec<(GraphData, usize)> {
                 label,
             )
         })
+        .collect()
+}
+
+/// Node-classifier labels over `data`'s graphs: whether a node's first
+/// feature is positive.
+fn node_labels(data: &[(GraphData, usize)]) -> Vec<Vec<(usize, bool)>> {
+    data.iter()
+        .map(|(d, _)| {
+            (0..d.features.rows())
+                .map(|r| (r, d.features[(r, 0)] > 0.0))
+                .collect()
+        })
+        .collect()
+}
+
+/// Pairs each graph with its node labels, as `NodeClassifier` trains.
+fn node_samples<'a>(
+    data: &'a [(GraphData, usize)],
+    labels: &'a [Vec<(usize, bool)>],
+) -> Vec<(&'a GraphData, &'a [(usize, bool)])> {
+    data.iter()
+        .zip(labels)
+        .map(|((d, _), l)| (d, l.as_slice()))
         .collect()
 }
 
@@ -62,6 +86,18 @@ fn nan_gradient_aborts_with_typed_fault() {
     let err = model
         .fit_guarded(&samples, &cfg(4), &GuardConfig::new(GuardPolicy::Abort))
         .expect_err("poisoned sample must abort");
+    assert_eq!(err.epoch, 0, "caught in the first epoch: {err}");
+
+    // The node classifier trains through the same guarded runner.
+    let labels = node_labels(&data);
+    let mut node_model = NodeClassifier::new(3, 8, 2, 5);
+    let err = node_model
+        .fit_guarded(
+            &node_samples(&data, &labels),
+            &cfg(4),
+            &GuardConfig::new(GuardPolicy::Abort),
+        )
+        .expect_err("poisoned sample must abort the node classifier");
     assert_eq!(err.epoch, 0, "caught in the first epoch: {err}");
 }
 
@@ -141,6 +177,17 @@ fn guards_are_bitwise_free_on_healthy_data() {
     let mut guarded = GcnClassifier::new(3, 8, 2, 2, 5);
     let report = guarded
         .fit_guarded(&samples, &cfg(5), &GuardConfig::new(GuardPolicy::Abort))
+        .expect("healthy data");
+    assert_eq!(report.interventions(), 0);
+    assert_eq!(plain.flat_params(), guarded.flat_params());
+
+    let labels = node_labels(&data);
+    let nodes = node_samples(&data, &labels);
+    let mut plain = NodeClassifier::new(3, 8, 2, 5);
+    plain.fit(&nodes, &cfg(5));
+    let mut guarded = NodeClassifier::new(3, 8, 2, 5);
+    let report = guarded
+        .fit_guarded(&nodes, &cfg(5), &GuardConfig::new(GuardPolicy::Abort))
         .expect("healthy data");
     assert_eq!(report.interventions(), 0);
     assert_eq!(plain.flat_params(), guarded.flat_params());
@@ -232,6 +279,56 @@ fn bit_flipped_checkpoint_fails_crc_and_resume() {
     )
     .expect_err("resume over corruption must fail typed");
     assert!(matches!(err, ResilientError::Checkpoint(_)), "{err}");
+    assert_eq!(resumed.flat_params(), before, "model untouched on failure");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Resuming over a checkpoint written for another training set (here: a
+/// smaller one) is a typed error naming both sample counts, raised before
+/// the model is touched — not a panic inside the epoch runner.
+#[test]
+fn resume_with_a_different_sample_count_is_rejected_typed() {
+    let dir = tmp_dir("resize");
+    let data = toy_dataset(12, 2);
+    let samples: Vec<(&GraphData, usize)> = data.iter().map(|(d, l)| (d, *l)).collect();
+    let mut model = GcnClassifier::new(3, 8, 2, 2, 5);
+    train_resilient(
+        &mut model,
+        &samples[..8],
+        &cfg(4),
+        &GuardConfig::default(),
+        &CheckpointConfig::new(&dir),
+        false,
+        Some(2),
+    )
+    .expect("healthy");
+    let mut resumed = GcnClassifier::new(3, 8, 2, 2, 5);
+    let before = resumed.flat_params();
+    let err = train_resilient(
+        &mut resumed,
+        &samples,
+        &cfg(4),
+        &GuardConfig::default(),
+        &CheckpointConfig::new(&dir),
+        true,
+        None,
+    )
+    .expect_err("resuming on a resized training set must fail typed");
+    assert!(
+        matches!(
+            err,
+            ResilientError::Checkpoint(CheckpointError::OrderMismatch {
+                expected: 12,
+                found: 8
+            })
+        ),
+        "{err}"
+    );
+    let msg = err.to_string();
+    assert!(
+        msg.contains("8 entries") && msg.contains("12 training samples"),
+        "{msg}"
+    );
     assert_eq!(resumed.flat_params(), before, "model untouched on failure");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use m3d_gnn::{GcnClassifier, GcnGraph, GraphData, GuardConfig, Matrix, TrainConfig};
+use m3d_gnn::{GcnClassifier, GcnGraph, GraphData, GuardConfig, Matrix, TrainConfig, Trainable};
 use m3d_resilient::{train_resilient, weights_digest, CheckpointConfig};
 
 /// A small separable graph-classification task (class = sign of the mean

@@ -33,7 +33,7 @@ use m3d_fault_localization::{
     try_generate_samples, DiagSample, FaultLocalizer, FrameworkConfig, InjectionKind,
     MivPinpointer, ModelConfig, TestEnv, TierPredictor,
 };
-use m3d_gnn::{GcnClassifier, NodeClassifier, Param, TrainConfig, TrainCursor};
+use m3d_gnn::{GcnClassifier, NodeClassifier, Param, TrainConfig, TrainCursor, Trainable};
 use m3d_hetgraph::{back_trace, FEATURE_DIM};
 use m3d_netlist::generate::Benchmark;
 use m3d_netlist::io::read_netlist;

@@ -1045,7 +1045,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 /// uninterrupted one.
 fn cmd_train(args: &[String]) -> Result<(), String> {
     use m3d_fault_diagnosis::gnn::{
-        GcnClassifier, GraphData, GuardConfig, GuardPolicy, TrainConfig,
+        GcnClassifier, GraphData, GuardConfig, GuardPolicy, TrainConfig, Trainable,
     };
     use m3d_fault_diagnosis::hetgraph::FEATURE_DIM;
     use m3d_fault_diagnosis::resilient::{train_resilient, weights_digest, CheckpointConfig};

@@ -207,6 +207,41 @@ fn cli_train_halt_and_resume_match_an_uninterrupted_run() {
 }
 
 #[test]
+fn cli_train_resume_with_a_different_sample_count_fails_typed() {
+    let dir = tmp("ckpt_resized");
+    run_train(&dir, &["--halt-after", "3"]);
+
+    // 24 samples give 22 tier-trainable ones, 40 give 35: the checkpoint's
+    // shuffle order cannot index the new training set.
+    let out = bin()
+        .args([
+            "train",
+            "--bench",
+            "aes",
+            "--target",
+            "240",
+            "--samples",
+            "40",
+            "--epochs",
+            "6",
+            "--resume",
+            "--checkpoint-dir",
+        ])
+        .arg(&dir)
+        .output()
+        .expect("run train");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a typed error:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "no panic:\n{stderr}");
+    assert!(
+        stderr.contains("has 22 entries") && stderr.contains("this run's 35 training samples"),
+        "the error names both sample counts:\n{stderr}"
+    );
+
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn cli_train_rejects_unknown_guard_policy() {
     let out = bin()
         .args([

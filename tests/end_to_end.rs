@@ -8,8 +8,10 @@ use m3d_fault_diagnosis::fault_localization::{
     evaluate_methods, generate_samples, DiagSample, FaultLocalizer, FrameworkConfig, InjectionKind,
     PolicyAction, TestEnv,
 };
+use m3d_fault_diagnosis::gnn::{GcnClassifier, GraphData, Trainable};
 use m3d_fault_diagnosis::netlist::generate::Benchmark;
 use m3d_fault_diagnosis::part::DesignConfig;
+use m3d_fault_diagnosis::resilient::weights_digest;
 
 fn small_env() -> TestEnv {
     TestEnv::build(Benchmark::Aes, DesignConfig::Syn1, Some(400))
@@ -26,7 +28,7 @@ fn trained(env: &TestEnv, n: usize) -> (Vec<DiagSample>, FaultLocalizer) {
 #[test]
 fn pipeline_diagnoses_unseen_faults_accurately() {
     let env = small_env();
-    let (_train, fw) = trained(&env, 120);
+    let (train, fw) = trained(&env, 120);
     let fsim = env.fault_sim();
     let test = generate_samples(&env, &fsim, ObsMode::Bypass, InjectionKind::Single, 20, 777);
     let eval = evaluate_methods(&env, &fsim, &fw, ObsMode::Bypass, &test);
@@ -39,6 +41,47 @@ fn pipeline_diagnoses_unseen_faults_accurately() {
     );
     assert!(eval.combined.mean_resolution <= eval.atpg.mean_resolution);
     assert!(eval.baseline.mean_resolution <= eval.atpg.mean_resolution);
+
+    // Golden oracle: the exact bits this seeded run produces, equal at
+    // every pool width. A refactor that changes training arithmetic or
+    // report quality fails here, not just the loose bounds above.
+    let tier_data: Vec<(&GraphData, usize)> = train
+        .iter()
+        .filter(|s| s.tier_trainable())
+        .map(|s| {
+            let sg = s.subgraph.as_ref().expect("tier_trainable");
+            (&sg.data, s.faulty_tier.expect("tier_trainable").index())
+        })
+        .collect();
+    let mut transfer = GcnClassifier::transfer_from(fw.tier.model(), 2, 11);
+    transfer.fit(&tier_data, &FrameworkConfig::default().model.train);
+    let digests = [
+        weights_digest(&fw.tier.model().flat_params()),
+        weights_digest(&fw.miv.model().flat_params()),
+        weights_digest(&transfer.flat_params()),
+    ];
+    assert_eq!(
+        digests,
+        [0x0d81_5c0c, 0xe883_02d8, 0x87c7_d556],
+        "tier, MIV and frozen-backbone weights: {digests:08x?}"
+    );
+    assert_eq!(fw.tp_threshold, 0.7682278156280518);
+    let gnn = &eval.gnn;
+    assert_eq!(
+        (
+            gnn.accuracy,
+            gnn.mean_resolution,
+            gnn.mean_fhi,
+            gnn.tier_localization
+        ),
+        (0.85, 6.5, 4.764705882352941, 0.9),
+        "GNN quality"
+    );
+    assert_eq!(
+        (eval.combined.mean_resolution, eval.combined.mean_fhi),
+        (2.65, 2.0588235294117645),
+        "GNN + baseline quality"
+    );
 }
 
 #[test]
