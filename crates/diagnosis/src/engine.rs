@@ -233,52 +233,6 @@ impl<'a> Diagnoser<'a> {
         self.obs_prior.as_ref().map_or(0, |p| p[site.index()])
     }
 
-    /// Whether a log entry references a pattern and observation point that
-    /// exist in this test setup. Failure logs are *untrusted input* (they
-    /// come from a tester datalog); entries referencing out-of-range
-    /// patterns or scan cells are dropped by [`Diagnoser::diagnose`] with a
-    /// degraded tag rather than indexing out of bounds.
-    fn entry_in_range(&self, entry: &FailEntry) -> bool {
-        self.fsim.patterns().checked_locate(entry.pattern).is_some()
-            && self
-                .scan
-                .candidate_flops(entry.obs)
-                .iter()
-                .all(|f| f.index() < self.cone_sites.len())
-    }
-
-    /// Suspect sites for one failing log entry: cone sites of every scan
-    /// cell the observation could map to, filtered to sites transitioning
-    /// under the failing pattern. Entries must already be range-checked.
-    fn entry_suspects(&self, entry: &FailEntry) -> HashSet<SiteId> {
-        let (blk, bit) = self.fsim.patterns().locate(entry.pattern);
-        let mut set = HashSet::new();
-        for flop in self.scan.candidate_flops(entry.obs) {
-            for &site in &self.cone_sites[flop.index()] {
-                if self.fsim.transition_mask(site, blk) & (1u64 << bit) != 0 {
-                    set.insert(site);
-                }
-            }
-        }
-        set
-    }
-
-    /// Predicted failure entries for a fault set, using the caller's
-    /// propagation scratch (one [`m3d_tdf::BlockDetector`] per worker when
-    /// suspects are scored in parallel).
-    fn predicted_entries(
-        &self,
-        det: &mut m3d_tdf::BlockDetector<'_>,
-        faults: &[Fault],
-    ) -> HashSet<FailEntry> {
-        let dets = self.fsim.detections(det, faults);
-        FailureLog::from_detections(&dets, self.scan, self.mode)
-            .entries()
-            .iter()
-            .copied()
-            .collect()
-    }
-
     fn score_against(predicted: &HashSet<FailEntry>, tester: &HashSet<FailEntry>) -> MatchScore {
         let tfsf = tester.intersection(predicted).count() as u32;
         MatchScore {
@@ -288,30 +242,35 @@ impl<'a> Diagnoser<'a> {
         }
     }
 
-    /// Simulates both polarities of a site and keeps the better match.
+    /// Simulates both polarities of a site — one propagation per block,
+    /// split by lane — and keeps the better match, using the caller's
+    /// propagation scratch (one [`m3d_tdf::BlockDetector`] per worker when
+    /// suspects are scored in parallel).
     fn best_candidate(
         &self,
         det: &mut m3d_tdf::BlockDetector<'_>,
         site: SiteId,
         tester: &HashSet<FailEntry>,
     ) -> (Candidate, HashSet<FailEntry>) {
-        let design = self.fsim.design();
+        let tier = self.fsim.design().tier_of_site(site);
         let mut best: Option<(Candidate, HashSet<FailEntry>)> = None;
-        for pol in Polarity::ALL {
-            let fault = Fault::new(site, pol);
-            let predicted = self.predicted_entries(det, &[fault]);
+        for (pol, dets) in Polarity::ALL
+            .into_iter()
+            .zip(self.fsim.detections_both(det, site))
+        {
+            let predicted: HashSet<FailEntry> =
+                FailureLog::from_detections(&dets, self.scan, self.mode)
+                    .entries()
+                    .iter()
+                    .copied()
+                    .collect();
             let score = Self::score_against(&predicted, tester);
-            let cand = Candidate {
-                fault,
-                score,
-                tier: design.tier_of_site(site),
-            };
-            let better = match &best {
-                None => true,
-                Some((b, _)) => score.value() > b.score.value(),
-            };
-            if better {
-                best = Some((cand, predicted));
+            if best
+                .as_ref()
+                .is_none_or(|(b, _)| score.value() > b.score.value())
+            {
+                let fault = Fault::new(site, pol);
+                best = Some((Candidate { fault, score, tier }, predicted));
             }
         }
         best.expect("both polarities evaluated")
@@ -353,20 +312,23 @@ impl<'a> Diagnoser<'a> {
     ) -> Result<DiagnosisReport, Cancelled> {
         let mut span = m3d_obs::span("diagnosis");
         span.add("entries", log.entries().len() as u64);
-        let dropped = log.entries().iter().any(|e| !self.entry_in_range(e));
+        let dropped = log
+            .entries()
+            .iter()
+            .any(|e| !self.fsim.entry_in_range(self.scan, e));
         let sanitized: FailureLog;
         let log = if dropped {
             sanitized = log
                 .entries()
                 .iter()
-                .filter(|e| self.entry_in_range(e))
+                .filter(|e| self.fsim.entry_in_range(self.scan, e))
                 .copied()
                 .collect();
             &sanitized
         } else {
             log
         };
-        let mut report = self.diagnose_trusted(log, cancel)?;
+        let mut report = self.diagnose_trusted(log, cancel, &mut span)?;
         if dropped {
             report.mark_degraded();
             span.add("degraded", 1);
@@ -397,6 +359,7 @@ impl<'a> Diagnoser<'a> {
         &self,
         log: &FailureLog,
         cancel: &AtomicBool,
+        span: &mut m3d_obs::SpanGuard,
     ) -> Result<DiagnosisReport, Cancelled> {
         if log.is_empty() {
             return Ok(DiagnosisReport::default());
@@ -406,24 +369,25 @@ impl<'a> Diagnoser<'a> {
         }
         let tester: HashSet<FailEntry> = log.entries().iter().copied().collect();
 
-        // Phase 1: frequency-based suspect extraction. A strict
+        // Phase 1: frequency-based suspect extraction. A site's frequency
+        // is the number of entries whose failing cell has it in its fan-in
+        // cone, transitioning under the failing pattern. A strict
         // intersection would under-approximate what commercial tools
         // report; sites appearing in most per-entry cones are suspects.
-        let mut freq: HashMap<SiteId, u32> = HashMap::new();
-        for entry in log.entries() {
-            for s in self.entry_suspects(entry) {
-                *freq.entry(s).or_insert(0) += 1;
-            }
-        }
-        let n_entries = log.entries().len() as u32;
-        let needed = ((f64::from(n_entries) * self.config.suspect_entry_frac).ceil() as u32).max(1);
-        let mut suspects: Vec<(SiteId, u32)> = freq
+        let counts = self.fsim.active_site_counts(log, self.scan, |flop| {
+            self.cone_sites[flop.index()].iter().copied()
+        });
+        span.add("obs_points", u64::from(counts.obs_points));
+        let needed =
+            ((f64::from(counts.entries) * self.config.suspect_entry_frac).ceil() as u32).max(1);
+        let mut by_freq = counts.sites;
+        by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut suspects: Vec<(SiteId, u32)> = by_freq
             .iter()
-            .filter(|&(_, &c)| c >= needed)
-            .map(|(&s, &c)| (s, c))
+            .take_while(|&&(_, c)| c >= needed)
+            .take(self.config.max_cover_suspects)
+            .copied()
             .collect();
-        suspects.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        suspects.truncate(self.config.max_cover_suspects);
         // Proven-untestable suspects would simulate to an empty signature
         // and score zero; drop them here (after the truncation, so the
         // slot allocation — and with it the report — is unchanged).
@@ -436,7 +400,7 @@ impl<'a> Diagnoser<'a> {
             );
         }
 
-        // Score every suspect in parallel: each candidate re-simulates two
+        // Score every suspect in parallel: each candidate simulates both
         // polarities over the full pattern set, which is the dominant cost
         // of a diagnosis at paper scale. Suspects are independent and the
         // map is order-preserving with one propagation scratch per worker,
@@ -450,7 +414,7 @@ impl<'a> Diagnoser<'a> {
                     &suspects,
                     || self.fsim.detector(),
                     |det, &(s, _)| {
-                        // Deadline early-out: skip the two simulations and
+                        // Deadline early-out: skip the simulation and
                         // return a stub; the batch result is discarded.
                         if cancel.load(Ordering::Relaxed) {
                             return Self::cancelled_stub(s);
@@ -462,6 +426,8 @@ impl<'a> Diagnoser<'a> {
         if cancel.load(Ordering::Relaxed) {
             return Err(Cancelled);
         }
+        span.add("suspects", suspects.len() as u64);
+        m3d_obs::counter("diagnosis.suspects_scored", suspects.len() as u64);
 
         let single_explains = scored.iter().any(|(c, _)| c.score.is_perfect());
 
@@ -470,7 +436,7 @@ impl<'a> Diagnoser<'a> {
             // selected candidate explains a *disjoint share* of the log,
             // so the single-fault retention floor does not apply — the
             // cover itself is the retention decision.
-            let selected = self.cover_diagnosis(log, &tester, scored, cancel)?;
+            let selected = self.cover_diagnosis(&by_freq, &tester, scored, cancel, span)?;
             return Ok(self.rank_cover(selected));
         }
 
@@ -486,24 +452,21 @@ impl<'a> Diagnoser<'a> {
 
     /// Greedy cover: repeatedly pick the suspect explaining the most
     /// residual failures, until the log is explained or progress stops.
+    /// `ranked` is phase 1's frequency-ranked union of per-entry suspects.
     fn cover_diagnosis(
         &self,
-        log: &FailureLog,
+        ranked: &[(SiteId, u32)],
         tester: &HashSet<FailEntry>,
         seed: Vec<(Candidate, HashSet<FailEntry>)>,
         cancel: &AtomicBool,
+        span: &mut m3d_obs::SpanGuard,
     ) -> Result<Vec<(Candidate, HashSet<FailEntry>)>, Cancelled> {
-        // Frequency-ranked union of per-entry suspects.
-        let mut freq: HashMap<SiteId, u32> = HashMap::new();
-        for entry in log.entries() {
-            for s in self.entry_suspects(entry) {
-                *freq.entry(s).or_insert(0) += 1;
-            }
-        }
-        let mut by_freq: Vec<(SiteId, u32)> = freq.into_iter().collect();
-        by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        by_freq.truncate(self.config.max_cover_suspects);
-        by_freq.retain(|&(s, _)| !self.is_pruned(s));
+        let by_freq: Vec<SiteId> = ranked
+            .iter()
+            .take(self.config.max_cover_suspects)
+            .map(|&(s, _)| s)
+            .filter(|&s| !self.is_pruned(s))
+            .collect();
 
         let mut pool: HashMap<SiteId, (Candidate, HashSet<FailEntry>)> = seed
             .into_iter()
@@ -513,7 +476,7 @@ impl<'a> Diagnoser<'a> {
         // score, fanned over the pool like the phase-1 scoring.
         let missing: Vec<SiteId> = by_freq
             .iter()
-            .map(|&(s, _)| s)
+            .copied()
             .filter(|s| !pool.contains_key(s))
             .collect();
         let missing_work = self.scoring_work(missing.len());
@@ -532,6 +495,8 @@ impl<'a> Diagnoser<'a> {
         if cancel.load(Ordering::Relaxed) {
             return Err(Cancelled);
         }
+        span.add("cover_suspects", missing.len() as u64);
+        m3d_obs::counter("diagnosis.suspects_scored", missing.len() as u64);
         for (site, cand) in missing.into_iter().zip(scored_missing) {
             pool.insert(site, cand);
         }
@@ -568,7 +533,7 @@ impl<'a> Diagnoser<'a> {
         // (indistinguishable faults inflate resolution, as on real tools).
         let selected_sigs: Vec<HashSet<FailEntry>> =
             selected.iter().map(|(_, p)| p.clone()).collect();
-        for (site, _) in &by_freq {
+        for site in &by_freq {
             if used.contains(site) {
                 continue;
             }

@@ -1,0 +1,103 @@
+//! Diagnosis telemetry must be a pure read: reports are identical with
+//! `m3d-obs` recording on and off, at any pool width, and the recorded
+//! `diagnosis` spans say how many observation points and suspects each
+//! log cost.
+//!
+//! Single `#[test]`: obs state is process-global, so the scenarios run
+//! sequentially inside one test function.
+
+use m3d_dft::{ObsMode, ScanChains, ScanConfig};
+use m3d_diagnosis::{Diagnoser, DiagnosisConfig, DiagnosisReport};
+use m3d_netlist::generate::Benchmark;
+use m3d_part::DesignConfig;
+use m3d_tdf::{full_fault_list, generate_patterns, AtpgConfig, FailureLog, Fault, FaultSim};
+
+#[test]
+fn diagnosis_telemetry_is_a_pure_read() {
+    let design = DesignConfig::Syn1.build_sized(Benchmark::Aes, Some(300));
+    let ts = generate_patterns(&design, &AtpgConfig::new(1, 256));
+    let scan = ScanChains::new(
+        design.netlist(),
+        ScanConfig::for_flop_count(design.netlist().flops().len()),
+    );
+    let fsim = FaultSim::new(&design, &ts.patterns);
+    let detected: Vec<Fault> = full_fault_list(&design)
+        .into_iter()
+        .zip(&ts.detected)
+        .filter(|&(_, &d)| d)
+        .map(|(f, _)| f)
+        .collect();
+    // `(index into ObsMode::ALL, log)`. Single-fault logs take the rank
+    // path; three-fault logs also run the phase-2 cover, which scores extra
+    // suspects.
+    let mut logs: Vec<(usize, FailureLog)> = Vec::new();
+    let mut det = fsim.detector();
+    for i in 0..8 {
+        let picks: Vec<Fault> = if i % 2 == 0 {
+            vec![detected[i * 37 % detected.len()]]
+        } else {
+            (0..3)
+                .map(|j| detected[(i * 53 + j * 101) % detected.len()])
+                .collect()
+        };
+        let mode = i / 2 % 2;
+        let dets = fsim.detections(&mut det, &picks);
+        logs.push((
+            mode,
+            FailureLog::from_detections(&dets, &scan, ObsMode::ALL[mode]),
+        ));
+    }
+    let diagnosers =
+        ObsMode::ALL.map(|m| Diagnoser::new(&fsim, &scan, m, DiagnosisConfig::default()));
+    let diagnose_all = || -> Vec<DiagnosisReport> {
+        logs.iter()
+            .map(|(mode, log)| diagnosers[*mode].diagnose(log))
+            .collect()
+    };
+    let run = |threads: usize, obs: bool| {
+        m3d_obs::reset();
+        m3d_obs::set_enabled(obs);
+        let out = m3d_par::with_threads(threads, diagnose_all);
+        m3d_obs::set_enabled(false);
+        out
+    };
+
+    let baseline = run(1, false);
+    assert!(baseline.iter().all(|r| r.resolution() > 0));
+    for threads in [1, 4] {
+        let traced = run(threads, true);
+        assert_eq!(
+            traced, baseline,
+            "recording changed a report at width {threads}"
+        );
+
+        let spans: Vec<Vec<(String, u64)>> = m3d_obs::trace_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                m3d_obs::Event::Span { name, counters, .. } if name == "diagnosis" => {
+                    Some(counters)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(spans.len(), logs.len(), "one diagnosis span per log");
+        let field = |counters: &[(String, u64)], key: &str| {
+            counters.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+        };
+        let mut scored = 0;
+        for counters in &spans {
+            assert!(field(counters, "obs_points").is_some_and(|n| n > 0));
+            let suspects = field(counters, "suspects").expect("phase-1 suspects recorded");
+            scored += suspects + field(counters, "cover_suspects").unwrap_or(0);
+        }
+        assert!(
+            spans.iter().any(|c| field(c, "cover_suspects").is_some()),
+            "a multi-fault log ran the cover"
+        );
+        assert_eq!(
+            m3d_obs::registry_snapshot().counter_value("diagnosis.suspects_scored"),
+            Some(scored),
+            "the counter sums the spans"
+        );
+    }
+}

@@ -17,7 +17,7 @@ use crate::layers::{
 use crate::matrix::Matrix;
 
 /// One graph with its node feature matrix.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GraphData {
     /// The (sub-)graph topology.
     pub graph: GcnGraph,

@@ -43,7 +43,7 @@ pub const FEATURE_NAMES: [&str; FEATURE_DIM] = [
 
 /// A homogeneous sub-graph extracted by back-tracing, ready for the GNN
 /// models: node list, induced topology, and the Table II feature matrix.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SubGraph {
     /// The fault sites retained by back-tracing, ascending.
     pub sites: Vec<SiteId>,
@@ -110,8 +110,10 @@ impl SubGraph {
 /// response, the transition-active fan-in cones of the response's
 /// Topnodes; extracts the induced circuit-level sub-graph.
 ///
-/// Returns `None` when the log is empty or the intersection is empty (no
-/// single site explains every response — e.g. heavy multi-fault chips).
+/// Log entries naming a pattern or scan cell that does not exist are
+/// skipped, and the intersection runs over the rest. Returns `None` when
+/// no entry is left or the intersection is empty (no single site explains
+/// every response — e.g. heavy multi-fault chips).
 ///
 /// # Examples
 ///
@@ -122,50 +124,25 @@ pub fn back_trace(
     scan: &ScanChains,
     log: &FailureLog,
 ) -> Option<SubGraph> {
-    if log.is_empty() {
-        return None;
-    }
-    let mut counts: HashMap<SiteId, u32> = HashMap::new();
-    let entries = log.entries();
-    for entry in entries {
-        let (blk, bit) = fsim.patterns().locate(entry.pattern);
-        let mask = 1u64 << bit;
-        // N := union over the response's Topnodes of transition-active
-        // cone members.
-        let mut n_set: HashMap<SiteId, ()> = HashMap::new();
-        for flop in scan.candidate_flops(entry.obs) {
-            for te in het.topedges(flop) {
-                if fsim.transition_mask(te.site, blk) & mask != 0 {
-                    n_set.insert(te.site, ());
-                }
-            }
-        }
-        for (site, ()) in n_set {
-            *counts.entry(site).or_insert(0) += 1;
-        }
-    }
-    let needed = entries.len() as u32;
-    // Strict intersection first (Fig. 3, line 11). Multi-fault chips whose
-    // responses come from different faults can intersect to nothing; fall
-    // back to the best-supported sites so the GNN models still get a
-    // sub-graph (the paper's framework keeps predicting tiers for
-    // multi-fault chips — Section VII-A).
-    let c_max = counts.values().copied().max().unwrap_or(0);
-    if c_max == 0 {
-        return None;
-    }
-    // `c_max == needed` is the strict intersection; otherwise keep the
-    // best-supported sites.
-    let threshold = c_max.min(needed);
+    // Per site: the responses whose Topnodes' transition-active cones
+    // contain it.
+    let counts = fsim.active_site_counts(log, scan, |flop| {
+        het.topedges(flop).iter().map(|te| te.site)
+    });
+    // Strict intersection first (Fig. 3, line 11): `c_max == entries`.
+    // Multi-fault chips whose responses come from different faults can
+    // intersect to nothing; fall back to the best-supported sites so the
+    // GNN models still get a sub-graph (the paper's framework keeps
+    // predicting tiers for multi-fault chips — Section VII-A).
+    let c_max = counts.sites.iter().map(|&(_, c)| c).max()?;
+    let threshold = c_max.min(counts.entries);
     let mut sites: Vec<SiteId> = counts
+        .sites
         .into_iter()
         .filter(|&(_, c)| c >= threshold)
         .map(|(s, _)| s)
         .collect();
     sites.sort_unstable();
-    if sites.is_empty() {
-        return None;
-    }
     Some(extract(het, fsim, sites))
 }
 
@@ -235,10 +212,10 @@ pub fn extract(het: &HetGraph, fsim: &FaultSim<'_>, sites: Vec<SiteId>) -> SubGr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m3d_dft::{ObsMode, ScanConfig};
-    use m3d_netlist::generate::Benchmark;
+    use m3d_dft::{ObsMode, ObsPoint, ScanConfig};
+    use m3d_netlist::{generate::Benchmark, FlopId};
     use m3d_part::DesignConfig;
-    use m3d_tdf::{generate_patterns, AtpgConfig, Fault, FaultSim, Polarity};
+    use m3d_tdf::{generate_patterns, AtpgConfig, FailEntry, Fault, FaultSim, Polarity};
 
     struct Env {
         design: m3d_part::M3dDesign,
@@ -273,6 +250,25 @@ mod tests {
             .expect("detected fault exists")
     }
 
+    /// The bypass-mode log of a chip with `faults` injected.
+    fn bypass_log(e: &Env, fsim: &FaultSim<'_>, faults: &[Fault]) -> FailureLog {
+        let dets = fsim.detections(&mut fsim.detector(), faults);
+        FailureLog::from_detections(&dets, &e.scan, ObsMode::Bypass)
+    }
+
+    /// What `fail pattern 4294967295 flop 4294967295` parses to, a
+    /// nonexistent pattern at a real cell, and a real pattern at a cell
+    /// past the last one.
+    fn junk_entries(e: &Env) -> [FailEntry; 3] {
+        let past_last = e.design.netlist().flops().len() + 7;
+        [(u32::MAX, u32::MAX as usize), (u32::MAX, 0), (0, past_last)].map(|(pattern, flop)| {
+            FailEntry {
+                pattern,
+                obs: ObsPoint::Flop(FlopId::new(flop)),
+            }
+        })
+    }
+
     #[test]
     fn back_tracing_keeps_the_injected_site() {
         let e = env();
@@ -300,10 +296,7 @@ mod tests {
     fn subgraph_features_have_table2_shape() {
         let e = env();
         let fsim = FaultSim::new(&e.design, &e.ts.patterns);
-        let fault = some_detected_fault(&e, 5);
-        let mut det = fsim.detector();
-        let dets = fsim.detections(&mut det, &[fault]);
-        let log = FailureLog::from_detections(&dets, &e.scan, ObsMode::Bypass);
+        let log = bypass_log(&e, &fsim, &[some_detected_fault(&e, 5)]);
         let sg = back_trace(&e.het, &fsim, &e.scan, &log).unwrap();
         assert_eq!(sg.data.features.cols(), FEATURE_DIM);
         assert_eq!(sg.data.features.rows(), sg.node_count());
@@ -341,10 +334,7 @@ mod tests {
         let het = HetGraph::with_scoap(&e.design);
         assert!(het.has_scoap());
         let fsim = FaultSim::new(&e.design, &e.ts.patterns);
-        let fault = some_detected_fault(&e, 5);
-        let mut det = fsim.detector();
-        let dets = fsim.detections(&mut det, &[fault]);
-        let log = FailureLog::from_detections(&dets, &e.scan, ObsMode::Bypass);
+        let log = bypass_log(&e, &fsim, &[some_detected_fault(&e, 5)]);
         let sg = back_trace(&het, &fsim, &e.scan, &log).unwrap();
         assert_eq!(sg.data.features.cols(), FEATURE_DIM + SCOAP_FEATURE_DIM);
         for r in 0..sg.data.features.rows() {
@@ -363,20 +353,36 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_entries_are_skipped() {
+        let e = env();
+        let fsim = FaultSim::new(&e.design, &e.ts.patterns);
+        let clean = bypass_log(&e, &fsim, &[some_detected_fault(&e, 5)]);
+        let poisoned: FailureLog = clean
+            .entries()
+            .iter()
+            .copied()
+            .chain(junk_entries(&e))
+            .collect();
+        let want = back_trace(&e.het, &fsim, &e.scan, &clean).expect("clean log back-traces");
+        let got = back_trace(&e.het, &fsim, &e.scan, &poisoned).expect("junk is skipped");
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn empty_log_yields_no_subgraph() {
         let e = env();
         let fsim = FaultSim::new(&e.design, &e.ts.patterns);
         assert!(back_trace(&e.het, &fsim, &e.scan, &FailureLog::default()).is_none());
+        // So does a log whose every entry names a nonexistent pattern or cell.
+        let junk: FailureLog = junk_entries(&e).into_iter().collect();
+        assert!(back_trace(&e.het, &fsim, &e.scan, &junk).is_none());
     }
 
     #[test]
     fn dummy_buffer_adds_one_node() {
         let e = env();
         let fsim = FaultSim::new(&e.design, &e.ts.patterns);
-        let fault = some_detected_fault(&e, 11);
-        let mut det = fsim.detector();
-        let dets = fsim.detections(&mut det, &[fault]);
-        let log = FailureLog::from_detections(&dets, &e.scan, ObsMode::Bypass);
+        let log = bypass_log(&e, &fsim, &[some_detected_fault(&e, 11)]);
         let sg = back_trace(&e.het, &fsim, &e.scan, &log).unwrap();
         let aug = sg.with_dummy_buffer(0);
         assert_eq!(aug.data.graph.node_count(), sg.node_count() + 1);
@@ -390,23 +396,11 @@ mod tests {
         let e = env();
         let fsim = FaultSim::new(&e.design, &e.ts.patterns);
         // Find a detected MIV fault.
-        let mut miv_fault = None;
-        'search: for m in 0..e.design.miv_count() {
-            for p in Polarity::ALL {
-                let f = Fault::new(e.design.miv_site(m), p);
-                let mut det = fsim.detector();
-                if !fsim.detections(&mut det, &[f]).is_empty() {
-                    miv_fault = Some(f);
-                    break 'search;
-                }
-            }
-        }
-        let Some(fault) = miv_fault else {
-            panic!("expected at least one detectable MIV fault");
-        };
-        let mut det = fsim.detector();
-        let dets = fsim.detections(&mut det, &[fault]);
-        let log = FailureLog::from_detections(&dets, &e.scan, ObsMode::Bypass);
+        let (fault, log) = (0..e.design.miv_count())
+            .flat_map(|m| Polarity::ALL.map(|p| Fault::new(e.design.miv_site(m), p)))
+            .map(|f| (f, bypass_log(&e, &fsim, &[f])))
+            .find(|(_, log)| !log.is_empty())
+            .expect("expected at least one detectable MIV fault");
         let sg = back_trace(&e.het, &fsim, &e.scan, &log).unwrap();
         let node = sg.node_of(fault.site).expect("MIV site retained");
         assert!(sg.miv_nodes.iter().any(|&(n, _)| n == node));

@@ -18,7 +18,7 @@ use m3d_serve::{
     run_load, spawn_server, AdmissionConfig, ArtifactBundle, BundleSource, BundleSpec, LoadConfig,
     ServeConfig,
 };
-use m3d_tdf::write_failure_log;
+use m3d_tdf::{read_failure_log, write_failure_log};
 
 fn spec(target: usize, enhance_samples: usize) -> BundleSpec {
     BundleSpec {
@@ -365,4 +365,60 @@ fn shed_requests_serve_the_degraded_baseline() {
     c.call(&Request::Shutdown { id: 2 });
     let summary = server.join().expect("clean shutdown");
     assert_eq!(summary.stats.degraded, 1);
+}
+
+/// A log entry naming a pattern and a scan cell that do not exist (an
+/// untrusted tester datalog) degrades the report on the enhanced path too:
+/// the served report is the offline enhanced report of the sanitized
+/// diagnosis, tagged `degraded`, and no worker panics.
+#[test]
+fn junk_log_entries_serve_a_degraded_enhanced_report() {
+    let spec = spec(220, 6);
+    let offline = offline_expected(&spec);
+    let log_text = format!(
+        "{}fail pattern 4294967295 flop 4294967295\n",
+        offline.log_text
+    );
+
+    let server = spawn_server(&spec, &ServeConfig::default()).expect("spawn");
+    let mut c = Client::connect(server.addr());
+    let served = c.call(&Request::Diagnose {
+        id: 1,
+        log: log_text.clone(),
+        deadline_ms: None,
+        no_enhance: false,
+    });
+    c.call(&Request::Shutdown { id: 2 });
+    let summary = server.join().expect("clean shutdown");
+    let Response::Report {
+        degraded,
+        enhanced,
+        text,
+        ..
+    } = served
+    else {
+        panic!("expected a degraded report, got {served:?}");
+    };
+    assert!(degraded, "sanitized reports carry the degraded tag");
+    assert!(enhanced, "the enhancement stage ran");
+    assert_eq!(summary.stats.panics_contained, 0);
+    assert_eq!(summary.stats.degraded, 1);
+
+    let bundle = ArtifactBundle::load(&spec).expect("offline bundle");
+    let fsim = bundle.env.fault_sim();
+    let log = read_failure_log(&log_text).expect("well-formed text");
+    let report =
+        Diagnoser::new(&fsim, &bundle.env.scan, bundle.mode, bundle.diag_cfg).diagnose(&log);
+    let expected = bundle
+        .localizer
+        .as_ref()
+        .expect("enhancement is on")
+        .enhance(&bundle.env.design, &report, &bundle.sample_for(&fsim, &log))
+        .report;
+    assert!(expected.degraded());
+    assert_eq!(
+        text,
+        expected.to_string(),
+        "served report diverged from offline"
+    );
 }

@@ -11,10 +11,12 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use m3d_netlist::{FlopId, GateId, GateKind, NetId};
+use m3d_dft::{ObsPoint, ScanChains};
+use m3d_netlist::{FlopId, GateId, GateKind, NetId, SiteId};
 use m3d_part::M3dDesign;
 
-use crate::fault::{injection_scope, site_net, Fault, InjectionScope};
+use crate::fault::{injection_scope, site_net, Fault, InjectionScope, Polarity};
+use crate::log::{FailEntry, FailureLog};
 use crate::pattern::{PatternId, PatternSet};
 use crate::sim::{BlockSim, Simulator};
 
@@ -143,7 +145,7 @@ impl<'a> BlockDetector<'a> {
     }
 
     /// Seeds the frame-2 flip for one site on `act` lanes.
-    fn seed_site(&mut self, base: &BlockSim, site: m3d_netlist::SiteId, act: u64) {
+    fn seed_site(&mut self, base: &BlockSim, site: SiteId, act: u64) {
         let nl = self.design.netlist();
         match injection_scope(self.design, site) {
             InjectionScope::Net(n) => {
@@ -226,17 +228,36 @@ impl<'a> BlockDetector<'a> {
         self.branch_flips.clear();
     }
 
+    /// The shared tail of every detection query: propagates the seeded
+    /// flips, compares scan captures at the flops the propagation could
+    /// have reached (touched D nets plus direct branch flips on D), calls
+    /// `hit(flop index, differing lanes)` for every capture that differs,
+    /// and resets the scratch.
+    fn propagate_and_compare(&mut self, base: &BlockSim, mut hit: impl FnMut(usize, u64)) {
+        let nl = self.design.netlist();
+        self.propagate(base);
+        self.collect_candidate_flops();
+        for i in 0..self.cand_flops.len() {
+            let fi = self.cand_flops[i] as usize;
+            let fgate = nl.flops()[fi];
+            let d_net = nl.gate(fgate).inputs()[0];
+            let val = self.net_value(base, d_net) ^ self.branch_flip(fgate, 0);
+            let diff = (val ^ base.capture2[fi]) & base.lanes;
+            if diff != 0 {
+                hit(fi, diff);
+            }
+        }
+        self.reset_scratch();
+    }
+
     /// Simulates `faults` simultaneously against one block and returns the
-    /// failing `(lane, flop)` pairs.
+    /// failing `(lane, flop)` pairs, sorted.
     ///
     /// Multiple faults model the paper's tier-specific systematic defects
     /// (Section VII-A); activation of each fault uses the fault-free frames.
     pub fn detect(&mut self, base: &BlockSim, faults: &[Fault]) -> Vec<(u8, FlopId)> {
-        let nl = self.design.netlist();
-
-        // 1. Compute activations and seed injections. Duplicate faults are
-        // skipped: stem injections flip bits, so a repeated fault would
-        // otherwise cancel itself.
+        // Duplicate faults are skipped: stem injections flip bits, so a
+        // repeated fault would otherwise cancel itself.
         let mut unique: Vec<Fault> = faults.to_vec();
         unique.sort_unstable();
         unique.dedup();
@@ -251,34 +272,33 @@ impl<'a> BlockDetector<'a> {
             }
             self.seed_site(base, fault.site, act);
         }
-
-        // 2. Event-driven frame-2 propagation in topological order.
-        self.propagate(base);
-
-        // 3. Compare scan captures at the flops the propagation could have
-        // reached (touched D nets plus direct branch flips on D).
-        self.collect_candidate_flops();
         let mut detections = Vec::new();
-        for i in 0..self.cand_flops.len() {
-            let fi = self.cand_flops[i] as usize;
-            let fgate = nl.flops()[fi];
-            let d_net = nl.gate(fgate).inputs()[0];
-            let val = self.net_value(base, d_net) ^ self.branch_flip(fgate, 0);
-            let diff = (val ^ base.capture2[fi]) & base.lanes;
-            if diff != 0 {
-                let mut m = diff;
-                while m != 0 {
-                    let bit = m.trailing_zeros() as u8;
-                    m &= m - 1;
-                    detections.push((bit, FlopId::new(fi)));
-                }
-            }
-        }
-
-        // 4. Reset scratch.
-        self.reset_scratch();
+        self.propagate_and_compare(base, |fi, diff| push_lanes(&mut detections, fi, diff));
         detections.sort_unstable();
         detections
+    }
+
+    /// [`BlockDetector::detect`] for both single faults at `site`, indexed
+    /// like [`Polarity::ALL`], from one propagation seeded with the union
+    /// of their activation lanes (see [`FaultSim::detections_both`]).
+    fn detect_both(&mut self, base: &BlockSim, site: SiteId) -> [Vec<(u8, FlopId)>; 2] {
+        let net = site_net(self.design, site);
+        let act = Polarity::ALL
+            .map(|p| p.activation(base.f1[net.index()], base.f2[net.index()]) & base.lanes);
+        let mut out = [Vec::new(), Vec::new()];
+        if act[0] | act[1] == 0 {
+            return out;
+        }
+        self.seed_site(base, site, act[0] | act[1]);
+        self.propagate_and_compare(base, |fi, diff| {
+            for (hits, lanes) in out.iter_mut().zip(act) {
+                push_lanes(hits, fi, diff & lanes);
+            }
+        });
+        for hits in &mut out {
+            hits.sort_unstable();
+        }
+        out
     }
 
     /// Propagates a frame-2 flip at `site` on `lanes` and returns the
@@ -290,30 +310,36 @@ impl<'a> BlockDetector<'a> {
     /// `returned & act != 0`, exactly as if it had been propagated alone
     /// (the ATPG sweep relies on this to pay for each site's fanout cone
     /// once instead of once per fault).
-    pub fn propagate_site_mask(
-        &mut self,
-        base: &BlockSim,
-        site: m3d_netlist::SiteId,
-        lanes: u64,
-    ) -> u64 {
+    pub fn propagate_site_mask(&mut self, base: &BlockSim, site: SiteId, lanes: u64) -> u64 {
         if lanes == 0 {
             return 0;
         }
-        let nl = self.design.netlist();
         self.seed_site(base, site, lanes);
-        self.propagate(base);
-        self.collect_candidate_flops();
         let mut diff_union = 0u64;
-        for i in 0..self.cand_flops.len() {
-            let fi = self.cand_flops[i] as usize;
-            let fgate = nl.flops()[fi];
-            let d_net = nl.gate(fgate).inputs()[0];
-            let val = self.net_value(base, d_net) ^ self.branch_flip(fgate, 0);
-            diff_union |= (val ^ base.capture2[fi]) & base.lanes;
-        }
-        self.reset_scratch();
+        self.propagate_and_compare(base, |_, diff| diff_union |= diff);
         diff_union
     }
+}
+
+/// Appends one `(lane, flop)` pair per set bit of `lanes`.
+fn push_lanes(out: &mut Vec<(u8, FlopId)>, flop: usize, mut lanes: u64) {
+    while lanes != 0 {
+        out.push((lanes.trailing_zeros() as u8, FlopId::new(flop)));
+        lanes &= lanes - 1;
+    }
+}
+
+/// Per-site support of a failure log, from
+/// [`FaultSim::active_site_counts`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ActiveSiteCounts {
+    /// `(site, supporting entries)` for every site supporting at least one
+    /// entry, in no particular order.
+    pub sites: Vec<(SiteId, u32)>,
+    /// Log entries counted: those whose pattern and scan cells exist.
+    pub entries: u32,
+    /// Distinct observation points among the counted entries.
+    pub obs_points: u32,
 }
 
 /// Fault simulation over a full pattern set, with the fault-free baseline
@@ -391,6 +417,31 @@ impl<'a> FaultSim<'a> {
         out
     }
 
+    /// [`FaultSim::detections`] of both single faults at `site`, indexed
+    /// like [`Polarity::ALL`], from one propagation per block seeded with
+    /// the union of their activation lanes.
+    ///
+    /// Exact for the same reason as [`BlockDetector::propagate_site_mask`]:
+    /// the rising and falling activations (`!f1 & f2`, `f1 & !f2`) are
+    /// disjoint and the propagation is lane-wise independent, so splitting
+    /// the differing lanes by polarity gives each fault's own detections.
+    pub fn detections_both(
+        &self,
+        detector: &mut BlockDetector<'_>,
+        site: SiteId,
+    ) -> [Vec<Detection>; 2] {
+        let mut out = [Vec::new(), Vec::new()];
+        for (bi, base) in self.blocks.iter().enumerate() {
+            for (dets, hits) in out.iter_mut().zip(detector.detect_both(base, site)) {
+                dets.extend(hits.into_iter().map(|(bit, flop)| Detection {
+                    pattern: self.patterns.id_at(bi, bit),
+                    flop,
+                }));
+            }
+        }
+        out
+    }
+
     /// Like [`FaultSim::detections`], but fans the per-block propagation
     /// across the `m3d_par` pool with one [`BlockDetector`] scratch per
     /// worker. Results are identical to the serial method (blocks are
@@ -446,16 +497,111 @@ impl<'a> FaultSim<'a> {
         Ok(out)
     }
 
+    /// Counts, for every fault site, the log entries it could explain: the
+    /// entries whose failing pattern makes the site transition (fault-free)
+    /// and whose observation point's candidate scan cells have the site in
+    /// their `cone`. A site in the cones of several cells of one compacted
+    /// observation counts once per entry.
+    ///
+    /// Entries outside this test setup ([`FaultSim::entry_in_range`]) are
+    /// skipped and are not in [`ActiveSiteCounts::entries`].
+    ///
+    /// A delay fault fails the same few observation points across many
+    /// patterns, so the entries are grouped by observation point: each
+    /// point's failing patterns become one lane mask per 64-pattern block,
+    /// and the union of the point's cones is walked once, adding
+    /// `popcount(transition & mask)` per site and block into a dense
+    /// counter. Scratch is per call, so concurrent calls share nothing.
+    pub fn active_site_counts<I>(
+        &self,
+        log: &FailureLog,
+        scan: &ScanChains,
+        cone: impl Fn(FlopId) -> I,
+    ) -> ActiveSiteCounts
+    where
+        I: IntoIterator<Item = SiteId>,
+    {
+        let site_count = self.design.sites().len();
+        // (observation, block, lane), sorted: observation groups with
+        // ascending blocks inside each.
+        let mut located: Vec<(ObsPoint, usize, u8)> = log
+            .entries()
+            .iter()
+            .filter(|e| self.entry_in_range(scan, e))
+            .map(|e| {
+                let (blk, bit) = self.patterns.locate(e.pattern);
+                (e.obs, blk, bit)
+            })
+            .collect();
+        located.sort_unstable();
+
+        let mut counts = ActiveSiteCounts::default();
+        let mut count = vec![0u32; site_count];
+        // Per-site stamp of the last observation group that visited it.
+        let mut visited = vec![0u32; site_count];
+        let mut masks: Vec<(usize, u64)> = Vec::new();
+        for group in located.chunk_by(|a, b| a.0 == b.0) {
+            counts.entries += group.len() as u32;
+            counts.obs_points += 1;
+            let stamp = counts.obs_points;
+            masks.clear();
+            for &(_, blk, bit) in group {
+                match masks.last_mut() {
+                    Some((b, mask)) if *b == blk => *mask |= 1u64 << bit,
+                    _ => masks.push((blk, 1u64 << bit)),
+                }
+            }
+            for flop in scan.candidate_flops(group[0].0) {
+                for site in cone(flop) {
+                    if visited[site.index()] == stamp {
+                        continue;
+                    }
+                    visited[site.index()] = stamp;
+                    let net = site_net(self.design, site);
+                    let hits: u32 = masks
+                        .iter()
+                        .map(|&(blk, mask)| (self.blocks[blk].transition(net) & mask).count_ones())
+                        .sum();
+                    if hits == 0 {
+                        continue;
+                    }
+                    if count[site.index()] == 0 {
+                        counts.sites.push((site, 0));
+                    }
+                    count[site.index()] += hits;
+                }
+            }
+        }
+        for (site, c) in &mut counts.sites {
+            *c = count[site.index()];
+        }
+        counts
+    }
+
+    /// Whether a log entry references a pattern and scan cells that exist
+    /// in this test setup. Failure logs are *untrusted input* (they come
+    /// from a tester datalog): diagnosis drops out-of-range entries with a
+    /// degraded tag, and back-tracing skips them, rather than indexing out
+    /// of bounds.
+    pub fn entry_in_range(&self, scan: &ScanChains, entry: &FailEntry) -> bool {
+        let flops = self.design.netlist().flops().len();
+        self.patterns.checked_locate(entry.pattern).is_some()
+            && scan
+                .candidate_flops(entry.obs)
+                .iter()
+                .all(|f| f.index() < flops)
+    }
+
     /// Lanes of `block` in which `site` transitions (fault-free).
     #[inline]
-    pub fn transition_mask(&self, site: m3d_netlist::SiteId, block: usize) -> u64 {
+    pub fn transition_mask(&self, site: SiteId, block: usize) -> u64 {
         let net = site_net(self.design, site);
         self.blocks[block].transition(net)
     }
 
     /// Number of patterns in which `site` transitions — the `Tpat` feature
     /// of the paper's Table I.
-    pub fn transition_count(&self, site: m3d_netlist::SiteId) -> u32 {
+    pub fn transition_count(&self, site: SiteId) -> u32 {
         (0..self.blocks.len())
             .map(|b| self.transition_mask(site, b).count_ones())
             .sum()
