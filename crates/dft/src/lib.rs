@@ -237,6 +237,49 @@ impl ScanChains {
         }
     }
 
+    /// Lane-parallel [`ScanChains::observe`] for one 64-pattern block:
+    /// maps `(cell, failing lanes)` words to `(observation, failing lanes)`
+    /// words, written to `out` sorted by observation with zero words
+    /// dropped.
+    ///
+    /// In bypass mode each cell is its own observation (a repeated cell's
+    /// lanes are ORed). In compacted mode each `(channel, cycle)` word is
+    /// the XOR of its cells' words: `observe`'s odd-parity rule, applied
+    /// to every lane at once.
+    pub fn observe_words(
+        &self,
+        failing: impl IntoIterator<Item = (FlopId, u64)>,
+        mode: ObsMode,
+        out: &mut Vec<(ObsPoint, u64)>,
+    ) {
+        out.clear();
+        out.extend(failing.into_iter().map(|(f, lanes)| {
+            let obs = match mode {
+                ObsMode::Bypass => ObsPoint::Flop(f),
+                ObsMode::Compacted => {
+                    let (chain, cycle) = self.place_of(f);
+                    ObsPoint::ChannelCycle {
+                        channel: self.channel_of_chain(chain),
+                        cycle,
+                    }
+                }
+            };
+            (obs, lanes)
+        }));
+        out.sort_unstable_by_key(|&(obs, _)| obs);
+        out.dedup_by(|next, kept| {
+            if next.0 != kept.0 {
+                return false;
+            }
+            match mode {
+                ObsMode::Bypass => kept.1 |= next.1,
+                ObsMode::Compacted => kept.1 ^= next.1,
+            }
+            true
+        });
+        out.retain(|&(_, lanes)| lanes != 0);
+    }
+
     /// The scan cells that could have produced an observation: the cell
     /// itself in bypass mode, or every cell of the channel's chains at that
     /// cycle in compacted mode (the diagnosis search-space blow-up).

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use m3d_dft::{ObsMode, ScanChains};
 use m3d_netlist::{GateId, NetId, SiteId};
-use m3d_tdf::{FailEntry, FailureLog, Fault, FaultSim, Polarity};
+use m3d_tdf::{FailureLog, Fault, FaultSim, Polarity, Signature};
 
 use crate::report::{Candidate, DiagnosisReport, MatchScore};
 
@@ -233,12 +233,12 @@ impl<'a> Diagnoser<'a> {
         self.obs_prior.as_ref().map_or(0, |p| p[site.index()])
     }
 
-    fn score_against(predicted: &HashSet<FailEntry>, tester: &HashSet<FailEntry>) -> MatchScore {
-        let tfsf = tester.intersection(predicted).count() as u32;
+    fn score_against(predicted: &Signature, tester: &Signature) -> MatchScore {
+        let tfsf = predicted.overlap(tester);
         MatchScore {
             tfsf,
-            tfsp: tester.len() as u32 - tfsf,
-            tpsf: predicted.len() as u32 - tfsf,
+            tfsp: tester.failures() - tfsf,
+            tpsf: predicted.failures() - tfsf,
         }
     }
 
@@ -250,20 +250,12 @@ impl<'a> Diagnoser<'a> {
         &self,
         det: &mut m3d_tdf::BlockDetector<'_>,
         site: SiteId,
-        tester: &HashSet<FailEntry>,
-    ) -> (Candidate, HashSet<FailEntry>) {
+        tester: &Signature,
+    ) -> (Candidate, Signature) {
         let tier = self.fsim.design().tier_of_site(site);
-        let mut best: Option<(Candidate, HashSet<FailEntry>)> = None;
-        for (pol, dets) in Polarity::ALL
-            .into_iter()
-            .zip(self.fsim.detections_both(det, site))
-        {
-            let predicted: HashSet<FailEntry> =
-                FailureLog::from_detections(&dets, self.scan, self.mode)
-                    .entries()
-                    .iter()
-                    .copied()
-                    .collect();
+        let mut best: Option<(Candidate, Signature)> = None;
+        let signatures = self.fsim.signatures(det, site, self.scan, self.mode);
+        for (pol, predicted) in Polarity::ALL.into_iter().zip(signatures) {
             let score = Self::score_against(&predicted, tester);
             if best
                 .as_ref()
@@ -343,14 +335,14 @@ impl<'a> Diagnoser<'a> {
     /// A zero-score placeholder a cancelled scoring worker returns; the
     /// whole result vector is discarded once the cancel flag is seen, so
     /// placeholders never reach a report.
-    fn cancelled_stub(site: SiteId) -> (Candidate, HashSet<FailEntry>) {
+    fn cancelled_stub(site: SiteId) -> (Candidate, Signature) {
         (
             Candidate {
                 fault: Fault::new(site, Polarity::ALL[0]),
                 score: MatchScore::default(),
                 tier: None,
             },
-            HashSet::new(),
+            Signature::default(),
         )
     }
 
@@ -367,68 +359,46 @@ impl<'a> Diagnoser<'a> {
         if cancel.load(Ordering::Relaxed) {
             return Err(Cancelled);
         }
-        let tester: HashSet<FailEntry> = log.entries().iter().copied().collect();
+        let tester = Signature::from_log(log, self.fsim.patterns());
 
         // Phase 1: frequency-based suspect extraction. A site's frequency
         // is the number of entries whose failing cell has it in its fan-in
         // cone, transitioning under the failing pattern. A strict
         // intersection would under-approximate what commercial tools
         // report; sites appearing in most per-entry cones are suspects.
-        let counts = self.fsim.active_site_counts(log, self.scan, |flop| {
-            self.cone_sites[flop.index()].iter().copied()
-        });
+        let counts = {
+            let _count = m3d_obs::span("suspect_count");
+            self.fsim.active_site_counts(&tester, self.scan, |flop| {
+                self.cone_sites[flop.index()].iter().copied()
+            })
+        };
         span.add("obs_points", u64::from(counts.obs_points));
         let needed =
             ((f64::from(counts.entries) * self.config.suspect_entry_frac).ceil() as u32).max(1);
         let mut by_freq = counts.sites;
         by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut suspects: Vec<(SiteId, u32)> = by_freq
+        let mut suspects: Vec<SiteId> = by_freq
             .iter()
             .take_while(|&&(_, c)| c >= needed)
             .take(self.config.max_cover_suspects)
-            .copied()
+            .map(|&(s, _)| s)
             .collect();
         // Proven-untestable suspects would simulate to an empty signature
         // and score zero; drop them here (after the truncation, so the
         // slot allocation — and with it the report — is unchanged).
         if self.untestable.is_some() {
             let before = suspects.len();
-            suspects.retain(|&(s, _)| !self.is_pruned(s));
+            suspects.retain(|&s| !self.is_pruned(s));
             m3d_obs::counter(
                 "diagnosis.suspects_pruned",
                 (before - suspects.len()) as u64,
             );
         }
 
-        // Score every suspect in parallel: each candidate simulates both
-        // polarities over the full pattern set, which is the dominant cost
-        // of a diagnosis at paper scale. Suspects are independent and the
-        // map is order-preserving with one propagation scratch per worker,
-        // so the report is bitwise identical at any thread count — which
-        // is also why the cost gate (suspects × design size) can keep
-        // small-design diagnoses serial without changing any report.
-        let score_work = self.scoring_work(suspects.len());
-        let scored: Vec<(Candidate, HashSet<FailEntry>)> =
-            m3d_par::with_threads(m3d_par::par_gate(score_work), || {
-                m3d_par::par_map_init(
-                    &suspects,
-                    || self.fsim.detector(),
-                    |det, &(s, _)| {
-                        // Deadline early-out: skip the simulation and
-                        // return a stub; the batch result is discarded.
-                        if cancel.load(Ordering::Relaxed) {
-                            return Self::cancelled_stub(s);
-                        }
-                        self.best_candidate(det, s, &tester)
-                    },
-                )
-            });
-        if cancel.load(Ordering::Relaxed) {
-            return Err(Cancelled);
-        }
+        let scored = self.score_suspects(&suspects, &tester, cancel)?;
         span.add("suspects", suspects.len() as u64);
-        m3d_obs::counter("diagnosis.suspects_scored", suspects.len() as u64);
 
+        let _rank = m3d_obs::span("cover_rank");
         let single_explains = scored.iter().any(|(c, _)| c.score.is_perfect());
 
         if !single_explains {
@@ -441,6 +411,43 @@ impl<'a> Diagnoser<'a> {
         }
 
         Ok(self.rank_and_retain(scored))
+    }
+
+    /// Scores every suspect in parallel: each candidate simulates both
+    /// polarities over the full pattern set, which is the dominant cost
+    /// of a diagnosis at paper scale. Suspects are independent and the
+    /// map is order-preserving with one propagation scratch per worker,
+    /// so the report is bitwise identical at any thread count — which is
+    /// also why the cost gate (suspects × design size) can keep
+    /// small-design diagnoses serial without changing any report.
+    fn score_suspects(
+        &self,
+        sites: &[SiteId],
+        tester: &Signature,
+        cancel: &AtomicBool,
+    ) -> Result<Vec<(Candidate, Signature)>, Cancelled> {
+        let mut span = m3d_obs::span("suspect_score");
+        span.add("suspects", sites.len() as u64);
+        let work = self.scoring_work(sites.len());
+        let scored = m3d_par::with_threads(m3d_par::par_gate(work), || {
+            m3d_par::par_map_init(
+                sites,
+                || self.fsim.detector(),
+                |det, &s| {
+                    // Deadline early-out: skip the simulation and return
+                    // a stub; the batch result is discarded.
+                    if cancel.load(Ordering::Relaxed) {
+                        return Self::cancelled_stub(s);
+                    }
+                    self.best_candidate(det, s, tester)
+                },
+            )
+        });
+        if cancel.load(Ordering::Relaxed) {
+            return Err(Cancelled);
+        }
+        m3d_obs::counter("diagnosis.suspects_scored", sites.len() as u64);
+        Ok(scored)
     }
 
     /// Work estimate for scoring `n` suspects, for the `m3d-par` cost
@@ -456,11 +463,11 @@ impl<'a> Diagnoser<'a> {
     fn cover_diagnosis(
         &self,
         ranked: &[(SiteId, u32)],
-        tester: &HashSet<FailEntry>,
-        seed: Vec<(Candidate, HashSet<FailEntry>)>,
+        tester: &Signature,
+        seed: Vec<(Candidate, Signature)>,
         cancel: &AtomicBool,
         span: &mut m3d_obs::SpanGuard,
-    ) -> Result<Vec<(Candidate, HashSet<FailEntry>)>, Cancelled> {
+    ) -> Result<Vec<(Candidate, Signature)>, Cancelled> {
         let by_freq: Vec<SiteId> = ranked
             .iter()
             .take(self.config.max_cover_suspects)
@@ -468,54 +475,38 @@ impl<'a> Diagnoser<'a> {
             .filter(|&s| !self.is_pruned(s))
             .collect();
 
-        let mut pool: HashMap<SiteId, (Candidate, HashSet<FailEntry>)> = seed
+        let mut pool: HashMap<SiteId, (Candidate, Signature)> = seed
             .into_iter()
             .map(|(c, p)| (c.fault.site, (c, p)))
             .collect();
-        // Batch-simulate the cover suspects the seed pass did not already
-        // score, fanned over the pool like the phase-1 scoring.
+        // Score the cover suspects the seed pass did not already score.
         let missing: Vec<SiteId> = by_freq
             .iter()
             .copied()
             .filter(|s| !pool.contains_key(s))
             .collect();
-        let missing_work = self.scoring_work(missing.len());
-        let scored_missing = m3d_par::with_threads(m3d_par::par_gate(missing_work), || {
-            m3d_par::par_map_init(
-                &missing,
-                || self.fsim.detector(),
-                |det, &s| {
-                    if cancel.load(Ordering::Relaxed) {
-                        return Self::cancelled_stub(s);
-                    }
-                    self.best_candidate(det, s, tester)
-                },
-            )
-        });
-        if cancel.load(Ordering::Relaxed) {
-            return Err(Cancelled);
-        }
+        let scored_missing = self.score_suspects(&missing, tester, cancel)?;
         span.add("cover_suspects", missing.len() as u64);
-        m3d_obs::counter("diagnosis.suspects_scored", missing.len() as u64);
         for (site, cand) in missing.into_iter().zip(scored_missing) {
             pool.insert(site, cand);
         }
 
-        let mut residual: HashSet<FailEntry> = tester.clone();
-        let mut selected: Vec<(Candidate, HashSet<FailEntry>)> = Vec::new();
+        let mut residual = tester.clone();
+        let mut selected: Vec<(Candidate, Signature)> = Vec::new();
         let mut used: HashSet<SiteId> = HashSet::new();
         for _round in 0..6 {
             if residual.is_empty() {
                 break;
             }
             // Pick the unused candidate explaining the most residual
-            // failures with the fewest mispredictions.
+            // failures with the fewest mispredictions (`tpsf`: predicted
+            // failures the tester did not see).
             let best = pool
                 .values()
                 .filter(|(c, _)| !used.contains(&c.fault.site))
                 .map(|(c, p)| {
-                    let explained = residual.intersection(p).count() as i64;
-                    let extra = p.difference(tester).count() as i64;
+                    let explained = i64::from(residual.overlap(p));
+                    let extra = i64::from(c.score.tpsf);
                     (explained * 2 - extra, c.fault.site)
                 })
                 .max_by_key(|&(gain, site)| (gain, std::cmp::Reverse(site)));
@@ -525,20 +516,19 @@ impl<'a> Diagnoser<'a> {
             }
             used.insert(site);
             let (cand, pred) = pool[&site].clone();
-            residual.retain(|e| !pred.contains(e));
+            residual.remove(&pred);
             selected.push((cand, pred));
         }
 
         // Add signature-equivalent suspects of every selected candidate
         // (indistinguishable faults inflate resolution, as on real tools).
-        let selected_sigs: Vec<HashSet<FailEntry>> =
-            selected.iter().map(|(_, p)| p.clone()).collect();
+        let covering = selected.len();
         for site in &by_freq {
             if used.contains(site) {
                 continue;
             }
             if let Some((cand, pred)) = pool.get(site) {
-                if selected_sigs.iter().any(|sig| sig == pred) && !pred.is_empty() {
+                if !pred.is_empty() && selected[..covering].iter().any(|(_, sig)| sig == pred) {
                     selected.push((*cand, pred.clone()));
                     used.insert(*site);
                 }
@@ -549,7 +539,7 @@ impl<'a> Diagnoser<'a> {
 
     /// Ranks a multi-fault cover: candidates sorted by explained failures,
     /// all retained (each one carries a distinct share of the log).
-    fn rank_cover(&self, mut selected: Vec<(Candidate, HashSet<FailEntry>)>) -> DiagnosisReport {
+    fn rank_cover(&self, mut selected: Vec<(Candidate, Signature)>) -> DiagnosisReport {
         selected.retain(|(c, _)| c.score.tfsf > 0);
         selected.sort_by(|(a, _), (b, _)| {
             b.score
@@ -574,7 +564,7 @@ impl<'a> Diagnoser<'a> {
     /// do *not* rank within a class: gross-delay simulation over-predicts
     /// for real small-delay defects, so a candidate with extra predicted
     /// failures may still be the defect. Ties order structurally.
-    fn rank_and_retain(&self, mut scored: Vec<(Candidate, HashSet<FailEntry>)>) -> DiagnosisReport {
+    fn rank_and_retain(&self, mut scored: Vec<(Candidate, Signature)>) -> DiagnosisReport {
         scored.retain(|(c, _)| c.score.tfsf > 0);
         let best_tfsf = scored.iter().map(|(c, _)| c.score.tfsf).max().unwrap_or(0);
         // Candidates explaining within half of the best are statistically
@@ -609,7 +599,7 @@ mod tests {
     use m3d_dft::ScanConfig;
     use m3d_netlist::generate::Benchmark;
     use m3d_part::DesignConfig;
-    use m3d_tdf::{generate_patterns, AtpgConfig};
+    use m3d_tdf::{generate_patterns, AtpgConfig, FailEntry};
     use rand::rngs::StdRng;
     use rand::{seq::SliceRandom, Rng, SeedableRng};
 
@@ -749,6 +739,45 @@ mod tests {
             clean_report.candidates(),
             "valid entries still diagnose normally"
         );
+
+        // A compacted log plus observations that name no scan cell: a
+        // channel past the last one, and a cycle past every chain.
+        let compacted = Diagnoser::new(
+            &fsim,
+            &e.scan,
+            ObsMode::Compacted,
+            DiagnosisConfig::default(),
+        );
+        let clean = FailureLog::from_detections(&dets, &e.scan, ObsMode::Compacted);
+        assert!(!clean.is_empty());
+        let clean_report = compacted.diagnose(&clean);
+        assert!(!clean_report.degraded());
+        let past_chains = e.scan.max_chain_length() as u16;
+        let poisoned: FailureLog = clean
+            .entries()
+            .iter()
+            .copied()
+            .chain((0..30).map(|pattern| FailEntry {
+                pattern,
+                obs: m3d_dft::ObsPoint::ChannelCycle {
+                    channel: 9999,
+                    cycle: 1,
+                },
+            }))
+            .chain(std::iter::once(FailEntry {
+                pattern: 0,
+                obs: m3d_dft::ObsPoint::ChannelCycle {
+                    channel: 0,
+                    cycle: past_chains,
+                },
+            }))
+            .collect();
+        let report = compacted.diagnose(&poisoned);
+        assert!(
+            report.degraded(),
+            "cell-less observations must tag the report"
+        );
+        assert_eq!(report.candidates(), clean_report.candidates());
 
         // A log of *only* junk entries degrades to an empty report.
         let junk: FailureLog = std::iter::once(FailEntry {

@@ -1,10 +1,13 @@
 //! Diagnosis telemetry must be a pure read: reports are identical with
-//! `m3d-obs` recording on and off, at any pool width, and the recorded
+//! `m3d-obs` recording on and off, at any pool width; the recorded
 //! `diagnosis` spans say how many observation points and suspects each
-//! log cost.
+//! log cost, and each has one child span per phase — suspect counting,
+//! scoring and cover/rank — so its time splits by phase.
 //!
 //! Single `#[test]`: obs state is process-global, so the scenarios run
 //! sequentially inside one test function.
+
+use std::collections::HashMap;
 
 use m3d_dft::{ObsMode, ScanChains, ScanConfig};
 use m3d_diagnosis::{Diagnoser, DiagnosisConfig, DiagnosisReport};
@@ -71,16 +74,63 @@ fn diagnosis_telemetry_is_a_pure_read() {
             "recording changed a report at width {threads}"
         );
 
-        let spans: Vec<Vec<(String, u64)>> = m3d_obs::trace_events()
+        // Every span by id: (name, parent, counters).
+        type Span = (String, Option<u64>, Vec<(String, u64)>);
+        let all: HashMap<u64, Span> = m3d_obs::trace_events()
             .into_iter()
             .filter_map(|e| match e {
-                m3d_obs::Event::Span { name, counters, .. } if name == "diagnosis" => {
-                    Some(counters)
-                }
+                m3d_obs::Event::Span {
+                    id,
+                    parent,
+                    name,
+                    counters,
+                    ..
+                } => Some((id, (name, parent, counters))),
                 _ => None,
             })
             .collect();
+        let spans: Vec<Vec<(String, u64)>> = all
+            .values()
+            .filter(|(name, ..)| name == "diagnosis")
+            .map(|(.., counters)| counters.clone())
+            .collect();
         assert_eq!(spans.len(), logs.len(), "one diagnosis span per log");
+        // The diagnosis span enclosing a span, if any.
+        let diagnosis_of = |mut id: u64| -> Option<u64> {
+            while let Some(parent) = all[&id].1 {
+                if all[&parent].0 == "diagnosis" {
+                    return Some(parent);
+                }
+                id = parent;
+            }
+            None
+        };
+        let mut phases: HashMap<(u64, &str), u64> = HashMap::new();
+        let mut scored_in_phases = 0;
+        for (&id, (name, _, counters)) in &all {
+            let phase = name.as_str();
+            if !["suspect_count", "suspect_score", "cover_rank"].contains(&phase) {
+                continue;
+            }
+            let diagnosis = diagnosis_of(id).expect("phase spans nest under `diagnosis`");
+            *phases.entry((diagnosis, phase)).or_default() += 1;
+            if phase == "suspect_score" {
+                scored_in_phases += counters
+                    .iter()
+                    .find(|(k, _)| k == "suspects")
+                    .map_or(0, |&(_, v)| v);
+            }
+        }
+        for (&id, (name, ..)) in &all {
+            if name != "diagnosis" {
+                continue;
+            }
+            let count = |phase| phases.get(&(id, phase)).copied().unwrap_or(0);
+            assert_eq!(count("suspect_count"), 1, "diagnosis span {id}");
+            // Phase 1 scores; a multi-fault log's cover scores again.
+            assert!(count("suspect_score") >= 1, "diagnosis span {id}");
+            assert_eq!(count("cover_rank"), 1, "diagnosis span {id}");
+        }
         let field = |counters: &[(String, u64)], key: &str| {
             counters.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
         };
@@ -98,6 +148,10 @@ fn diagnosis_telemetry_is_a_pure_read() {
             m3d_obs::registry_snapshot().counter_value("diagnosis.suspects_scored"),
             Some(scored),
             "the counter sums the spans"
+        );
+        assert_eq!(
+            scored_in_phases, scored,
+            "scoring spans cover every suspect"
         );
     }
 }

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use m3d_dft::ScanChains;
 use m3d_gnn::{GcnGraph, GraphData, Matrix};
 use m3d_netlist::{SiteId, SitePos};
-use m3d_tdf::{FailureLog, FaultSim};
+use m3d_tdf::{FailureLog, FaultSim, Signature};
 
 use crate::graph::HetGraph;
 
@@ -126,7 +126,8 @@ pub fn back_trace(
 ) -> Option<SubGraph> {
     // Per site: the responses whose Topnodes' transition-active cones
     // contain it.
-    let counts = fsim.active_site_counts(log, scan, |flop| {
+    let failures = Signature::from_log(log, fsim.patterns());
+    let counts = fsim.active_site_counts(&failures, scan, |flop| {
         het.topedges(flop).iter().map(|te| te.site)
     });
     // Strict intersection first (Fig. 3, line 11): `c_max == entries`.
@@ -352,20 +353,44 @@ mod tests {
         assert_eq!(plain.sites, sg.sites);
     }
 
+    /// Compacted observations that name no scan cell: a channel past the
+    /// last one, and a cycle past every chain of a real channel.
+    fn compacted_junk(e: &Env) -> Vec<FailEntry> {
+        let past_chains = e.scan.max_chain_length() as u16;
+        (0..30)
+            .map(|pattern| FailEntry {
+                pattern,
+                obs: ObsPoint::ChannelCycle {
+                    channel: 9999,
+                    cycle: 1,
+                },
+            })
+            .chain(std::iter::once(FailEntry {
+                pattern: 0,
+                obs: ObsPoint::ChannelCycle {
+                    channel: 0,
+                    cycle: past_chains,
+                },
+            }))
+            .collect()
+    }
+
     #[test]
     fn out_of_range_entries_are_skipped() {
         let e = env();
         let fsim = FaultSim::new(&e.design, &e.ts.patterns);
-        let clean = bypass_log(&e, &fsim, &[some_detected_fault(&e, 5)]);
-        let poisoned: FailureLog = clean
-            .entries()
-            .iter()
-            .copied()
-            .chain(junk_entries(&e))
-            .collect();
-        let want = back_trace(&e.het, &fsim, &e.scan, &clean).expect("clean log back-traces");
-        let got = back_trace(&e.het, &fsim, &e.scan, &poisoned).expect("junk is skipped");
-        assert_eq!(got, want);
+        let fault = some_detected_fault(&e, 5);
+        let dets = fsim.detections(&mut fsim.detector(), &[fault]);
+        for (mode, junk) in [
+            (ObsMode::Bypass, junk_entries(&e).to_vec()),
+            (ObsMode::Compacted, compacted_junk(&e)),
+        ] {
+            let clean = FailureLog::from_detections(&dets, &e.scan, mode);
+            let poisoned: FailureLog = clean.entries().iter().copied().chain(junk).collect();
+            let want = back_trace(&e.het, &fsim, &e.scan, &clean).expect("clean log back-traces");
+            let got = back_trace(&e.het, &fsim, &e.scan, &poisoned).expect("junk is skipped");
+            assert_eq!(got, want, "{mode:?}");
+        }
     }
 
     #[test]

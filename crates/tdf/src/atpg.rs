@@ -161,7 +161,7 @@ fn generate(design: &M3dDesign, config: &AtpgConfig, skip_sites: Option<&[bool]>
         let sweep_start = std::time::Instant::now();
         let hits = m3d_par::par_map_init(
             &undetected_sites,
-            || BlockDetector::new(design),
+            || BlockDetector::new(design, &sim),
             |det, &s| {
                 let (i0, i1) = (2 * s as usize, 2 * s as usize + 1);
                 debug_assert_eq!(faults[i0].site.index(), s as usize);

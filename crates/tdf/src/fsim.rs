@@ -8,15 +8,12 @@
 //! the fault-free frames — the standard single-transition approximation of
 //! TDF simulation.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use m3d_dft::{ObsPoint, ScanChains};
-use m3d_netlist::{FlopId, GateId, GateKind, NetId, SiteId};
+use m3d_dft::{ObsMode, ObsPoint, ScanChains};
+use m3d_netlist::{FlopId, GateId, SiteId};
 use m3d_part::M3dDesign;
 
 use crate::fault::{injection_scope, site_net, Fault, InjectionScope, Polarity};
-use crate::log::{FailEntry, FailureLog};
+use crate::log::{FailEntry, ObsWord, Signature};
 use crate::pattern::{PatternId, PatternSet};
 use crate::sim::{BlockSim, Simulator};
 
@@ -29,225 +26,196 @@ pub struct Detection {
     pub flop: FlopId,
 }
 
-/// Reusable scratch state for block-level fault propagation.
+/// Reusable scratch state for block-level fault propagation over a
+/// compiled netlist.
 ///
-/// Create once (allocation-heavy) and reuse across faults and blocks; every
-/// call resets only the entries it touched.
+/// Create one per worker and reuse it across faults and blocks; every call
+/// resets only the entries it touched. The compiled netlist
+/// ([`Simulator`]) is borrowed, so it is built once per [`FaultSim`] or
+/// ATPG run and a detector only allocates scratch.
 #[derive(Debug)]
 pub struct BlockDetector<'a> {
     design: &'a M3dDesign,
+    sim: &'a Simulator<'a>,
     /// Faulty frame-2 net values; valid only where `net_dirty`.
     overlay: Vec<u64>,
     net_dirty: Vec<bool>,
     touched_nets: Vec<u32>,
-    /// Per-gate heap membership (dedup).
-    in_heap: Vec<bool>,
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-    /// Topological position per gate (`u32::MAX` for non-combinational).
-    topo_pos: Vec<u32>,
-    /// Sparse branch flips: key = gate << 8 | pin.
-    branch_flips: Vec<(u64, u64)>,
-    /// CSR offsets into `d_flops`, one entry per net plus a tail.
-    d_flops_off: Vec<u32>,
-    /// Flop indices whose D input is the net (capture-compare candidates).
-    d_flops: Vec<u32>,
-    /// Flop index per gate (`u32::MAX` for non-flops).
-    flop_of_gate: Vec<u32>,
+    /// Per compiled gate: whether it waits in `buckets`.
+    queued: Vec<bool>,
+    /// The event queue: compiled gates to evaluate, one bucket per logic
+    /// level. A gate's inputs are driven from lower levels only, so
+    /// draining the buckets in level order evaluates each gate once, after
+    /// every change that reaches it.
+    buckets: Vec<Vec<u32>>,
+    /// The lowest level holding a gate, and one past the highest.
+    pending: (usize, usize),
+    /// Input-pin flips on compiled gates, sorted by key = gate << 8 | pin.
+    pin_flips: Vec<(u64, u64)>,
+    /// D-pin flips, sorted by flop index.
+    d_flips: Vec<(u32, u64)>,
     /// Scratch for candidate-flop collection.
     cand_flops: Vec<u32>,
+    /// `(flop index, differing lanes)` of the last compare, ascending by
+    /// flop.
+    hits: Vec<(u32, u64)>,
 }
 
 impl<'a> BlockDetector<'a> {
-    /// Creates scratch state for a design.
-    pub fn new(design: &'a M3dDesign) -> Self {
-        let nl = design.netlist();
-        let mut topo_pos = vec![u32::MAX; nl.gate_count()];
-        for (i, &g) in nl.topo_order().iter().enumerate() {
-            topo_pos[g.index()] = i as u32;
-        }
-        // Net → capturing flops, as a counting-sort CSR: the capture
-        // compare then visits only flops whose D net the propagation
-        // actually touched, instead of every flop per fault.
-        let mut flop_of_gate = vec![u32::MAX; nl.gate_count()];
-        let mut counts = vec![0u32; nl.net_count()];
-        for (fi, &fgate) in nl.flops().iter().enumerate() {
-            flop_of_gate[fgate.index()] = fi as u32;
-            counts[nl.gate(fgate).inputs()[0].index()] += 1;
-        }
-        let mut d_flops_off = vec![0u32; nl.net_count() + 1];
-        for n in 0..nl.net_count() {
-            d_flops_off[n + 1] = d_flops_off[n] + counts[n];
-        }
-        let mut d_flops = vec![0u32; d_flops_off[nl.net_count()] as usize];
-        let mut cursor: Vec<u32> = d_flops_off[..nl.net_count()].to_vec();
-        for (fi, &fgate) in nl.flops().iter().enumerate() {
-            let n = nl.gate(fgate).inputs()[0].index();
-            d_flops[cursor[n] as usize] = fi as u32;
-            cursor[n] += 1;
-        }
+    /// Creates propagation scratch for `design` over its compiled netlist
+    /// `sim`.
+    pub fn new(design: &'a M3dDesign, sim: &'a Simulator<'a>) -> Self {
+        let nets = design.netlist().net_count();
         BlockDetector {
             design,
-            overlay: vec![0; nl.net_count()],
-            net_dirty: vec![false; nl.net_count()],
+            sim,
+            overlay: vec![0; nets],
+            net_dirty: vec![false; nets],
             touched_nets: Vec::new(),
-            in_heap: vec![false; nl.gate_count()],
-            heap: BinaryHeap::new(),
-            topo_pos,
-            branch_flips: Vec::new(),
-            d_flops_off,
-            d_flops,
-            flop_of_gate,
+            queued: vec![false; sim.gate_count()],
+            buckets: vec![Vec::new(); sim.level_count()],
+            pending: (usize::MAX, 0),
+            pin_flips: Vec::new(),
+            d_flips: Vec::new(),
             cand_flops: Vec::new(),
+            hits: Vec::new(),
         }
     }
 
-    fn branch_flip(&self, gate: GateId, pin: u8) -> u64 {
-        let key = (gate.index() as u64) << 8 | u64::from(pin);
-        self.branch_flips
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .map_or(0, |i| self.branch_flips[i].1)
-    }
-
-    fn add_branch_flip(&mut self, gate: GateId, pin: u8, flip: u64) {
-        let key = (gate.index() as u64) << 8 | u64::from(pin);
-        // `branch_flips` stays sorted by key so lookups in the propagation
-        // loop are O(log n) instead of a linear scan per gate input.
-        match self.branch_flips.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => self.branch_flips[i].1 |= flip,
-            Err(i) => self.branch_flips.insert(i, (key, flip)),
+    /// Delays input `pin` of `gate` on `flip` lanes. A combinational gate
+    /// is queued; a flop's D pin joins the capture compare; other pins
+    /// (primary outputs) observe nothing at speed.
+    fn add_pin_flip(&mut self, gate: GateId, pin: u8, flip: u64) {
+        if let Some(t) = self.sim.topo_pos(gate) {
+            add_flip(&mut self.pin_flips, pin_key(t, usize::from(pin)), flip);
+            self.push(t);
+        } else if pin == 0 {
+            if let Some(f) = self.design.netlist().flop_of(gate) {
+                add_flip(&mut self.d_flips, f.index() as u32, flip);
+            }
         }
-    }
-
-    fn push_gate(&mut self, gate: GateId) {
-        let pos = self.topo_pos[gate.index()];
-        if pos == u32::MAX || self.in_heap[gate.index()] {
-            return;
-        }
-        self.in_heap[gate.index()] = true;
-        self.heap.push(Reverse((pos, gate.index() as u32)));
-    }
-
-    fn set_net(&mut self, net: NetId, value: u64) {
-        if !self.net_dirty[net.index()] {
-            self.net_dirty[net.index()] = true;
-            self.touched_nets.push(net.index() as u32);
-        }
-        self.overlay[net.index()] = value;
     }
 
     #[inline]
-    fn net_value(&self, base: &BlockSim, net: NetId) -> u64 {
-        if self.net_dirty[net.index()] {
-            self.overlay[net.index()]
+    fn push(&mut self, t: u32) {
+        if std::mem::replace(&mut self.queued[t as usize], true) {
+            return;
+        }
+        let level = self.sim.level(t) as usize;
+        self.buckets[level].push(t);
+        self.pending = (self.pending.0.min(level), self.pending.1.max(level + 1));
+    }
+
+    #[inline]
+    fn set_net(&mut self, net: u32, value: u64) {
+        let n = net as usize;
+        if !self.net_dirty[n] {
+            self.net_dirty[n] = true;
+            self.touched_nets.push(net);
+        }
+        self.overlay[n] = value;
+    }
+
+    #[inline]
+    fn net_value(&self, base: &BlockSim, net: u32) -> u64 {
+        let n = net as usize;
+        if self.net_dirty[n] {
+            self.overlay[n]
         } else {
-            base.f2[net.index()]
+            base.f2[n]
         }
     }
 
-    /// Seeds the frame-2 flip for one site on `act` lanes.
-    fn seed_site(&mut self, base: &BlockSim, site: SiteId, act: u64) {
-        let nl = self.design.netlist();
-        match injection_scope(self.design, site) {
+    /// Seeds the frame-2 flip of one injection scope on `act` lanes.
+    ///
+    /// An output-pin (stem) flip is written into the net's value once. If
+    /// another injected fault's effect later reaches the stem's driver,
+    /// the driver's re-evaluated output replaces the flipped value: with
+    /// several faults, a stem fault holds only while its driver sees no
+    /// faulty input. Input-pin flips are applied on every evaluation.
+    fn seed(&mut self, base: &BlockSim, scope: &InjectionScope, act: u64) {
+        match scope {
             InjectionScope::Net(n) => {
-                let v = self.net_value(base, n) ^ act;
-                self.set_net(n, v);
-                for &(sink, _) in nl.net(n).sinks() {
-                    self.push_gate(sink);
+                let net = n.index() as u32;
+                let v = self.net_value(base, net) ^ act;
+                self.set_net(net, v);
+                for &t in self.sim.sinks(net) {
+                    self.push(t);
                 }
             }
-            InjectionScope::Branch(g, pin) => {
-                self.add_branch_flip(g, pin, act);
-                self.push_gate(g);
-            }
+            InjectionScope::Branch(g, pin) => self.add_pin_flip(*g, *pin, act),
             InjectionScope::MivBranches(branches) => {
-                for (g, pin) in branches {
-                    self.add_branch_flip(g, pin, act);
-                    self.push_gate(g);
+                for &(g, pin) in branches {
+                    self.add_pin_flip(g, pin, act);
                 }
             }
         }
     }
 
-    /// Event-driven frame-2 propagation in topological order.
+    /// Event-driven frame-2 propagation: drains the level buckets in
+    /// ascending order.
     fn propagate(&mut self, base: &BlockSim) {
-        let nl = self.design.netlist();
-        while let Some(Reverse((_, gi))) = self.heap.pop() {
-            let gate = GateId::new(gi as usize);
-            self.in_heap[gate.index()] = false;
-            let g = nl.gate(gate);
-            let mut inputs = [0u64; 4];
-            for (pin, &n) in g.inputs().iter().enumerate() {
-                inputs[pin] = self.net_value(base, n) ^ self.branch_flip(gate, pin as u8);
-            }
-            let out = g.output().expect("only combinational gates enter the heap");
-            let new = g.kind().eval(&inputs[..g.inputs().len()]);
-            if new != self.net_value(base, out) {
-                self.set_net(out, new);
-                for &(sink, _) in nl.net(out).sinks() {
-                    self.push_gate(sink);
+        let sim = self.sim;
+        let mut level = self.pending.0;
+        while level < self.pending.1 {
+            let mut bucket = std::mem::take(&mut self.buckets[level]);
+            for &t in &bucket {
+                self.queued[t as usize] = false;
+                let (kind, ins, out) = sim.gate(t);
+                let mut words = [0u64; 4];
+                for (pin, &n) in ins.iter().enumerate() {
+                    words[pin] = self.net_value(base, n);
+                }
+                if !self.pin_flips.is_empty() {
+                    for (pin, w) in words[..ins.len()].iter_mut().enumerate() {
+                        *w ^= flip_at(&self.pin_flips, pin_key(t, pin));
+                    }
+                }
+                let new = kind.eval(&words[..ins.len()]);
+                if new != self.net_value(base, out) {
+                    self.set_net(out, new);
+                    for &s in sim.sinks(out) {
+                        self.push(s);
+                    }
                 }
             }
+            bucket.clear();
+            self.buckets[level] = bucket;
+            level += 1;
         }
-    }
-
-    /// Collects the flops whose capture can differ — those with a touched
-    /// D net or a direct branch flip on the D pin — into `cand_flops`,
-    /// sorted and deduplicated. Untouched flops capture the fault-free
-    /// value by construction and need no compare.
-    fn collect_candidate_flops(&mut self) {
-        self.cand_flops.clear();
-        for i in 0..self.touched_nets.len() {
-            let n = self.touched_nets[i] as usize;
-            let (s, e) = (
-                self.d_flops_off[n] as usize,
-                self.d_flops_off[n + 1] as usize,
-            );
-            for j in s..e {
-                self.cand_flops.push(self.d_flops[j]);
-            }
-        }
-        for i in 0..self.branch_flips.len() {
-            let (key, _) = self.branch_flips[i];
-            if key & 0xff == 0 {
-                let fi = self.flop_of_gate[(key >> 8) as usize];
-                if fi != u32::MAX {
-                    self.cand_flops.push(fi);
-                }
-            }
-        }
-        self.cand_flops.sort_unstable();
-        self.cand_flops.dedup();
-    }
-
-    /// Resets the per-call scratch (touched overlay entries and flips).
-    fn reset_scratch(&mut self) {
-        for &n in &self.touched_nets {
-            self.net_dirty[n as usize] = false;
-        }
-        self.touched_nets.clear();
-        self.branch_flips.clear();
+        self.pending = (usize::MAX, 0);
     }
 
     /// The shared tail of every detection query: propagates the seeded
     /// flips, compares scan captures at the flops the propagation could
-    /// have reached (touched D nets plus direct branch flips on D), calls
-    /// `hit(flop index, differing lanes)` for every capture that differs,
-    /// and resets the scratch.
-    fn propagate_and_compare(&mut self, base: &BlockSim, mut hit: impl FnMut(usize, u64)) {
-        let nl = self.design.netlist();
+    /// have reached (touched D nets plus D-pin flips; an untouched flop
+    /// captures the fault-free value by construction), fills `hits` with
+    /// every capture that differs, and resets the scratch.
+    fn propagate_and_compare(&mut self, base: &BlockSim) {
+        let sim = self.sim;
         self.propagate(base);
-        self.collect_candidate_flops();
-        for i in 0..self.cand_flops.len() {
-            let fi = self.cand_flops[i] as usize;
-            let fgate = nl.flops()[fi];
-            let d_net = nl.gate(fgate).inputs()[0];
-            let val = self.net_value(base, d_net) ^ self.branch_flip(fgate, 0);
-            let diff = (val ^ base.capture2[fi]) & base.lanes;
+        self.cand_flops.clear();
+        for &n in &self.touched_nets {
+            self.cand_flops.extend_from_slice(sim.captures(n));
+        }
+        self.cand_flops
+            .extend(self.d_flips.iter().map(|&(fi, _)| fi));
+        self.cand_flops.sort_unstable();
+        self.cand_flops.dedup();
+        self.hits.clear();
+        for &fi in &self.cand_flops {
+            let val = self.net_value(base, sim.flop_d_net(fi)) ^ flip_at(&self.d_flips, fi);
+            let diff = (val ^ base.capture2[fi as usize]) & base.lanes;
             if diff != 0 {
-                hit(fi, diff);
+                self.hits.push((fi, diff));
             }
         }
-        self.reset_scratch();
+        for &n in &self.touched_nets {
+            self.net_dirty[n as usize] = false;
+        }
+        self.touched_nets.clear();
+        self.pin_flips.clear();
+        self.d_flips.clear();
     }
 
     /// Simulates `faults` simultaneously against one block and returns the
@@ -270,35 +238,18 @@ impl<'a> BlockDetector<'a> {
             if act == 0 {
                 continue;
             }
-            self.seed_site(base, fault.site, act);
+            self.seed(base, &injection_scope(self.design, fault.site), act);
         }
+        self.propagate_and_compare(base);
         let mut detections = Vec::new();
-        self.propagate_and_compare(base, |fi, diff| push_lanes(&mut detections, fi, diff));
+        for &(fi, mut lanes) in &self.hits {
+            while lanes != 0 {
+                detections.push((lanes.trailing_zeros() as u8, FlopId::new(fi as usize)));
+                lanes &= lanes - 1;
+            }
+        }
         detections.sort_unstable();
         detections
-    }
-
-    /// [`BlockDetector::detect`] for both single faults at `site`, indexed
-    /// like [`Polarity::ALL`], from one propagation seeded with the union
-    /// of their activation lanes (see [`FaultSim::detections_both`]).
-    fn detect_both(&mut self, base: &BlockSim, site: SiteId) -> [Vec<(u8, FlopId)>; 2] {
-        let net = site_net(self.design, site);
-        let act = Polarity::ALL
-            .map(|p| p.activation(base.f1[net.index()], base.f2[net.index()]) & base.lanes);
-        let mut out = [Vec::new(), Vec::new()];
-        if act[0] | act[1] == 0 {
-            return out;
-        }
-        self.seed_site(base, site, act[0] | act[1]);
-        self.propagate_and_compare(base, |fi, diff| {
-            for (hits, lanes) in out.iter_mut().zip(act) {
-                push_lanes(hits, fi, diff & lanes);
-            }
-        });
-        for hits in &mut out {
-            hits.sort_unstable();
-        }
-        out
     }
 
     /// Propagates a frame-2 flip at `site` on `lanes` and returns the
@@ -314,18 +265,33 @@ impl<'a> BlockDetector<'a> {
         if lanes == 0 {
             return 0;
         }
-        self.seed_site(base, site, lanes);
-        let mut diff_union = 0u64;
-        self.propagate_and_compare(base, |_, diff| diff_union |= diff);
-        diff_union
+        self.seed(base, &injection_scope(self.design, site), lanes);
+        self.propagate_and_compare(base);
+        self.hits.iter().fold(0, |acc, &(_, diff)| acc | diff)
     }
 }
 
-/// Appends one `(lane, flop)` pair per set bit of `lanes`.
-fn push_lanes(out: &mut Vec<(u8, FlopId)>, flop: usize, mut lanes: u64) {
-    while lanes != 0 {
-        out.push((lanes.trailing_zeros() as u8, FlopId::new(flop)));
-        lanes &= lanes - 1;
+/// The key of input `pin` of compiled gate `t` in a pin-flip list.
+#[inline]
+fn pin_key(t: u32, pin: usize) -> u64 {
+    u64::from(t) << 8 | pin as u64
+}
+
+/// The flip recorded for `key` in a key-sorted flip list, or 0.
+#[inline]
+fn flip_at<K: Ord + Copy>(flips: &[(K, u64)], key: K) -> u64 {
+    flips
+        .binary_search_by_key(&key, |&(k, _)| k)
+        .map_or(0, |i| flips[i].1)
+}
+
+/// ORs `flip` into `key`'s entry of a key-sorted flip list: the lists stay
+/// sorted so propagation looks flips up in O(log n), and flips several
+/// faults put on one pin combine.
+fn add_flip<K: Ord + Copy>(flips: &mut Vec<(K, u64)>, key: K, flip: u64) {
+    match flips.binary_search_by_key(&key, |&(k, _)| k) {
+        Ok(i) => flips[i].1 |= flip,
+        Err(i) => flips.insert(i, (key, flip)),
     }
 }
 
@@ -336,7 +302,8 @@ pub struct ActiveSiteCounts {
     /// `(site, supporting entries)` for every site supporting at least one
     /// entry, in no particular order.
     pub sites: Vec<(SiteId, u32)>,
-    /// Log entries counted: those whose pattern and scan cells exist.
+    /// Failing `(pattern, observation)` pairs counted: those whose
+    /// pattern and scan cells exist.
     pub entries: u32,
     /// Distinct observation points among the counted entries.
     pub obs_points: u32,
@@ -362,19 +329,24 @@ pub struct ActiveSiteCounts {
 pub struct FaultSim<'a> {
     design: &'a M3dDesign,
     patterns: &'a PatternSet,
+    /// The compiled netlist, shared by the good-machine baseline and every
+    /// detector's faulty-machine propagation.
+    sim: Simulator<'a>,
     blocks: Vec<BlockSim>,
 }
 
 impl<'a> FaultSim<'a> {
-    /// Runs the fault-free baseline over every block, fanned across the
-    /// `m3d-par` pool (blocks are independent; results are reassembled in
-    /// block order, so the baseline is identical at any thread count).
+    /// Compiles the netlist and runs the fault-free baseline over every
+    /// block, fanned across the `m3d-par` pool (blocks are independent;
+    /// results are reassembled in block order, so the baseline is identical
+    /// at any thread count).
     pub fn new(design: &'a M3dDesign, patterns: &'a PatternSet) -> Self {
         let sim = Simulator::new(design.netlist());
         let blocks = sim.run_blocks(patterns.blocks());
         FaultSim {
             design,
             patterns,
+            sim,
             blocks,
         }
     }
@@ -397,9 +369,10 @@ impl<'a> FaultSim<'a> {
         &self.blocks
     }
 
-    /// Creates reusable propagation scratch for this design.
-    pub fn detector(&self) -> BlockDetector<'a> {
-        BlockDetector::new(self.design)
+    /// Creates reusable propagation scratch over this simulator's compiled
+    /// netlist.
+    pub fn detector(&self) -> BlockDetector<'_> {
+        BlockDetector::new(self.design, &self.sim)
     }
 
     /// Simulates an injected fault set against every pattern and returns
@@ -417,29 +390,49 @@ impl<'a> FaultSim<'a> {
         out
     }
 
-    /// [`FaultSim::detections`] of both single faults at `site`, indexed
-    /// like [`Polarity::ALL`], from one propagation per block seeded with
-    /// the union of their activation lanes.
+    /// The failure signatures of both single faults at `site`, indexed
+    /// like [`Polarity::ALL`], as a tester observes them through `scan` in
+    /// `mode`: the word form of
+    /// `FailureLog::from_detections(&self.detections(det, &[fault]), scan, mode)`.
     ///
-    /// Exact for the same reason as [`BlockDetector::propagate_site_mask`]:
-    /// the rising and falling activations (`!f1 & f2`, `f1 & !f2`) are
-    /// disjoint and the propagation is lane-wise independent, so splitting
-    /// the differing lanes by polarity gives each fault's own detections.
-    pub fn detections_both(
+    /// One propagation per block, seeded with the union of both
+    /// polarities' activation lanes, answers both: the rising and falling
+    /// activations (`!f1 & f2`, `f1 & !f2`) are disjoint and the
+    /// propagation is lane-wise independent, so masking the differing
+    /// lanes by each polarity's activation gives each fault's own
+    /// failures. The differing captures map to observation words with
+    /// [`ScanChains::observe_words`], so no per-pattern detection list is
+    /// built.
+    pub fn signatures(
         &self,
-        detector: &mut BlockDetector<'_>,
+        det: &mut BlockDetector<'_>,
         site: SiteId,
-    ) -> [Vec<Detection>; 2] {
-        let mut out = [Vec::new(), Vec::new()];
-        for (bi, base) in self.blocks.iter().enumerate() {
-            for (dets, hits) in out.iter_mut().zip(detector.detect_both(base, site)) {
-                dets.extend(hits.into_iter().map(|(bit, flop)| Detection {
-                    pattern: self.patterns.id_at(bi, bit),
-                    flop,
-                }));
+        scan: &ScanChains,
+        mode: ObsMode,
+    ) -> [Signature; 2] {
+        let net = site_net(self.design, site).index();
+        let scope = injection_scope(self.design, site);
+        let mut sigs = [Signature::default(), Signature::default()];
+        let mut words: Vec<(ObsPoint, u64)> = Vec::new();
+        for (block, base) in self.blocks.iter().enumerate() {
+            let act = Polarity::ALL.map(|p| p.activation(base.f1[net], base.f2[net]) & base.lanes);
+            if act[0] | act[1] == 0 {
+                continue;
+            }
+            det.seed(base, &scope, act[0] | act[1]);
+            det.propagate_and_compare(base);
+            let hits = det
+                .hits
+                .iter()
+                .map(|&(fi, diff)| (FlopId::new(fi as usize), diff));
+            scan.observe_words(hits, mode, &mut words);
+            for (sig, lanes) in sigs.iter_mut().zip(act) {
+                for &(obs, diff) in &words {
+                    sig.push(block as u32, obs, diff & lanes);
+                }
             }
         }
-        out
+        sigs
     }
 
     /// Like [`FaultSim::detections`], but fans the per-block propagation
@@ -497,24 +490,26 @@ impl<'a> FaultSim<'a> {
         Ok(out)
     }
 
-    /// Counts, for every fault site, the log entries it could explain: the
-    /// entries whose failing pattern makes the site transition (fault-free)
-    /// and whose observation point's candidate scan cells have the site in
-    /// their `cone`. A site in the cones of several cells of one compacted
-    /// observation counts once per entry.
+    /// Counts, for every fault site, the failures of a log it could
+    /// explain: the failing `(pattern, observation)` pairs whose pattern
+    /// makes the site transition (fault-free) and whose observation
+    /// point's candidate scan cells have the site in their `cone`. A site
+    /// in the cones of several cells of one compacted observation counts
+    /// once per failure.
     ///
-    /// Entries outside this test setup ([`FaultSim::entry_in_range`]) are
+    /// `log` is the failure log in word form ([`Signature::from_log`],
+    /// which drops patterns outside this set). Observation points naming
+    /// no scan cell of this design ([`FaultSim::entry_in_range`]) are
     /// skipped and are not in [`ActiveSiteCounts::entries`].
     ///
     /// A delay fault fails the same few observation points across many
-    /// patterns, so the entries are grouped by observation point: each
-    /// point's failing patterns become one lane mask per 64-pattern block,
-    /// and the union of the point's cones is walked once, adding
-    /// `popcount(transition & mask)` per site and block into a dense
+    /// patterns, so the words are grouped by observation point and the
+    /// union of each point's cones is walked once, adding
+    /// `popcount(transition & lanes)` per site and word into a dense
     /// counter. Scratch is per call, so concurrent calls share nothing.
     pub fn active_site_counts<I>(
         &self,
-        log: &FailureLog,
+        log: &Signature,
         scan: &ScanChains,
         cone: impl Fn(FlopId) -> I,
     ) -> ActiveSiteCounts
@@ -522,45 +517,33 @@ impl<'a> FaultSim<'a> {
         I: IntoIterator<Item = SiteId>,
     {
         let site_count = self.design.sites().len();
-        // (observation, block, lane), sorted: observation groups with
-        // ascending blocks inside each.
-        let mut located: Vec<(ObsPoint, usize, u8)> = log
-            .entries()
-            .iter()
-            .filter(|e| self.entry_in_range(scan, e))
-            .map(|e| {
-                let (blk, bit) = self.patterns.locate(e.pattern);
-                (e.obs, blk, bit)
-            })
-            .collect();
-        located.sort_unstable();
+        // Observation groups with ascending blocks inside each.
+        let mut words: Vec<&ObsWord> = log.words().iter().collect();
+        words.sort_unstable_by_key(|w| (w.obs, w.block));
 
         let mut counts = ActiveSiteCounts::default();
         let mut count = vec![0u32; site_count];
         // Per-site stamp of the last observation group that visited it.
         let mut visited = vec![0u32; site_count];
-        let mut masks: Vec<(usize, u64)> = Vec::new();
-        for group in located.chunk_by(|a, b| a.0 == b.0) {
-            counts.entries += group.len() as u32;
+        for group in words.chunk_by(|a, b| a.obs == b.obs) {
+            let Some(cells) = self.obs_cells(scan, group[0].obs) else {
+                continue;
+            };
+            counts.entries += group.iter().map(|w| w.lanes.count_ones()).sum::<u32>();
             counts.obs_points += 1;
             let stamp = counts.obs_points;
-            masks.clear();
-            for &(_, blk, bit) in group {
-                match masks.last_mut() {
-                    Some((b, mask)) if *b == blk => *mask |= 1u64 << bit,
-                    _ => masks.push((blk, 1u64 << bit)),
-                }
-            }
-            for flop in scan.candidate_flops(group[0].0) {
+            for flop in cells {
                 for site in cone(flop) {
                     if visited[site.index()] == stamp {
                         continue;
                     }
                     visited[site.index()] = stamp;
                     let net = site_net(self.design, site);
-                    let hits: u32 = masks
+                    let hits: u32 = group
                         .iter()
-                        .map(|&(blk, mask)| (self.blocks[blk].transition(net) & mask).count_ones())
+                        .map(|w| {
+                            (self.blocks[w.block as usize].transition(net) & w.lanes).count_ones()
+                        })
                         .sum();
                     if hits == 0 {
                         continue;
@@ -583,13 +566,20 @@ impl<'a> FaultSim<'a> {
     /// from a tester datalog): diagnosis drops out-of-range entries with a
     /// degraded tag, and back-tracing skips them, rather than indexing out
     /// of bounds.
+    ///
+    /// A compacted observation naming no scan cell (a channel past the
+    /// last, or a cycle past every chain of its channel) is out of range.
     pub fn entry_in_range(&self, scan: &ScanChains, entry: &FailEntry) -> bool {
-        let flops = self.design.netlist().flops().len();
         self.patterns.checked_locate(entry.pattern).is_some()
-            && scan
-                .candidate_flops(entry.obs)
-                .iter()
-                .all(|f| f.index() < flops)
+            && self.obs_cells(scan, entry.obs).is_some()
+    }
+
+    /// The scan cells `obs` observes, or `None` if it names none or names
+    /// one this design lacks.
+    fn obs_cells(&self, scan: &ScanChains, obs: ObsPoint) -> Option<Vec<FlopId>> {
+        let flops = self.design.netlist().flops().len();
+        let cells = scan.candidate_flops(obs);
+        (!cells.is_empty() && cells.iter().all(|f| f.index() < flops)).then_some(cells)
     }
 
     /// Lanes of `block` in which `site` transitions (fault-free).
@@ -608,15 +598,12 @@ impl<'a> FaultSim<'a> {
     }
 }
 
-// GateKind is used only through eval here; keep the import honest.
-const _: fn(GateKind, &[u64]) -> u64 = GateKind::eval;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{full_fault_list, Polarity};
     use m3d_netlist::generate::Benchmark;
-    use m3d_netlist::SitePos;
+    use m3d_netlist::{GateKind, SitePos};
     use m3d_part::DesignConfig;
 
     fn env() -> (M3dDesign, PatternSet) {

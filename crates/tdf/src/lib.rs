@@ -50,7 +50,7 @@ pub use fault::{
     full_fault_list, injection_scope, site_net, testable_sites, Fault, InjectionScope, Polarity,
 };
 pub use fsim::{ActiveSiteCounts, BlockDetector, Detection, FaultSim};
-pub use log::{FailEntry, FailureLog};
+pub use log::{FailEntry, FailureLog, ObsWord, Signature};
 pub use log_io::{read_failure_log, write_failure_log, ParseLogError};
 pub use pattern::{PatternBlock, PatternId, PatternSet};
 pub use sim::{eval_single_frame, BlockSim, Simulator};

@@ -87,6 +87,21 @@ fn tokens_with_columns(line: &str) -> Vec<(usize, &str)> {
     out
 }
 
+/// Parses one numeric token at its field's own width, so a value too large
+/// for the field is an error at its column rather than a wrapped,
+/// valid-looking observation.
+fn parse_field<T: std::str::FromStr>(
+    line: usize,
+    (col, tok): (usize, &str),
+    what: &str,
+) -> Result<T, ParseLogError> {
+    tok.parse().map_err(|_| ParseLogError {
+        line,
+        col,
+        reason: format!("bad {what} `{tok}`"),
+    })
+}
+
 /// Parses the text format back into a [`FailureLog`].
 ///
 /// Never panics, whatever the input bytes: every failure is reported as a
@@ -107,25 +122,19 @@ pub fn read_failure_log(text: &str) -> Result<FailureLog, ParseLogError> {
             continue;
         }
         let toks = tokens_with_columns(raw);
-        let parse_num = |ti: usize, what: &str| -> Result<u32, ParseLogError> {
-            let (col, tok) = toks[ti];
-            tok.parse().map_err(|_| ParseLogError {
-                line: lineno,
-                col,
-                reason: format!("bad {what} `{tok}`"),
-            })
-        };
         let words: Vec<&str> = toks.iter().map(|&(_, t)| t).collect();
         match words.as_slice() {
             ["fail", "pattern", _, "flop", _] => entries.push(FailEntry {
-                pattern: parse_num(2, "pattern")?,
-                obs: ObsPoint::Flop(FlopId::new(parse_num(4, "flop")? as usize)),
+                pattern: parse_field(lineno, toks[2], "pattern")?,
+                obs: ObsPoint::Flop(FlopId::new(
+                    parse_field::<u32>(lineno, toks[4], "flop")? as usize
+                )),
             }),
             ["fail", "pattern", _, "channel", _, "cycle", _] => entries.push(FailEntry {
-                pattern: parse_num(2, "pattern")?,
+                pattern: parse_field(lineno, toks[2], "pattern")?,
                 obs: ObsPoint::ChannelCycle {
-                    channel: parse_num(4, "channel")? as u16,
-                    cycle: parse_num(6, "cycle")? as u16,
+                    channel: parse_field(lineno, toks[4], "channel")?,
+                    cycle: parse_field(lineno, toks[6], "cycle")?,
                 },
             }),
             _ => {
@@ -197,6 +206,25 @@ mod tests {
         assert_eq!(err.col, 24);
         let err = read_failure_log("\t\tgarbage\n").unwrap_err();
         assert_eq!((err.line, err.col), (1, 3));
+    }
+
+    #[test]
+    fn channel_and_cycle_past_u16_are_errors_not_wrapped() {
+        // 65538 would wrap to channel 2, a real observation.
+        let err = read_failure_log("fail pattern 3 channel 65538 cycle 1\n").unwrap_err();
+        assert_eq!((err.line, err.col), (1, 24));
+        assert!(err.to_string().contains("bad channel `65538`"));
+        let err = read_failure_log("\nfail pattern 3 channel 1 cycle 65536\n").unwrap_err();
+        assert_eq!((err.line, err.col), (2, 32));
+        assert!(err.to_string().contains("bad cycle `65536`"));
+        let max = read_failure_log("fail pattern 3 channel 65535 cycle 65535\n").expect("fits u16");
+        assert_eq!(
+            max.entries()[0].obs,
+            ObsPoint::ChannelCycle {
+                channel: u16::MAX,
+                cycle: u16::MAX
+            }
+        );
     }
 
     #[test]

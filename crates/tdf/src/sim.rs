@@ -45,6 +45,12 @@ impl BlockSim {
 /// (hundreds of thousands of gates × thousands of 64-pattern blocks) this
 /// sweep is the good-machine hot loop of ATPG and fault simulation.
 ///
+/// The same compiled form carries what faulty-machine propagation
+/// ([`crate::BlockDetector`]) needs to walk a fanout cone without touching
+/// the gate objects: each gate's logic level, each net's combinational
+/// sinks and capturing flops as CSR lists, and the compiled position of
+/// every gate.
+///
 /// # Examples
 ///
 /// ```
@@ -68,12 +74,46 @@ pub struct Simulator<'a> {
     in_nets: Vec<u32>,
     /// Output-net index per topo gate.
     out_nets: Vec<u32>,
+    /// Logic level per topo gate: above the level of every topo gate
+    /// driving one of its inputs.
+    levels: Vec<u32>,
+    /// One past the highest entry of `levels`.
+    level_count: usize,
+    /// Topo position per gate (`u32::MAX` for non-combinational gates).
+    topo_pos: Vec<u32>,
+    /// CSR offsets into `sinks`, one entry per net plus a tail.
+    sink_off: Vec<u32>,
+    /// Topo positions of the combinational gates reading each net.
+    sinks: Vec<u32>,
+    /// CSR offsets into `captures`, one entry per net plus a tail.
+    capture_off: Vec<u32>,
+    /// Indices of the flops whose D pin reads each net.
+    captures: Vec<u32>,
     /// Output-net index per primary input, in `Netlist::inputs` order.
     pi_nets: Vec<u32>,
     /// Output-net (Q) index per flop, in `Netlist::flops` order.
     flop_out_nets: Vec<u32>,
     /// D-input-net index per flop, in `Netlist::flops` order.
     flop_d_nets: Vec<u32>,
+}
+
+/// Groups `(net, item)` pairs into a per-net CSR by counting sort, keeping
+/// each net's items in input order.
+fn net_csr(net_count: usize, pairs: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32; net_count + 1];
+    for &(n, _) in pairs {
+        off[n as usize + 1] += 1;
+    }
+    for n in 0..net_count {
+        off[n + 1] += off[n];
+    }
+    let mut items = vec![0u32; pairs.len()];
+    let mut cursor = off[..net_count].to_vec();
+    for &(n, item) in pairs {
+        items[cursor[n as usize] as usize] = item;
+        cursor[n as usize] += 1;
+    }
+    (off, items)
 }
 
 impl<'a> Simulator<'a> {
@@ -85,8 +125,10 @@ impl<'a> Simulator<'a> {
         let mut in_off = Vec::with_capacity(order.len() + 1);
         let mut in_nets = Vec::new();
         let mut out_nets = Vec::with_capacity(order.len());
+        let mut levels = Vec::with_capacity(order.len());
+        let mut topo_pos = vec![u32::MAX; netlist.gate_count()];
         in_off.push(0);
-        for &g in order {
+        for (t, &g) in order.iter().enumerate() {
             let gate = netlist.gate(g);
             kinds.push(gate.kind());
             in_nets.extend(gate.inputs().iter().map(|n| n.index() as u32));
@@ -96,7 +138,17 @@ impl<'a> Simulator<'a> {
                     .expect("combinational gates drive nets")
                     .index() as u32,
             );
+            levels.push(netlist.level(g));
+            topo_pos[g.index()] = t as u32;
         }
+        let reads: Vec<(u32, u32)> = (0..order.len())
+            .flat_map(|t| {
+                let pins = in_off[t] as usize..in_off[t + 1] as usize;
+                in_nets[pins].iter().map(move |&n| (n, t as u32))
+            })
+            .collect();
+        let (sink_off, sinks) = net_csr(netlist.net_count(), &reads);
+        let level_count = levels.iter().max().map_or(0, |&l| l as usize + 1);
         let pi_nets = netlist
             .inputs()
             .iter()
@@ -107,17 +159,30 @@ impl<'a> Simulator<'a> {
             .iter()
             .map(|&g| netlist.gate(g).output().expect("flops drive nets").index() as u32)
             .collect();
-        let flop_d_nets = netlist
+        let flop_d_nets: Vec<u32> = netlist
             .flops()
             .iter()
             .map(|&g| netlist.gate(g).inputs()[0].index() as u32)
             .collect();
+        let d_reads: Vec<(u32, u32)> = flop_d_nets
+            .iter()
+            .enumerate()
+            .map(|(fi, &n)| (n, fi as u32))
+            .collect();
+        let (capture_off, captures) = net_csr(netlist.net_count(), &d_reads);
         Simulator {
             netlist,
             kinds,
             in_off,
             in_nets,
             out_nets,
+            levels,
+            level_count,
+            topo_pos,
+            sink_off,
+            sinks,
+            capture_off,
+            captures,
             pi_nets,
             flop_out_nets,
             flop_d_nets,
@@ -127,6 +192,60 @@ impl<'a> Simulator<'a> {
     /// The simulated netlist.
     pub fn netlist(&self) -> &'a Netlist {
         self.netlist
+    }
+
+    /// Number of compiled (combinational) gates.
+    #[inline]
+    pub(crate) fn gate_count(&self) -> usize {
+        self.kinds.len()
+    }
+
+    /// The compiled position of `gate`, or `None` for a gate outside the
+    /// combinational core (flops, primary inputs and outputs).
+    #[inline]
+    pub(crate) fn topo_pos(&self, gate: m3d_netlist::GateId) -> Option<u32> {
+        let t = self.topo_pos[gate.index()];
+        (t != u32::MAX).then_some(t)
+    }
+
+    /// Logic level of compiled gate `t`.
+    #[inline]
+    pub(crate) fn level(&self, t: u32) -> u32 {
+        self.levels[t as usize]
+    }
+
+    /// One past the highest logic level of any compiled gate.
+    #[inline]
+    pub(crate) fn level_count(&self) -> usize {
+        self.level_count
+    }
+
+    /// Kind, input nets and output net of compiled gate `t`.
+    #[inline]
+    pub(crate) fn gate(&self, t: u32) -> (GateKind, &[u32], u32) {
+        let t = t as usize;
+        let pins = self.in_off[t] as usize..self.in_off[t + 1] as usize;
+        (self.kinds[t], &self.in_nets[pins], self.out_nets[t])
+    }
+
+    /// Compiled positions of the combinational gates reading `net`.
+    #[inline]
+    pub(crate) fn sinks(&self, net: u32) -> &[u32] {
+        let n = net as usize;
+        &self.sinks[self.sink_off[n] as usize..self.sink_off[n + 1] as usize]
+    }
+
+    /// Indices of the flops whose D pin reads `net`.
+    #[inline]
+    pub(crate) fn captures(&self, net: u32) -> &[u32] {
+        let n = net as usize;
+        &self.captures[self.capture_off[n] as usize..self.capture_off[n + 1] as usize]
+    }
+
+    /// D-input net of flop `fi`.
+    #[inline]
+    pub(crate) fn flop_d_net(&self, fi: u32) -> u32 {
+        self.flop_d_nets[fi as usize]
     }
 
     /// Evaluates one frame over the compiled arrays: net values from PI

@@ -1,17 +1,25 @@
-//! Oracles for the two word-parallel kernels diagnosis runs on:
+//! Oracles for the fault-simulation kernels diagnosis runs on:
 //!
 //! - [`FaultSim::active_site_counts`] must equal the per-entry loop it
 //!   replaced — one set of transition-active cone sites per log entry,
 //!   then one count per site — on bypass and compacted logs from 1–5
-//!   injected faults, with out-of-range entries mixed in. A compacted
+//!   injected faults, with out-of-range entries (one a compacted
+//!   observation that names no scan cell) mixed in. A compacted
 //!   entry observes several scan cells; every compacted log also fails at
 //!   observations whose cells' cones overlap, where a shared site must
 //!   count once per entry.
-//! - [`FaultSim::detections_both`] must equal two single-fault
-//!   [`FaultSim::detections`] calls, on output-pin, input-branch and MIV
-//!   sites.
+//! - [`FaultSim::detections`] must equal a brute-force faulty machine that
+//!   re-evaluates every frame-2 gate in topological order with the
+//!   injected flips applied and compares every flop capture, for
+//!   output-pin, input-branch, MIV and 2–5-fault injections, and for a
+//!   stem fault and an input-branch fault of one gate active in the same
+//!   lane.
+//! - [`FaultSim::signatures`] must equal, for both polarities, the log
+//!   `FailureLog::from_detections` builds from a single-fault
+//!   [`FaultSim::detections`] call, regrouped into `(block, observation,
+//!   lanes)` words, in bypass and compacted modes.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -20,11 +28,11 @@ use rand::{Rng, SeedableRng};
 
 use m3d_dft::{ObsMode, ObsPoint, ScanChains, ScanConfig};
 use m3d_netlist::generate::Benchmark;
-use m3d_netlist::{FlopId, SiteId, SitePos};
+use m3d_netlist::{FlopId, GateId, NetId, SiteId, SitePos};
 use m3d_part::{DesignConfig, M3dDesign};
 use m3d_tdf::{
-    full_fault_list, generate_patterns, AtpgConfig, FailEntry, FailureLog, Fault, FaultSim,
-    Polarity, TestSet,
+    full_fault_list, generate_patterns, injection_scope, site_net, AtpgConfig, Detection,
+    FailEntry, FailureLog, Fault, FaultSim, InjectionScope, Polarity, Signature, TestSet,
 };
 
 struct Env {
@@ -132,9 +140,10 @@ fn fan_in_cone(design: &M3dDesign, flop: FlopId) -> Vec<SiteId> {
 }
 
 /// The per-entry loop the kernel replaced, kept as its oracle: entries
-/// outside the pattern set or the scan cells are skipped; every other
-/// entry contributes the set of its cells' cone sites that transition
-/// under its pattern. Returns the per-site counts and the entries counted.
+/// outside the pattern set or the scan cells, or naming no scan cell at
+/// all, are skipped; every other entry contributes the set of its cells'
+/// cone sites that transition under its pattern. Returns the per-site
+/// counts and the entries counted.
 fn reference_counts(
     sim: &FaultSim<'_>,
     log: &FailureLog,
@@ -148,7 +157,7 @@ fn reference_counts(
             continue;
         };
         let cells = scan.candidate_flops(entry.obs);
-        if cells.iter().any(|f| f.index() >= cones.len()) {
+        if cells.is_empty() || cells.iter().any(|f| f.index() >= cones.len()) {
             continue;
         }
         entries += 1;
@@ -165,6 +174,138 @@ fn reference_counts(
         }
     }
     (counts, entries)
+}
+
+/// The faulty machine by brute force: per block, every distinct fault's
+/// activation lanes on the fault-free frames become flips — on an output
+/// pin's net, an input pin, or an MIV's far-tier pins, ORed where faults
+/// share one — then every frame-2 gate is re-evaluated in topological
+/// order and every flop's capture is compared with the fault-free one.
+///
+/// Input-pin flips apply on every evaluation. An output-pin (stem) flip
+/// is the kernel's seeded value: it holds while the stem's driver is
+/// undisturbed, and once the driver has a flipped input pin or an input
+/// net that carries a stem flip or differs from the fault-free value, the
+/// re-evaluated output replaces it.
+fn brute_force_detections(sim: &FaultSim<'_>, faults: &[Fault]) -> Vec<Detection> {
+    let design = sim.design();
+    let nl = design.netlist();
+    let mut distinct = faults.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let mut out = Vec::new();
+    for (block, base) in sim.block_sims().iter().enumerate() {
+        let mut net_flips: HashMap<NetId, u64> = HashMap::new();
+        let mut pin_flips: HashMap<(GateId, usize), u64> = HashMap::new();
+        for fault in &distinct {
+            let net = site_net(design, fault.site).index();
+            let act = fault.polarity.activation(base.f1[net], base.f2[net]) & base.lanes;
+            match injection_scope(design, fault.site) {
+                InjectionScope::Net(n) => *net_flips.entry(n).or_default() |= act,
+                InjectionScope::Branch(g, pin) => {
+                    *pin_flips.entry((g, usize::from(pin))).or_default() |= act;
+                }
+                InjectionScope::MivBranches(branches) => {
+                    for (g, pin) in branches {
+                        *pin_flips.entry((g, usize::from(pin))).or_default() |= act;
+                    }
+                }
+            }
+        }
+        let net_flip = |n: NetId| net_flips.get(&n).copied().unwrap_or(0);
+        let pin_flip = |g: GateId, pin: usize| pin_flips.get(&(g, pin)).copied().unwrap_or(0);
+        let mut values = base.f2.clone();
+        for (&n, &flip) in &net_flips {
+            values[n.index()] ^= flip;
+        }
+        for &g in nl.topo_order() {
+            let gate = nl.gate(g);
+            let disturbed = gate.inputs().iter().enumerate().any(|(pin, &n)| {
+                pin_flip(g, pin) != 0 || net_flip(n) != 0 || values[n.index()] != base.f2[n.index()]
+            });
+            if !disturbed {
+                continue;
+            }
+            let ins: Vec<u64> = gate
+                .inputs()
+                .iter()
+                .enumerate()
+                .map(|(pin, n)| values[n.index()] ^ pin_flip(g, pin))
+                .collect();
+            let out_net = gate.output().expect("combinational gates drive nets");
+            values[out_net.index()] = gate.kind().eval(&ins);
+        }
+        for (fi, &g) in nl.flops().iter().enumerate() {
+            let d = nl.gate(g).inputs()[0].index();
+            let mut diff = ((values[d] ^ pin_flip(g, 0)) ^ base.capture2[fi]) & base.lanes;
+            while diff != 0 {
+                out.push(Detection {
+                    pattern: sim.patterns().id_at(block, diff.trailing_zeros() as u8),
+                    flop: FlopId::new(fi),
+                });
+                diff &= diff - 1;
+            }
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
+/// A stem fault and an input-branch fault of one gate, active in a common
+/// lane: the branch flip re-evaluates the gate, and its output replaces
+/// the stem's seeded value, as [`brute_force_detections`] states.
+#[test]
+fn stem_and_branch_faults_of_one_gate_match_the_brute_force_machine() {
+    let e = env();
+    let sim = FaultSim::new(&e.design, &e.ts.patterns);
+    let nl = e.design.netlist();
+    let activation = |f: Fault, block: usize| {
+        let b = &sim.block_sims()[block];
+        let n = site_net(&e.design, f.site).index();
+        f.polarity.activation(b.f1[n], b.f2[n]) & b.lanes
+    };
+    let mut det = sim.detector();
+    let pairs = nl.topo_order().iter().flat_map(|&g| {
+        let stem = e.design.sites().output_site(nl, g);
+        (0..nl.gate(g).inputs().len() as u8)
+            .flat_map(move |pin| stem.map(|s| (s, e.design.sites().input_site(g, pin))))
+    });
+    let mut checked = 0;
+    for (stem, branch) in pairs {
+        for sp in Polarity::ALL {
+            for bp in Polarity::ALL {
+                let faults = [Fault::new(stem, sp), Fault::new(branch, bp)];
+                let shared = (0..sim.block_sims().len())
+                    .any(|b| activation(faults[0], b) & activation(faults[1], b) != 0);
+                if !shared {
+                    continue;
+                }
+                assert_eq!(
+                    sim.detections(&mut det, &faults),
+                    brute_force_detections(&sim, &faults),
+                    "faults {faults:?}"
+                );
+                checked += 1;
+            }
+        }
+        if checked >= 200 {
+            return;
+        }
+    }
+    panic!("only {checked} stem/branch pairs share an activation lane");
+}
+
+/// A failure log regrouped into `(block, observation, lanes)` words, one
+/// per `(block, observation)` with a failure, in key order.
+fn log_words(log: &FailureLog) -> Vec<(u32, ObsPoint, u64)> {
+    let mut words: BTreeMap<(u32, ObsPoint), u64> = BTreeMap::new();
+    for e in log.entries() {
+        *words.entry((e.pattern / 64, e.obs)).or_default() |= 1u64 << (e.pattern % 64);
+    }
+    words
+        .into_iter()
+        .map(|((b, obs), lanes)| (b, obs, lanes))
+        .collect()
 }
 
 /// Whether two of an observation's scan cells share a cone site.
@@ -185,7 +326,7 @@ proptest! {
         seed in any::<u64>(),
         k in 1usize..6,
         compacted in any::<bool>(),
-        junk in 0usize..4,
+        junk in 0usize..5,
     ) {
         let e = env();
         let sim = FaultSim::new(&e.design, &e.ts.patterns);
@@ -213,10 +354,12 @@ proptest! {
             FailEntry { pattern: u32::MAX, obs: ObsPoint::Flop(FlopId::new(u32::MAX as usize)) },
             FailEntry { pattern: 3, obs: ObsPoint::Flop(FlopId::new(flops)) },
             FailEntry { pattern: e.ts.patterns.len() as u32, obs: ObsPoint::Flop(FlopId::new(0)) },
+            FailEntry { pattern: 3, obs: ObsPoint::ChannelCycle { channel: 9999, cycle: 0 } },
         ];
         let log: FailureLog = clean.entries().iter().copied().chain(junk_entries.into_iter().take(junk)).collect();
 
-        let got = sim.active_site_counts(&log, &e.scan, |f| e.cones[f.index()].iter().copied());
+        let words = Signature::from_log(&log, &e.ts.patterns);
+        let got = sim.active_site_counts(&words, &e.scan, |f| e.cones[f.index()].iter().copied());
         let (want, entries) = reference_counts(&sim, &log, &e.scan, &e.cones);
         prop_assert_eq!(got.entries, entries);
         prop_assert_eq!(got.entries as usize, clean.len());
@@ -228,15 +371,55 @@ proptest! {
     }
 
     #[test]
-    fn fused_polarities_equal_two_single_fault_runs(kind in 0usize..3, pick in any::<usize>()) {
+    fn detections_equal_the_brute_force_faulty_machine(
+        kind in 0usize..4,
+        k in 2usize..6,
+        seed in any::<u64>(),
+    ) {
+        let e = env();
+        let sim = FaultSim::new(&e.design, &e.ts.patterns);
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Kinds 0–2: one site of that kind, both polarities in turn.
+        // Kind 3: 2–5 detected faults at once.
+        let injections: Vec<Vec<Fault>> = if kind < 3 {
+            let sites = &e.sites_by_kind[kind];
+            let site = sites[rng.gen_range(0..sites.len())];
+            Polarity::ALL.map(|p| vec![Fault::new(site, p)]).to_vec()
+        } else {
+            vec![(0..k).map(|_| e.detected[rng.gen_range(0..e.detected.len())]).collect()]
+        };
+        let mut det = sim.detector();
+        for faults in injections {
+            prop_assert_eq!(
+                sim.detections(&mut det, &faults),
+                brute_force_detections(&sim, &faults),
+                "faults {:?}",
+                faults
+            );
+        }
+    }
+
+    #[test]
+    fn signature_words_equal_the_regrouped_log(
+        kind in 0usize..3,
+        pick in any::<usize>(),
+        compacted in any::<bool>(),
+    ) {
         let e = env();
         let sim = FaultSim::new(&e.design, &e.ts.patterns);
         let mut det = sim.detector();
         let sites = &e.sites_by_kind[kind];
         let site = sites[pick % sites.len()];
-        let both = sim.detections_both(&mut det, site);
-        for (pol, fused) in Polarity::ALL.into_iter().zip(both) {
-            prop_assert_eq!(fused, sim.detections(&mut det, &[Fault::new(site, pol)]));
+        let mode = if compacted { ObsMode::Compacted } else { ObsMode::Bypass };
+        let sigs = sim.signatures(&mut det, site, &e.scan, mode);
+        for (pol, sig) in Polarity::ALL.into_iter().zip(sigs) {
+            let dets = sim.detections(&mut det, &[Fault::new(site, pol)]);
+            let log = FailureLog::from_detections(&dets, &e.scan, mode);
+            let got: Vec<(u32, ObsPoint, u64)> =
+                sig.words().iter().map(|w| (w.block, w.obs, w.lanes)).collect();
+            prop_assert_eq!(got, log_words(&log), "{:?} at {:?}", pol, site);
+            prop_assert_eq!(sig.failures() as usize, log.len());
+            prop_assert_eq!(sig, Signature::from_log(&log, &e.ts.patterns));
         }
     }
 }
