@@ -16,8 +16,7 @@
 //! counts (98K–338K), timing ATPG, good-machine simulation, sample
 //! generation, GNN training, the raw GCN kernels, and per-fault
 //! simulation at pool widths {1, N}. It additionally records, per
-//! archetype, the compiled-simulator speedup over a per-gate object-walk
-//! reference, the blocked-kernel speedup over the naive reference kernels,
+//! archetype, the blocked-kernel speedup over the naive reference kernels
 //! and the process peak RSS, and asserts every stage is bitwise
 //! deterministic across thread counts.
 //!
@@ -30,7 +29,6 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use m3d_dataflow::{ConstProp, StaticProofs};
 use m3d_dft::ObsMode;
 use m3d_fault_localization::{
     generate_samples, DiagSample, InjectionKind, ModelConfig, TestEnv, TierPredictor,
@@ -40,11 +38,8 @@ use m3d_gnn::reference::{
 };
 use m3d_gnn::{GcnGraph, Matrix, TrainConfig, Trainable};
 use m3d_netlist::generate::Benchmark;
-use m3d_netlist::Netlist;
 use m3d_part::DesignConfig;
-use m3d_tdf::{
-    full_fault_list, generate_patterns, AtpgConfig, Fault, PatternBlock, Simulator, TestSet,
-};
+use m3d_tdf::{generate_patterns, AtpgConfig, Simulator, TestSet};
 
 struct StageResult {
     name: &'static str,
@@ -239,39 +234,6 @@ fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-/// Reference good-machine frame evaluation that re-walks the gate
-/// *objects* in topological order — the shape of the pre-compiled
-/// simulator. Kept as the baseline for the compiled-array sweep's
-/// speedup measurement; the two must agree bitwise.
-fn objectwalk_frame(nl: &Netlist, pi: &[u64], state: &[u64]) -> (Vec<u64>, Vec<u64>) {
-    let mut nets = vec![0u64; nl.net_count()];
-    for (&g, &w) in nl.inputs().iter().zip(pi) {
-        nets[nl.gate(g).output().expect("inputs drive nets").index()] = w;
-    }
-    for (&g, &w) in nl.flops().iter().zip(state) {
-        nets[nl.gate(g).output().expect("flops drive nets").index()] = w;
-    }
-    for &g in nl.topo_order() {
-        let gate = nl.gate(g);
-        let words: Vec<u64> = gate.inputs().iter().map(|n| nets[n.index()]).collect();
-        nets[gate.output().expect("gates drive nets").index()] = gate.kind().eval(&words);
-    }
-    let capture = nl
-        .flops()
-        .iter()
-        .map(|&g| nets[nl.gate(g).inputs()[0].index()])
-        .collect();
-    (nets, capture)
-}
-
-/// Two-frame LOC run of the object-walk reference for one block,
-/// returning `(capture1, capture2)`.
-fn objectwalk_block(nl: &Netlist, block: &PatternBlock) -> (Vec<u64>, Vec<u64>) {
-    let (_, capture1) = objectwalk_frame(nl, &block.pi, &block.scan);
-    let (_, capture2) = objectwalk_frame(nl, &block.pi, &capture1);
-    (capture1, capture2)
-}
-
 struct ArchReport {
     name: &'static str,
     gate_target: usize,
@@ -282,9 +244,6 @@ struct ArchReport {
     fault_coverage: f64,
     build_secs: f64,
     peak_rss_mb: Option<f64>,
-    /// Object-walk reference time / compiled-array time on the same
-    /// blocks (bitwise-equal captures asserted).
-    compiled_sim_speedup: f64,
     /// Naive GCN kernel chain time / blocked 1-thread chain time
     /// (bitwise-equal gradients asserted).
     kernel_speedup_vs_naive: f64,
@@ -362,7 +321,7 @@ fn paper_archetype(
                     && x.lanes == y.lanes
             })
     };
-    let (sims_nt, good_sim) = stage(
+    let (_, good_sim) = stage(
         "good_sim",
         1,
         configured,
@@ -372,28 +331,6 @@ fn paper_archetype(
         |threads| m3d_par::with_threads(threads, || sim.run_blocks(blocks)),
     );
     stages.push(good_sim);
-
-    // Compiled-vs-objectwalk comparison on a bounded block sample: the
-    // object-walk reference re-reads the gate objects per frame, the
-    // compiled simulator sweeps flat arrays. Same captures, bit for bit.
-    let n_cmp = blocks.len().min(8);
-    let (walk_caps, walk_times) = timed(1, || {
-        blocks[..n_cmp]
-            .iter()
-            .map(|b| objectwalk_block(nl, b))
-            .collect::<Vec<_>>()
-    });
-    let (_, compiled_times) = timed(1, || {
-        blocks[..n_cmp]
-            .iter()
-            .map(|b| sim.run_block(b))
-            .collect::<Vec<_>>()
-    });
-    for ((c1, c2), s) in walk_caps.iter().zip(&sims_nt) {
-        assert_eq!(c1, &s.capture1, "{name}: objectwalk capture1 diverged");
-        assert_eq!(c2, &s.capture2, "{name}: objectwalk capture2 diverged");
-    }
-    let compiled_sim_speedup = min_of(&walk_times) / min_of(&compiled_times).max(1e-12);
 
     // Stage 3: diagnosis sample generation (fault injection + failure-log
     // compaction + back-trace) on a small sample count — each sample
@@ -575,7 +512,6 @@ fn paper_archetype(
         fault_coverage: env.test_set.fault_coverage,
         build_secs,
         peak_rss_mb: peak_rss_mb(),
-        compiled_sim_speedup,
         kernel_speedup_vs_naive,
         wide_kernel_speedup_vs_naive,
         stages,
@@ -659,7 +595,7 @@ fn paper_tier(configured: usize, host: usize, arch_filter: Option<&str>, gates_c
         let report = paper_archetype(name, benchmark, target, configured);
         println!(
             "\n== {name}: {} gates, {} patterns, coverage {:.3}, build {:.1}s, \
-             peak RSS {} MB, compiled-sim {:.2}x, kernels-vs-naive {:.2}x, \
+             peak RSS {} MB, kernels-vs-naive {:.2}x, \
              wide-kernels-vs-naive {:.2}x ==",
             report.gates,
             report.patterns,
@@ -668,7 +604,6 @@ fn paper_tier(configured: usize, host: usize, arch_filter: Option<&str>, gates_c
             report
                 .peak_rss_mb
                 .map_or("n/a".to_string(), |m| format!("{m:.0}")),
-            report.compiled_sim_speedup,
             report.kernel_speedup_vs_naive,
             report.wide_kernel_speedup_vs_naive,
         );
@@ -686,7 +621,6 @@ fn paper_tier(configured: usize, host: usize, arch_filter: Option<&str>, gates_c
         m3d_obs::counter(&format!("{p}.patterns"), r.patterns as u64);
         m3d_obs::gauge(&format!("{p}.build_secs"), r.build_secs);
         m3d_obs::gauge(&format!("{p}.fault_coverage"), r.fault_coverage);
-        m3d_obs::gauge(&format!("{p}.compiled_sim_speedup"), r.compiled_sim_speedup);
         m3d_obs::gauge(
             &format!("{p}.kernel_speedup_vs_naive"),
             r.kernel_speedup_vs_naive,
@@ -758,11 +692,6 @@ fn paper_tier(configured: usize, host: usize, arch_filter: Option<&str>, gates_c
             "      \"peak_rss_mb\": {},",
             r.peak_rss_mb
                 .map_or("null".to_string(), |m| format!("{m:.1}"))
-        );
-        let _ = writeln!(
-            json,
-            "      \"compiled_sim_speedup\": {:.3},",
-            r.compiled_sim_speedup
         );
         let _ = writeln!(
             json,
@@ -895,69 +824,6 @@ fn default_tier(quick: bool, configured: usize, host: usize) {
     );
     stages.push(fsim_stage);
 
-    // Stage 4 (unthreaded comparison): dataflow fault-sim pruning. Sites
-    // the static analysis proves untestable are dropped before the sweep;
-    // the pruned sweep must reproduce every surviving fault's detection
-    // signature bit-for-bit, and the full sweep must confirm the proofs by
-    // finding no detections at any pruned fault.
-    let mut all_faults = full_fault_list(&env.design);
-    if all_faults.len() > 4 * fault_cap {
-        // Sample evenly rather than truncating: the site table is laid out
-        // by object kind, so a prefix would bias the pruning rate.
-        let stride = all_faults.len().div_ceil(4 * fault_cap);
-        all_faults = all_faults.into_iter().step_by(stride).collect();
-    }
-    let (proofs, proof_times) = timed(REPS, || {
-        let cp = ConstProp::compute(env.design.netlist());
-        StaticProofs::compute(&env.design, &cp)
-    });
-    let proof_secs = min_of(&proof_times);
-    let skip_site = proofs.prunable_sites();
-    let pruned_faults: Vec<Fault> = all_faults
-        .iter()
-        .copied()
-        .filter(|f| !skip_site[f.site.index()])
-        .collect();
-    let sweep_list = |list: &[Fault]| {
-        m3d_par::with_threads(configured, || {
-            m3d_par::par_map_init(
-                list,
-                || fsim.detector(),
-                |det, f| fsim.detections(det, std::slice::from_ref(f)),
-            )
-        })
-    };
-    let t = Instant::now();
-    let full_dets = sweep_list(&all_faults);
-    let full_secs = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let pruned_dets = sweep_list(&pruned_faults);
-    let pruned_secs = t.elapsed().as_secs_f64();
-    let mut survivors = pruned_dets.iter();
-    let signatures_equal = all_faults.iter().zip(&full_dets).all(|(f, d)| {
-        if skip_site[f.site.index()] {
-            d.is_empty() // a proven-untestable fault must never detect
-        } else {
-            survivors.next() == Some(d)
-        }
-    }) && survivors.next().is_none();
-    let n_pruned = all_faults.len() - pruned_faults.len();
-    println!(
-        "fault_sim_pruning  {} faults, {} proven untestable ({:.1}%), \
-         full {:.3}s vs pruned {:.3}s (+{:.3}s proof), signatures equal: {}",
-        all_faults.len(),
-        n_pruned,
-        100.0 * n_pruned as f64 / all_faults.len().max(1) as f64,
-        full_secs,
-        pruned_secs,
-        proof_secs,
-        signatures_equal,
-    );
-    assert!(
-        signatures_equal,
-        "pruned sweep changed a detectable fault's signature"
-    );
-
     // Route every stage number through the metrics registry: the JSON and
     // the metrics JSONL below are both rendered from this one snapshot, in
     // the registry's deterministic (alphabetical) event order.
@@ -987,18 +853,6 @@ fn default_tier(quick: bool, configured: usize, host: usize) {
             s.effective_threads as u64,
         );
     }
-    m3d_obs::counter(
-        "bench.fault_sim_pruning.faults_total",
-        all_faults.len() as u64,
-    );
-    m3d_obs::counter("bench.fault_sim_pruning.faults_pruned", n_pruned as u64);
-    m3d_obs::counter(
-        "bench.fault_sim_pruning.faults_simulated",
-        pruned_faults.len() as u64,
-    );
-    m3d_obs::gauge("bench.fault_sim_pruning.proof_secs", proof_secs);
-    m3d_obs::gauge("bench.fault_sim_pruning.full_secs", full_secs);
-    m3d_obs::gauge("bench.fault_sim_pruning.pruned_secs", pruned_secs);
     let reg = m3d_obs::registry_snapshot();
     let mut metrics_jsonl = String::new();
     for e in reg.events() {
@@ -1038,16 +892,6 @@ fn default_tier(quick: bool, configured: usize, host: usize) {
         let _ = writeln!(json, "    {}{comma}", stage_json(s, configured));
     }
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"fault_sim_pruning\": {{\"faults_total\": {}, \"faults_pruned\": {}, \
-         \"faults_simulated\": {}, \"proof_secs\": {proof_secs:.6}, \
-         \"full_secs\": {full_secs:.6}, \"pruned_secs\": {pruned_secs:.6}, \
-         \"signatures_equal\": {signatures_equal}}},",
-        all_faults.len(),
-        n_pruned,
-        pruned_faults.len(),
-    );
     let _ = writeln!(json, "  \"all_deterministic\": {all_ok}");
     let _ = writeln!(json, "}}");
     std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");

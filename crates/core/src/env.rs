@@ -64,15 +64,6 @@ impl TestEnv {
         }
     }
 
-    /// Rebuilds the heterogeneous graph with the optional SCOAP feature
-    /// extension attached: sub-graphs extracted from this environment
-    /// carry three extra feature columns (normalized CC0/CC1/CO), and the
-    /// framework models size their input layer accordingly.
-    pub fn with_scoap_features(mut self) -> Self {
-        self.het = HetGraph::with_scoap(&self.design);
-        self
-    }
-
     /// A fault simulator over this environment's patterns.
     pub fn fault_sim(&self) -> FaultSim<'_> {
         FaultSim::new(&self.design, &self.test_set.patterns)

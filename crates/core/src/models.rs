@@ -55,10 +55,7 @@ impl TierPredictor {
                 )
             })
             .collect();
-        // The input width follows the data: 13 Table II columns, or 16
-        // when the sub-graphs carry the SCOAP extension.
-        let dim = data.first().map_or(FEATURE_DIM, |(d, _)| d.features.cols());
-        let mut model = GcnClassifier::new(dim, cfg.hidden, cfg.layers, 2, cfg.seed);
+        let mut model = GcnClassifier::new(FEATURE_DIM, cfg.hidden, cfg.layers, 2, cfg.seed);
         model.fit(&data, &cfg.train);
         TierPredictor { model }
     }
@@ -181,9 +178,12 @@ impl MivPinpointer {
         }
         let refs: Vec<(&GraphData, &[(usize, bool)])> =
             labelled.iter().map(|(d, l)| (*d, l.as_slice())).collect();
-        let dim = refs.first().map_or(FEATURE_DIM, |(d, _)| d.features.cols());
-        let mut model =
-            NodeClassifier::new(dim, cfg.hidden, cfg.layers, cfg.seed.wrapping_add(1000));
+        let mut model = NodeClassifier::new(
+            FEATURE_DIM,
+            cfg.hidden,
+            cfg.layers,
+            cfg.seed.wrapping_add(1000),
+        );
         if pos > 0 {
             model.pos_weight = (neg as f32 / pos as f32).clamp(1.0, 50.0);
         }

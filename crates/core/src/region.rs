@@ -147,9 +147,8 @@ impl RegionPredictor {
             })
             .collect();
         let refs: Vec<(&GraphData, usize)> = data.iter().map(|(d, l)| (d, *l)).collect();
-        let dim = refs.first().map_or(FEATURE_DIM, |(d, _)| d.features.cols());
         let mut model = GcnClassifier::new(
-            dim,
+            FEATURE_DIM,
             cfg.hidden,
             cfg.layers,
             map.region_count(),

@@ -8,8 +8,8 @@ use m3d_netlist::generate::Benchmark;
 use m3d_part::DesignConfig;
 
 #[test]
-fn scoap_feature_samples_are_deterministic_and_wider() {
-    let env = TestEnv::build(Benchmark::Aes, DesignConfig::Syn1, Some(300)).with_scoap_features();
+fn sample_features_are_bitwise_equal_across_pool_widths() {
+    let env = TestEnv::build(Benchmark::Aes, DesignConfig::Syn1, Some(300));
     let fsim = env.fault_sim();
     let kind = InjectionKind::Single;
     let serial = m3d_par::with_threads(1, || {
@@ -28,18 +28,11 @@ fn scoap_feature_samples_are_deterministic_and_wider() {
             continue;
         };
         saw_subgraph = true;
-        assert_eq!(
-            sa.data.features.cols(),
-            m3d_hetgraph::FEATURE_DIM + m3d_hetgraph::SCOAP_FEATURE_DIM
-        );
+        assert_eq!(sa.data.features.cols(), m3d_hetgraph::FEATURE_DIM);
         assert_eq!(sa.sites, sb.sites);
         for r in 0..sa.data.features.rows() {
             for (x, y) in sa.data.features.row(r).iter().zip(sb.data.features.row(r)) {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "SCOAP features must be bitwise equal"
-                );
+                assert_eq!(x.to_bits(), y.to_bits(), "features must be bitwise equal");
             }
         }
     }

@@ -14,10 +14,11 @@
 //!
 //! Soundness contract (checked by proptest in `tests/soundness.rs`): a net
 //! reported constant never evaluates to the other value under *any*
-//! primary-input vector and *any* scan state. This is what lets TDF sites
-//! on constant nets be pruned from fault simulation — a transition fault
-//! needs its site net to toggle between the launch and capture frames, and
-//! activation is computed from fault-free values.
+//! primary-input vector and *any* scan state. This is what lets
+//! [`StaticProofs`](crate::StaticProofs) call TDF sites on constant nets
+//! untestable — a transition fault needs its site net to toggle between
+//! the launch and capture frames, and activation is computed from
+//! fault-free values.
 
 use m3d_netlist::{GateId, GateKind, NetId, Netlist};
 

@@ -7,14 +7,11 @@
 //! top:
 //!
 //! * [`Scoap`] — CC0/CC1/CO testability measures per net, the classic
-//!   static proxy for how hard a fault is to excite and observe. Feeds
-//!   optional GNN node features (`m3d-hetgraph`) and the diagnosis
-//!   ranking prior.
+//!   static proxy for how hard a fault is to excite and observe.
 //! * [`ConstProp`] — reconvergence-aware constant propagation finding
 //!   statically-constant nets and redundant logic.
 //! * [`StaticProofs`] — per-site untestable-TDF proofs (constant
-//!   activation, no launch, no capture) that let ATPG and fault
-//!   simulation prune faults *before* simulating them, with verdicts the
+//!   activation, no launch, no capture), with verdicts the fault
 //!   simulator can never contradict.
 //!
 //! [`verify_design`] runs everything and is what `m3d-diag verify`

@@ -12,9 +12,8 @@
 //!   `m3d_tdf::testable_sites`).
 //!
 //! Values saturate; [`INF`] marks "not achievable" (e.g. observability of
-//! a net with no path to any capture point). The measures feed three
-//! consumers: optional GNN node features (`m3d-hetgraph`), the `Diagnoser`
-//! ranking prior in `m3d-diagnosis`, and the `m3d-diag verify` report.
+//! a net with no path to any capture point). The measures feed the
+//! `m3d-diag verify` report.
 
 use m3d_netlist::{GateId, GateKind, NetId, Netlist, SiteId, SitePos};
 use m3d_part::M3dDesign;
@@ -251,17 +250,6 @@ impl Scoap {
             co,
         }
     }
-
-    /// Normalizes a SCOAP value into `[0, 1)` for use as a model feature:
-    /// `x / (x + 16)`, with [`INF`] mapping to exactly 1.0. Monotone, so
-    /// feature ordering matches testability ordering.
-    pub fn normalize(x: u32) -> f32 {
-        if x == INF {
-            1.0
-        } else {
-            x as f32 / (x as f32 + 16.0)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -301,8 +289,6 @@ mod tests {
         let s = Scoap::compute(&nl);
         // x only reaches a primary output, which is not strobed at speed.
         assert_eq!(s.co(x), INF);
-        assert_eq!(Scoap::normalize(s.co(x)), 1.0);
-        assert!(Scoap::normalize(0) == 0.0 && Scoap::normalize(16) == 0.5);
     }
 
     #[test]

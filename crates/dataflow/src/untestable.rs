@@ -16,9 +16,10 @@
 //! * [`UntestableClass::NoCapture`] — no structural path from the fault's
 //!   injection point to any flop D pin.
 //!
-//! Soundness matters more than strength here: the proofs feed fault-list
-//! pruning in ATPG and the bench pipeline, which must stay *bitwise*
-//! faithful. In particular the capture proof is purely structural — a
+//! Soundness matters more than strength here: `m3d-diag verify` and the
+//! `L11xx` lint findings report every proven site as a fault no pattern
+//! can detect, so a proof must never claim a detectable fault. In
+//! particular the capture proof is purely structural — a
 //! statically-constant side input must **not** be used to refine it,
 //! because a fault scoped to one branch of a reconvergent pair (e.g. one
 //! input of `And(s, !s)`) changes that branch's *faulty* value, and the
@@ -137,15 +138,10 @@ impl StaticProofs {
         self.captures[net.index()]
     }
 
-    /// Per-site skip mask for ATPG/fault-sim pruning: `true` means every
-    /// fault at the site is proven undetectable.
-    pub fn prunable_sites(&self) -> Vec<bool> {
-        self.class.iter().map(|c| c.is_some()).collect()
-    }
-
-    /// Per-fault skip mask aligned with
-    /// [`full_fault_list`](m3d_tdf::full_fault_list) (both polarities of a
-    /// site share its verdict).
+    /// Per-fault verdicts aligned with
+    /// [`full_fault_list`](m3d_tdf::full_fault_list): `true` means the
+    /// fault is proven undetectable (both polarities of a site share its
+    /// verdict).
     pub fn prunable_faults(&self) -> Vec<bool> {
         let mut out = Vec::with_capacity(self.class.len() * 2);
         for c in &self.class {

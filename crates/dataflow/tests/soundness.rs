@@ -4,18 +4,19 @@
 //! or an untestable fault only costs performance), but they must never be
 //! *unsound*: a net proven constant must never toggle under any input or
 //! scan state, and a fault proven untestable must never be detected by
-//! the fault simulator. These properties are what makes fault-list
-//! pruning bitwise-safe, so they are tested against exhaustive (small
-//! designs) and randomized simulation over random builder-driven DAGs.
+//! the fault simulator. These properties are what lets `m3d-diag verify`
+//! report the proofs as facts, so they are tested against exhaustive
+//! (small designs) and randomized simulation over random builder-driven
+//! DAGs.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use m3d_dataflow::{ConstProp, StaticProofs};
+use m3d_dataflow::{ConstProp, StaticProofs, UntestableClass};
 use m3d_netlist::{GateKind, NetId, Netlist, NetlistBuilder};
 use m3d_part::{M3dDesign, PartitionAlgo};
-use m3d_tdf::{eval_single_frame, full_fault_list, FaultSim, PatternSet};
+use m3d_tdf::{eval_single_frame, full_fault_list, site_net, testable_sites, FaultSim, PatternSet};
 
 /// Builds a random layered DAG biased toward reconvergence (few inputs,
 /// operands drawn from all earlier nets, inverters in the mix) so that
@@ -150,6 +151,18 @@ fn archetype_untestable_faults_survive_full_atpg_patterns() {
     let d = DesignConfig::Syn1.build_sized(m3d_netlist::generate::Benchmark::Aes, Some(300));
     let cp = ConstProp::compute(d.netlist());
     let proofs = StaticProofs::compute(&d, &cp);
+    // The proofs go beyond the structural filter ATPG already applies:
+    // constant sites are structurally testable but frozen.
+    let structural = testable_sites(&d);
+    let beyond = d
+        .sites()
+        .iter()
+        .filter(|&(s, _)| proofs.class(s).is_some() && structural[s.index()])
+        .count();
+    assert!(
+        beyond > 0,
+        "constant proofs reach beyond the structural set"
+    );
     let ts = m3d_tdf::generate_patterns(&d, &m3d_tdf::AtpgConfig::new(1, 256));
     let sim = FaultSim::new(&d, &ts.patterns);
     let mut det = sim.detector();
@@ -168,5 +181,46 @@ fn archetype_untestable_faults_survive_full_atpg_patterns() {
     assert!(
         checked > 400,
         "the proof set is non-trivial ({checked} faults)"
+    );
+}
+
+/// `And(q, !q)` is constant-0 but fully connected and structurally
+/// launch/capture-capable: only the constant proof marks it.
+#[test]
+fn constant_reconvergence_is_proven_beyond_the_structural_filter() {
+    let mut b = NetlistBuilder::new("const-core");
+    let a = b.add_input("a");
+    let c = b.add_input("c");
+    let q = b.add_dff(a);
+    let r = b.add_dff(c);
+    let nq = b.add_gate(GateKind::Inv, &[q]);
+    let z = b.add_gate(GateKind::And, &[q, nq]);
+    let x = b.add_gate(GateKind::Or, &[z, r]);
+    let f = b.add_dff(x);
+    b.add_output("f", f);
+    let nl = b.finish().expect("valid");
+    let part = PartitionAlgo::MinCut.partition(&nl, 1);
+    let d = M3dDesign::new(nl, part);
+
+    let cp = ConstProp::compute(d.netlist());
+    let proofs = StaticProofs::compute(&d, &cp);
+    assert_eq!(cp.constant(z), Some(false));
+
+    // Every site whose net is z carries the constant proof.
+    let mut constant_sites = 0;
+    for (site, _) in d.sites().iter() {
+        if site_net(&d, site) == z {
+            assert_eq!(proofs.class(site), Some(UntestableClass::ConstantSite));
+            constant_sites += 1;
+        }
+    }
+    assert!(constant_sites > 0, "z has sites");
+
+    // The structural filter alone keeps the AND output.
+    let and_gate = d.netlist().net(z).driver();
+    let and_out_site = d.sites().output_site(d.netlist(), and_gate).expect("site");
+    assert!(
+        testable_sites(&d)[and_out_site.index()],
+        "structurally testable"
     );
 }

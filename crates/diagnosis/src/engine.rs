@@ -99,12 +99,6 @@ pub struct Diagnoser<'a> {
     config: DiagnosisConfig,
     /// Per flop: every fault site in its structural fan-in cone.
     cone_sites: Vec<Vec<SiteId>>,
-    /// Optional per-site SCOAP observability: a rank tie-breaker inside a
-    /// score band (lower = easier to observe = ranked first).
-    obs_prior: Option<Vec<u32>>,
-    /// Optional per-site untestable mask: proven-untestable suspects are
-    /// dropped before fault simulation (they can never match a log).
-    untestable: Option<Vec<bool>>,
 }
 
 impl<'a> Diagnoser<'a> {
@@ -179,58 +173,12 @@ impl<'a> Diagnoser<'a> {
             mode,
             config,
             cone_sites,
-            obs_prior: None,
-            untestable: None,
         }
-    }
-
-    /// Attaches a per-site observability prior (SCOAP CO, one value per
-    /// fault site). Candidates tied within a rank band order by ascending
-    /// observability cost; an all-zero prior leaves ranking unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `co` does not have one entry per fault site.
-    pub fn with_observability_prior(mut self, co: Vec<u32>) -> Self {
-        assert_eq!(
-            co.len(),
-            self.fsim.design().sites().len(),
-            "one CO value per fault site"
-        );
-        self.obs_prior = Some(co);
-        self
-    }
-
-    /// Attaches a per-site untestable mask (e.g. from
-    /// `m3d_dataflow::StaticProofs::prunable_sites`). Masked suspects are
-    /// dropped before fault simulation; because a proven-untestable fault
-    /// never produces failures, the reported candidates are unchanged —
-    /// only the simulation work shrinks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `untestable` does not have one entry per fault site.
-    pub fn with_untestable_sites(mut self, untestable: Vec<bool>) -> Self {
-        assert_eq!(
-            untestable.len(),
-            self.fsim.design().sites().len(),
-            "one flag per fault site"
-        );
-        self.untestable = Some(untestable);
-        self
     }
 
     /// The observation mode the engine diagnoses under.
     pub fn mode(&self) -> ObsMode {
         self.mode
-    }
-
-    fn is_pruned(&self, site: SiteId) -> bool {
-        self.untestable.as_ref().is_some_and(|u| u[site.index()])
-    }
-
-    fn prior_of(&self, site: SiteId) -> u32 {
-        self.obs_prior.as_ref().map_or(0, |p| p[site.index()])
     }
 
     fn score_against(predicted: &Signature, tester: &Signature) -> MatchScore {
@@ -377,23 +325,12 @@ impl<'a> Diagnoser<'a> {
             ((f64::from(counts.entries) * self.config.suspect_entry_frac).ceil() as u32).max(1);
         let mut by_freq = counts.sites;
         by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut suspects: Vec<SiteId> = by_freq
+        let suspects: Vec<SiteId> = by_freq
             .iter()
             .take_while(|&&(_, c)| c >= needed)
             .take(self.config.max_cover_suspects)
             .map(|&(s, _)| s)
             .collect();
-        // Proven-untestable suspects would simulate to an empty signature
-        // and score zero; drop them here (after the truncation, so the
-        // slot allocation — and with it the report — is unchanged).
-        if self.untestable.is_some() {
-            let before = suspects.len();
-            suspects.retain(|&s| !self.is_pruned(s));
-            m3d_obs::counter(
-                "diagnosis.suspects_pruned",
-                (before - suspects.len()) as u64,
-            );
-        }
 
         let scored = self.score_suspects(&suspects, &tester, cancel)?;
         span.add("suspects", suspects.len() as u64);
@@ -472,7 +409,6 @@ impl<'a> Diagnoser<'a> {
             .iter()
             .take(self.config.max_cover_suspects)
             .map(|&(s, _)| s)
-            .filter(|&s| !self.is_pruned(s))
             .collect();
 
         let mut pool: HashMap<SiteId, (Candidate, Signature)> = seed
@@ -545,10 +481,6 @@ impl<'a> Diagnoser<'a> {
             b.score
                 .tfsf
                 .cmp(&a.score.tfsf)
-                .then(
-                    self.prior_of(a.fault.site)
-                        .cmp(&self.prior_of(b.fault.site)),
-                )
                 .then(a.fault.site.cmp(&b.fault.site))
         });
         let candidates: Vec<Candidate> = selected
@@ -571,15 +503,9 @@ impl<'a> Diagnoser<'a> {
         // indistinguishable under small-delay uncertainty; they share a
         // rank band and order structurally inside it.
         let band = |tfsf: u32| -> u32 { u32::from(tfsf * 2 > best_tfsf) };
-        // Inside a band, an attached SCOAP prior ranks easier-to-observe
-        // sites first (a zero prior degenerates to structural order).
         scored.sort_by(|(a, _), (b, _)| {
             band(b.score.tfsf)
                 .cmp(&band(a.score.tfsf))
-                .then(
-                    self.prior_of(a.fault.site)
-                        .cmp(&self.prior_of(b.fault.site)),
-                )
                 .then(a.fault.site.cmp(&b.fault.site))
         });
         let floor = (f64::from(best_tfsf) * self.config.retain_ratio).ceil() as u32;
@@ -788,68 +714,6 @@ mod tests {
         let report = diag.diagnose(&junk);
         assert!(report.degraded());
         assert_eq!(report.resolution(), 0);
-    }
-
-    #[test]
-    fn zero_prior_and_untestable_pruning_leave_reports_identical() {
-        let e = env();
-        let fsim = FaultSim::new(&e.design, &e.ts.patterns);
-        let n = e.design.sites().len();
-        let plain = Diagnoser::new(&fsim, &e.scan, ObsMode::Bypass, DiagnosisConfig::default());
-        let zeroed = Diagnoser::new(&fsim, &e.scan, ObsMode::Bypass, DiagnosisConfig::default())
-            .with_observability_prior(vec![0; n]);
-        let cp = m3d_dataflow::ConstProp::compute(e.design.netlist());
-        let proofs = m3d_dataflow::StaticProofs::compute(&e.design, &cp);
-        assert!(proofs.untestable_count() > 0);
-        let pruned = Diagnoser::new(&fsim, &e.scan, ObsMode::Bypass, DiagnosisConfig::default())
-            .with_untestable_sites(proofs.prunable_sites());
-
-        let faults = detected_faults(&e);
-        let mut rng = StdRng::seed_from_u64(21);
-        for trial in 0..6 {
-            // Mix single- and multi-fault logs to cover both rank paths.
-            let k = 1 + trial % 3;
-            let picks: Vec<Fault> = faults.choose_multiple(&mut rng, k).copied().collect();
-            let mut det = fsim.detector();
-            let dets = fsim.detections(&mut det, &picks);
-            let log = FailureLog::from_detections(&dets, &e.scan, ObsMode::Bypass);
-            let base = plain.diagnose(&log);
-            assert_eq!(base.candidates(), zeroed.diagnose(&log).candidates());
-            assert_eq!(base.candidates(), pruned.diagnose(&log).candidates());
-        }
-    }
-
-    #[test]
-    fn observability_prior_reorders_only_within_score_ties() {
-        let e = env();
-        let fsim = FaultSim::new(&e.design, &e.ts.patterns);
-        let scoap = m3d_dataflow::Scoap::compute(e.design.netlist());
-        let co: Vec<u32> = e
-            .design
-            .sites()
-            .iter()
-            .map(|(s, _)| scoap.site_measures(&e.design, s).co)
-            .collect();
-        let plain = Diagnoser::new(&fsim, &e.scan, ObsMode::Bypass, DiagnosisConfig::default());
-        let prior = Diagnoser::new(&fsim, &e.scan, ObsMode::Bypass, DiagnosisConfig::default())
-            .with_observability_prior(co);
-        let faults = detected_faults(&e);
-        let mut rng = StdRng::seed_from_u64(23);
-        for _ in 0..6 {
-            let f = faults[rng.gen_range(0..faults.len())];
-            let mut det = fsim.detector();
-            let dets = fsim.detections(&mut det, &[f]);
-            let log = FailureLog::from_detections(&dets, &e.scan, ObsMode::Bypass);
-            let a = plain.diagnose(&log);
-            let b = prior.diagnose(&log);
-            // Same candidate *set*; the prior only permutes rank order.
-            let key = |c: &Candidate| (c.fault.site, c.fault.polarity);
-            let mut sa: Vec<_> = a.candidates().iter().map(key).collect();
-            let mut sb: Vec<_> = b.candidates().iter().map(key).collect();
-            sa.sort_unstable();
-            sb.sort_unstable();
-            assert_eq!(sa, sb);
-        }
     }
 
     #[test]

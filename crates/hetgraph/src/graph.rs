@@ -81,9 +81,6 @@ pub struct HetGraph {
     topedges: Vec<TopEdge>,
     /// Per-site static features.
     features: Vec<SiteFeatures>,
-    /// Optional per-site normalized SCOAP `[cc0, cc1, co]` (see
-    /// [`HetGraph::with_scoap`]).
-    scoap: Option<Vec<[f32; 3]>>,
     /// Design-level normalizers for feature scaling.
     max_level: f32,
     max_dist: f32,
@@ -254,48 +251,10 @@ impl HetGraph {
             top_offsets,
             topedges,
             features,
-            scoap: None,
             max_level,
             max_dist,
             flop_count: nl.flops().len(),
         }
-    }
-
-    /// Builds the graph and additionally attaches normalized SCOAP
-    /// testability measures `[cc0, cc1, co]` per site (the optional
-    /// feature extension — sub-graphs extracted from this graph carry
-    /// three extra feature columns; see `SCOAP_FEATURE_NAMES`).
-    pub fn with_scoap(design: &M3dDesign) -> Self {
-        let mut g = Self::new(design);
-        let scoap = m3d_dataflow::Scoap::compute(design.netlist());
-        g.scoap = Some(
-            design
-                .sites()
-                .iter()
-                .map(|(site, _)| {
-                    let m = scoap.site_measures(design, site);
-                    [
-                        m3d_dataflow::Scoap::normalize(m.cc0),
-                        m3d_dataflow::Scoap::normalize(m.cc1),
-                        m3d_dataflow::Scoap::normalize(m.co),
-                    ]
-                })
-                .collect(),
-        );
-        g
-    }
-
-    /// Normalized SCOAP `[cc0, cc1, co]` of a site, when the graph was
-    /// built via [`HetGraph::with_scoap`].
-    #[inline]
-    pub fn scoap(&self, site: SiteId) -> Option<[f32; 3]> {
-        self.scoap.as_ref().map(|s| s[site.index()])
-    }
-
-    /// Whether SCOAP measures are attached.
-    #[inline]
-    pub fn has_scoap(&self) -> bool {
-        self.scoap.is_some()
     }
 
     /// Number of circuit-level nodes (pin sites + MIV sites).

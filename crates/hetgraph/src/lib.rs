@@ -43,7 +43,4 @@ mod graph;
 mod subgraph;
 
 pub use graph::{HetGraph, SiteFeatures, TopEdge};
-pub use subgraph::{
-    back_trace, extract, SubGraph, FEATURE_DIM, FEATURE_NAMES, SCOAP_FEATURE_DIM,
-    SCOAP_FEATURE_NAMES,
-};
+pub use subgraph::{back_trace, extract, SubGraph, FEATURE_DIM, FEATURE_NAMES};

@@ -12,18 +12,6 @@ use crate::graph::HetGraph;
 /// Number of node features (the 13 rows of the paper's Table II).
 pub const FEATURE_DIM: usize = 13;
 
-/// Extra feature columns appended when the [`HetGraph`] carries SCOAP
-/// measures ([`HetGraph::with_scoap`]): normalized CC0, CC1, CO.
-pub const SCOAP_FEATURE_DIM: usize = 3;
-
-/// Names of the optional SCOAP feature columns, in column order (these
-/// follow the Table II columns when present).
-pub const SCOAP_FEATURE_NAMES: [&str; SCOAP_FEATURE_DIM] = [
-    "SCOAP 0-controllability (normalized)",
-    "SCOAP 1-controllability (normalized)",
-    "SCOAP observability (normalized)",
-];
-
 /// Human-readable names of the Table II features, in column order.
 pub const FEATURE_NAMES: [&str; FEATURE_DIM] = [
     "fan-in edges (circuit)",
@@ -168,17 +156,10 @@ pub fn extract(het: &HetGraph, fsim: &FaultSim<'_>, sites: Vec<SiteId>) -> SubGr
     }
 
     let (max_level, max_dist, flops) = het.normalizers();
-    let cols = FEATURE_DIM
-        + if het.has_scoap() {
-            SCOAP_FEATURE_DIM
-        } else {
-            0
-        };
-    let mut feats = Matrix::zeros(n, cols);
+    let mut feats = Matrix::zeros(n, FEATURE_DIM);
     let mut miv_nodes = Vec::new();
     for (i, &site) in sites.iter().enumerate() {
         let f = het.site_features(site);
-        let scoap = het.scoap(site);
         let row = feats.row_mut(i);
         row[0] = f32::from(f.fan_in) / 4.0;
         row[1] = (f32::from(f.fan_out) / 8.0).min(2.0);
@@ -193,11 +174,6 @@ pub fn extract(het: &HetGraph, fsim: &FaultSim<'_>, sites: Vec<SiteId>) -> SubGr
         row[10] = f.std_dist / max_dist;
         row[11] = (f.mean_mivs / 4.0).min(2.0);
         row[12] = (f.std_mivs / 4.0).min(2.0);
-        if let Some([cc0, cc1, co]) = scoap {
-            row[13] = cc0;
-            row[14] = cc1;
-            row[15] = co;
-        }
         if let SitePos::Miv(m) = design.sites().pos(site) {
             miv_nodes.push((i, m));
         }
@@ -327,30 +303,6 @@ mod tests {
             total[1] >= total[0],
             "compaction widens the suspect space: {total:?}"
         );
-    }
-
-    #[test]
-    fn scoap_graph_extends_features_by_three_columns() {
-        let e = env();
-        let het = HetGraph::with_scoap(&e.design);
-        assert!(het.has_scoap());
-        let fsim = FaultSim::new(&e.design, &e.ts.patterns);
-        let log = bypass_log(&e, &fsim, &[some_detected_fault(&e, 5)]);
-        let sg = back_trace(&het, &fsim, &e.scan, &log).unwrap();
-        assert_eq!(sg.data.features.cols(), FEATURE_DIM + SCOAP_FEATURE_DIM);
-        for r in 0..sg.data.features.rows() {
-            for c in FEATURE_DIM..FEATURE_DIM + SCOAP_FEATURE_DIM {
-                let v = sg.data.features.row(r)[c];
-                assert!((0.0..=1.0).contains(&v), "row {r} col {c}: {v}");
-            }
-        }
-        // Oversampling preserves the widened shape.
-        let aug = sg.with_dummy_buffer(0);
-        assert_eq!(aug.data.features.cols(), FEATURE_DIM + SCOAP_FEATURE_DIM);
-        // The plain graph still produces 13 columns for the same log.
-        let plain = back_trace(&e.het, &fsim, &e.scan, &log).unwrap();
-        assert_eq!(plain.data.features.cols(), FEATURE_DIM);
-        assert_eq!(plain.sites, sg.sites);
     }
 
     /// Compacted observations that name no scan cell: a channel past the

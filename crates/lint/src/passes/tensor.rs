@@ -8,7 +8,7 @@
 
 use m3d_fault_localization::DiagSample;
 use m3d_gnn::GraphData;
-use m3d_hetgraph::{SubGraph, FEATURE_DIM, SCOAP_FEATURE_DIM};
+use m3d_hetgraph::{SubGraph, FEATURE_DIM};
 use m3d_netlist::SitePos;
 use m3d_part::M3dDesign;
 
@@ -51,14 +51,13 @@ pub fn check_graph_data(data: &GraphData) -> Vec<Diagnostic> {
             ),
         ));
     }
-    let scoap_cols = FEATURE_DIM + SCOAP_FEATURE_DIM;
-    if data.features.cols() != FEATURE_DIM && data.features.cols() != scoap_cols {
+    let ranged = data.features.cols() == FEATURE_DIM;
+    if !ranged {
         diags.push(Diagnostic::new(
             LintCode::FeatureShape,
             Span::Design,
             format!(
-                "feature matrix has {} columns; Table II defines {FEATURE_DIM} \
-                 ({scoap_cols} with the SCOAP extension)",
+                "feature matrix has {} columns; Table II defines {FEATURE_DIM}",
                 data.features.cols()
             ),
         ));
@@ -74,7 +73,6 @@ pub fn check_graph_data(data: &GraphData) -> Vec<Diagnostic> {
             }
         }
     }
-    let ranged = data.features.cols() == FEATURE_DIM || data.features.cols() == scoap_cols;
     for r in 0..data.features.rows() {
         for (c, &x) in data.features.row(r).iter().enumerate() {
             if !x.is_finite() {
@@ -84,12 +82,7 @@ pub fn check_graph_data(data: &GraphData) -> Vec<Diagnostic> {
                     format!("feature value {x} is not finite"),
                 ));
             } else if ranged {
-                // SCOAP columns are normalized into [0, 1].
-                let (lo, hi) = if c < FEATURE_DIM {
-                    FEATURE_BOUNDS[c]
-                } else {
-                    (0.0, 1.0)
-                };
+                let (lo, hi) = FEATURE_BOUNDS[c];
                 if x < lo - RANGE_EPS || x > hi + RANGE_EPS {
                     diags.push(Diagnostic::new(
                         LintCode::FeatureRange,
@@ -294,18 +287,20 @@ mod tests {
     }
 
     #[test]
-    fn scoap_extended_width_is_accepted_and_ranged() {
+    fn wider_matrix_is_one_shape_error_and_unranged() {
         let n = 3;
         let edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
         let mut d = GraphData::new(
             GcnGraph::from_edges(n, &edges),
-            Matrix::zeros(n, FEATURE_DIM + SCOAP_FEATURE_DIM),
+            Matrix::zeros(n, FEATURE_DIM + 3),
         );
-        assert!(check_graph_data(&d).is_empty());
-        d.features.row_mut(1)[FEATURE_DIM + 2] = 1.5; // CO out of [0, 1]
+        // Out of range in a Table II column and in an extra column: a
+        // matrix of the wrong width is not range-checked at all.
+        d.features.row_mut(1)[3] = 7.5;
+        d.features.row_mut(1)[FEATURE_DIM + 2] = 1.5;
         let diags = check_graph_data(&d);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, LintCode::FeatureRange);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, LintCode::FeatureShape);
     }
 
     #[test]

@@ -83,45 +83,11 @@ impl TestSet {
 /// assert!(ts.fault_coverage > 0.5);
 /// ```
 pub fn generate_patterns(design: &M3dDesign, config: &AtpgConfig) -> TestSet {
-    generate(design, config, None)
-}
-
-/// Like [`generate_patterns`], but skips simulating faults at sites the
-/// caller has *proven* undetectable (`skip_sites[site] == true`, indexed
-/// by `SiteId`; `m3d-dataflow` produces such masks).
-///
-/// The skip mask only filters the per-block simulation sweep: the
-/// testable-fault denominator, the coverage stopping rule, the pattern
-/// blocks and every detection flag are computed exactly as in
-/// [`generate_patterns`]. If the mask honours its contract (skipped
-/// faults are never detectable), the returned [`TestSet`] is bitwise
-/// identical to the unpruned one — the sweep just stops paying for faults
-/// that cannot hit.
-pub fn generate_patterns_pruned(
-    design: &M3dDesign,
-    config: &AtpgConfig,
-    skip_sites: &[bool],
-) -> TestSet {
-    assert_eq!(
-        skip_sites.len(),
-        design.sites().len(),
-        "skip mask must cover every site"
-    );
-    generate(design, config, Some(skip_sites))
-}
-
-fn generate(design: &M3dDesign, config: &AtpgConfig, skip_sites: Option<&[bool]>) -> TestSet {
     let mut span = m3d_obs::span("atpg");
     let faults = full_fault_list(design);
     let site_ok = testable_sites(design);
     let testable: Vec<bool> = faults.iter().map(|f| site_ok[f.site.index()]).collect();
     let testable_n = testable.iter().filter(|&&t| t).count().max(1);
-    let skip = |i: usize| skip_sites.is_some_and(|s| s[faults[i].site.index()]);
-    let pruned_n = (0..faults.len())
-        .filter(|&i| testable[i] && skip(i))
-        .count();
-    span.add("faults_pruned", pruned_n as u64);
-    m3d_obs::counter("tdf.atpg.faults_pruned", pruned_n as u64);
     let mut detected = vec![false; faults.len()];
     let mut detected_n = 0usize;
 
@@ -143,26 +109,26 @@ fn generate(design: &M3dDesign, config: &AtpgConfig, skip_sites: Option<&[bool]>
         // site pays for its fanout cone once per block. Sites are
         // independent against the fixed baseline and fan across the pool
         // with one propagation scratch per worker.
-        let undetected_sites: Vec<u32> = (0..design.sites().len() as u32)
-            .filter(|&s| {
-                let (i0, i1) = (2 * s as usize, 2 * s as usize + 1);
-                (!detected[i0] && testable[i0] && !skip(i0))
-                    || (!detected[i1] && testable[i1] && !skip(i1))
+        let undetected_sites: Vec<(u32, [bool; 2])> = (0..design.sites().len() as u32)
+            .map(|s| {
+                let i = 2 * s as usize;
+                let want = [
+                    !detected[i] && testable[i],
+                    !detected[i + 1] && testable[i + 1],
+                ];
+                (s, want)
             })
+            .filter(|(_, want)| want[0] || want[1])
             .collect();
         let faults_swept: u64 = undetected_sites
             .iter()
-            .map(|&s| {
-                let (i0, i1) = (2 * s as usize, 2 * s as usize + 1);
-                u64::from(!detected[i0] && testable[i0] && !skip(i0))
-                    + u64::from(!detected[i1] && testable[i1] && !skip(i1))
-            })
+            .map(|(_, want)| u64::from(want[0]) + u64::from(want[1]))
             .sum();
         let sweep_start = std::time::Instant::now();
         let hits = m3d_par::par_map_init(
             &undetected_sites,
             || BlockDetector::new(design, &sim),
-            |det, &s| {
+            |det, &(s, want)| {
                 let (i0, i1) = (2 * s as usize, 2 * s as usize + 1);
                 debug_assert_eq!(faults[i0].site.index(), s as usize);
                 let net = site_net(design, faults[i0].site);
@@ -170,10 +136,6 @@ fn generate(design: &M3dDesign, config: &AtpgConfig, skip_sites: Option<&[bool]>
                 let act = [
                     faults[i0].polarity.activation(f1, f2) & base.lanes,
                     faults[i1].polarity.activation(f1, f2) & base.lanes,
-                ];
-                let want = [
-                    !detected[i0] && testable[i0] && !skip(i0),
-                    !detected[i1] && testable[i1] && !skip(i1),
                 ];
                 let lanes = (if want[0] { act[0] } else { 0 }) | (if want[1] { act[1] } else { 0 });
                 let diff = det.propagate_site_mask(&base, faults[i0].site, lanes);
@@ -188,7 +150,7 @@ fn generate(design: &M3dDesign, config: &AtpgConfig, skip_sites: Option<&[bool]>
         span.add("faults_swept", faults_swept);
         span.add("sites_swept", undetected_sites.len() as u64);
         let mut new_hits = 0usize;
-        for (&s, hit) in undetected_sites.iter().zip(hits) {
+        for (&(s, _), hit) in undetected_sites.iter().zip(hits) {
             for (p, &h) in hit.iter().enumerate() {
                 if h {
                     detected[2 * s as usize + p] = true;
@@ -270,20 +232,6 @@ mod tests {
         let d = DesignConfig::Syn1.build_sized(Benchmark::Aes, Some(300));
         let ts = generate_patterns(&d, &AtpgConfig::new(1, 64));
         assert!(ts.pattern_count() <= 64);
-    }
-
-    #[test]
-    fn pruned_atpg_is_bitwise_identical_under_a_sound_mask() {
-        let d = DesignConfig::Syn1.build_sized(Benchmark::Aes, Some(300));
-        // The structural untestable set is a sound skip mask by definition.
-        let skip: Vec<bool> = testable_sites(&d).iter().map(|&t| !t).collect();
-        assert!(skip.iter().any(|&s| s), "archetype has untestable sites");
-        let base = generate_patterns(&d, &AtpgConfig::new(5, 256));
-        let pruned = generate_patterns_pruned(&d, &AtpgConfig::new(5, 256), &skip);
-        assert_eq!(base.detected, pruned.detected);
-        assert_eq!(base.testable, pruned.testable);
-        assert_eq!(base.fault_coverage, pruned.fault_coverage);
-        assert_eq!(base.patterns.blocks(), pruned.patterns.blocks());
     }
 
     #[test]

@@ -43,9 +43,7 @@ mod pattern;
 mod sim;
 mod timing;
 
-pub use atpg::{
-    generate_patterns, generate_patterns_pruned, undetected_faults, AtpgConfig, TestSet,
-};
+pub use atpg::{generate_patterns, undetected_faults, AtpgConfig, TestSet};
 pub use fault::{
     full_fault_list, injection_scope, site_net, testable_sites, Fault, InjectionScope, Polarity,
 };

@@ -308,14 +308,28 @@ impl<'a> Simulator<'a> {
     }
 }
 
-/// Sanity helper: evaluates a single frame for one scalar pattern (used by
-/// tests to cross-check the parallel simulator lane by lane).
+/// Scalar reference: evaluates one frame for one pattern by walking the
+/// gate objects in topological order, independent of the compiled arrays
+/// (tests cross-check the parallel simulator against it lane by lane).
 pub fn eval_single_frame(netlist: &Netlist, pi: &[bool], state: &[bool]) -> Vec<bool> {
-    let pi_words: Vec<u64> = pi.iter().map(|&b| u64::from(b)).collect();
-    let st_words: Vec<u64> = state.iter().map(|&b| u64::from(b)).collect();
-    let sim = Simulator::new(netlist);
-    let (nets, _) = sim.eval_frame(&pi_words, &st_words);
-    nets.into_iter().map(|w| w & 1 == 1).collect()
+    let mut nets = vec![false; netlist.net_count()];
+    for (&g, &v) in netlist.inputs().iter().zip(pi) {
+        nets[netlist.gate(g).output().expect("inputs drive nets").index()] = v;
+    }
+    for (&g, &v) in netlist.flops().iter().zip(state) {
+        nets[netlist.gate(g).output().expect("flops drive nets").index()] = v;
+    }
+    for &g in netlist.topo_order() {
+        let gate = netlist.gate(g);
+        let words: Vec<u64> = gate
+            .inputs()
+            .iter()
+            .map(|n| u64::from(nets[n.index()]))
+            .collect();
+        let out = gate.output().expect("combinational gates drive nets");
+        nets[out.index()] = gate.kind().eval(&words) & 1 == 1;
+    }
+    nets
 }
 
 #[cfg(test)]
@@ -332,23 +346,37 @@ mod tests {
         let nl = Benchmark::Tate.generate(&GenParams::small(1));
         let pats = PatternSet::random(&nl, 64, 11);
         let sim = Simulator::new(&nl);
-        let blk = sim.run_block(&pats.blocks()[0]);
+        let block = &pats.blocks()[0];
+        let blk = sim.run_block(block);
+        let d_nets: Vec<usize> = nl
+            .flops()
+            .iter()
+            .map(|&f| nl.gate(f).inputs()[0].index())
+            .collect();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..8 {
             let lane = rng.gen_range(0..64);
-            let pi: Vec<bool> = pats.blocks()[0]
-                .pi
-                .iter()
-                .map(|&w| (w >> lane) & 1 == 1)
-                .collect();
-            let st: Vec<bool> = pats.blocks()[0]
-                .scan
-                .iter()
-                .map(|&w| (w >> lane) & 1 == 1)
-                .collect();
-            let nets = eval_single_frame(&nl, &pi, &st);
-            for (i, &v) in nets.iter().enumerate() {
-                assert_eq!((blk.f1[i] >> lane) & 1 == 1, v, "net {i}, lane {lane}");
+            let bits = |words: &[u64]| -> Vec<bool> {
+                words.iter().map(|&w| (w >> lane) & 1 == 1).collect()
+            };
+            let pi = bits(&block.pi);
+            // Frame 1 from the scan load, frame 2 from the launch capture.
+            let frames = [
+                (&blk.f1, &blk.capture1, bits(&block.scan)),
+                (&blk.f2, &blk.capture2, bits(&blk.capture1)),
+            ];
+            for (frame, (values, capture, state)) in frames.into_iter().enumerate() {
+                let nets = eval_single_frame(&nl, &pi, &state);
+                for (i, &v) in nets.iter().enumerate() {
+                    assert_eq!(
+                        (values[i] >> lane) & 1 == 1,
+                        v,
+                        "frame {}, net {i}, lane {lane}",
+                        frame + 1
+                    );
+                }
+                let d_values: Vec<bool> = d_nets.iter().map(|&n| nets[n]).collect();
+                assert_eq!(bits(capture), d_values, "frame {}, lane {lane}", frame + 1);
             }
         }
     }

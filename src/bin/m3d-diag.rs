@@ -1111,10 +1111,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         cfg.epochs,
         policy
     );
-    // Input width follows the sample tensors (13 Table II columns, or 16
-    // with the SCOAP feature extension).
-    let dim = data.first().map_or(FEATURE_DIM, |(d, _)| d.features.cols());
-    let mut model = GcnClassifier::new(dim, 16, 2, 2, flags.num("model-seed", 7u64)?);
+    let mut model = GcnClassifier::new(FEATURE_DIM, 16, 2, 2, flags.num("model-seed", 7u64)?);
     let outcome = train_resilient(
         &mut model,
         &data,
