@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use m3d_bench::{print_table, test_samples, train_transferred, Scale};
 use m3d_dft::ObsMode;
-use m3d_fault_localization::{diagnose_all, FaultLocalizer, TestEnv};
+use m3d_fault_localization::{diagnose_all, FaultLocalizer};
 use m3d_hetgraph::HetGraph;
 use m3d_netlist::generate::Benchmark;
 use m3d_part::DesignConfig;
@@ -19,11 +19,11 @@ fn main() {
     let mode = ObsMode::Bypass;
     let mut rows = Vec::new();
     for bench in Benchmark::ALL {
-        // Training phase: feature construction (heterogeneous graph) and
-        // GNN training.
+        // Training phase: feature construction, cone walk included (a fresh
+        // design has no cone index yet), and GNN training.
+        let design = DesignConfig::Syn1.build_sized(bench, scale.target);
         let t0 = Instant::now();
-        let env0 = TestEnv::build(bench, DesignConfig::Syn1, scale.target);
-        let _het = HetGraph::new(&env0.design); // rebuilt for timing clarity
+        let _het = HetGraph::new(&design);
         let feature_s = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();

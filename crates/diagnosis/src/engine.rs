@@ -12,20 +12,10 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use m3d_dft::{ObsMode, ScanChains};
-use m3d_netlist::{GateId, NetId, SiteId};
+use m3d_netlist::SiteId;
 use m3d_tdf::{FailureLog, Fault, FaultSim, Polarity, Signature};
 
 use crate::report::{Candidate, DiagnosisReport, MatchScore};
-
-/// Per-worker scratch for the cone DFS: epoch-stamped visited marks, so
-/// the gate/net-sized arrays are allocated once per worker instead of once
-/// per flop.
-struct ConeScratch {
-    epoch: u32,
-    gate_mark: Vec<u32>,
-    net_mark: Vec<u32>,
-    stack: Vec<NetId>,
-}
 
 /// Retention knobs for the ranked report.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -97,13 +87,13 @@ pub struct Diagnoser<'a> {
     scan: &'a ScanChains,
     mode: ObsMode,
     config: DiagnosisConfig,
-    /// Per flop: every fault site in its structural fan-in cone.
-    cone_sites: Vec<Vec<SiteId>>,
+    /// The design's fan-in cones: a row's sites are its flop's suspects.
+    cones: &'a m3d_part::FaninCones,
 }
 
 impl<'a> Diagnoser<'a> {
-    /// Builds the engine, precomputing per-flop fan-in cones (done once per
-    /// test setup, amortized over every failure log — the same argument the
+    /// Builds the engine over the design's fan-in cone index, built once per
+    /// design and amortized over every failure log (the same argument the
     /// paper makes for its top-level graph).
     pub fn new(
         fsim: &'a FaultSim<'a>,
@@ -111,68 +101,12 @@ impl<'a> Diagnoser<'a> {
         mode: ObsMode,
         config: DiagnosisConfig,
     ) -> Self {
-        let design = fsim.design();
-        let nl = design.netlist();
-        // Per-flop backward cone DFS, fanned over the pool. The visited
-        // marks are epoch-stamped per-worker scratch (zeroing two
-        // gate/net-sized arrays per flop is quadratic at paper scale);
-        // each flop's cone is independent of scratch history, so the
-        // result is identical at any thread count. The cost gate keeps
-        // small test designs serial — worker-dispatch overhead exceeds a
-        // handful of tiny cone walks — and cannot change the cones.
-        let cone_work = nl.flops().len() as u64 * 4096;
-        let cone_sites = m3d_par::with_threads(m3d_par::par_gate(cone_work), || {
-            m3d_par::par_map_init(
-                nl.flops(),
-                || ConeScratch {
-                    epoch: 0,
-                    gate_mark: vec![0u32; nl.gate_count()],
-                    net_mark: vec![0u32; nl.net_count()],
-                    stack: Vec::new(),
-                },
-                |scr, &fg| {
-                    scr.epoch += 1;
-                    let epoch = scr.epoch;
-                    let mut sites = Vec::new();
-                    // The flop's own D pin is a suspect.
-                    sites.push(design.sites().input_site(fg, 0));
-                    scr.stack.clear();
-                    scr.stack.push(nl.gate(fg).inputs()[0]);
-                    while let Some(net) = scr.stack.pop() {
-                        if scr.net_mark[net.index()] == epoch {
-                            continue;
-                        }
-                        scr.net_mark[net.index()] = epoch;
-                        if let Some(m) = design.miv_on_net(net) {
-                            sites.push(design.miv_site(m as usize));
-                        }
-                        let driver: GateId = nl.net(net).driver();
-                        if scr.gate_mark[driver.index()] == epoch {
-                            continue;
-                        }
-                        scr.gate_mark[driver.index()] = epoch;
-                        if let Some(out) = design.sites().output_site(nl, driver) {
-                            sites.push(out);
-                        }
-                        if nl.gate(driver).kind().is_combinational() {
-                            for (pin, &inp) in nl.gate(driver).inputs().iter().enumerate() {
-                                sites.push(design.sites().input_site(driver, pin as u8));
-                                scr.stack.push(inp);
-                            }
-                        }
-                    }
-                    sites.sort_unstable();
-                    sites.dedup();
-                    sites
-                },
-            )
-        });
         Diagnoser {
             fsim,
             scan,
             mode,
             config,
-            cone_sites,
+            cones: fsim.design().fanin_cones(),
         }
     }
 
@@ -316,9 +250,8 @@ impl<'a> Diagnoser<'a> {
         // report; sites appearing in most per-entry cones are suspects.
         let counts = {
             let _count = m3d_obs::span("suspect_count");
-            self.fsim.active_site_counts(&tester, self.scan, |flop| {
-                self.cone_sites[flop.index()].iter().copied()
-            })
+            self.fsim
+                .active_site_counts(&tester, self.scan, |flop| self.cones.sites(flop))
         };
         span.add("obs_points", u64::from(counts.obs_points));
         let needed =

@@ -7,23 +7,12 @@
 //!
 //! *Top level*: one Topnode per observation point (scan-flop D input),
 //! connected by a Topedge to every circuit-level node in its fan-in cone.
-//! Topedge features — shortest-path length and MIVs passed through — are
-//! computed during the same BFS that collects the cone, so construction is
-//! `O(|V| + |E|)` per Topnode, built once and reused for every failure log.
+//! The Topedges, with their shortest-path lengths and MIV counts, are the
+//! path entries of the design's cone index ([`M3dDesign::fanin_cones`]),
+//! built once per design in `O(|V| + |E|)` per Topnode.
 
-use m3d_netlist::{FlopId, GateKind, SiteId, SitePos};
-use m3d_part::{M3dDesign, Tier};
-
-/// One Topedge: a cone member of some Topnode with its path features.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TopEdge {
-    /// The circuit-level node the Topnode connects to.
-    pub site: SiteId,
-    /// Shortest-path length from the site to the observation point.
-    pub dist: u32,
-    /// Number of MIV nodes on that shortest path.
-    pub mivs: u16,
-}
+use m3d_netlist::{FlopId, SiteId, SitePos};
+use m3d_part::{FaninCones, M3dDesign, Tier, TopEdge};
 
 /// Per-site static features (Table I, circuit-level rows).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -67,18 +56,11 @@ pub struct SiteFeatures {
 /// ```
 #[derive(Clone, Debug)]
 pub struct HetGraph {
-    node_count: usize,
     /// Directed circuit-level edges in CSR (successor) form.
     out_offsets: Vec<u32>,
     out_edges: Vec<u32>,
-    /// Directed predecessor CSR.
-    in_offsets: Vec<u32>,
-    in_edges: Vec<u32>,
-    /// Topedge CSR offsets, one per Topnode (flop) plus a tail: the
-    /// Topedges of flop `f` are `topedges[top_offsets[f]..top_offsets[f+1]]`.
-    top_offsets: Vec<u32>,
-    /// Flat Topedge storage (cone + path features), grouped by flop.
-    topedges: Vec<TopEdge>,
+    /// The design's cone index; its path entries are the Topedges.
+    cones: std::sync::Arc<FaninCones>,
     /// Per-site static features.
     features: Vec<SiteFeatures>,
     /// Design-level normalizers for feature scaling.
@@ -88,7 +70,7 @@ pub struct HetGraph {
 }
 
 impl HetGraph {
-    /// Builds the heterogeneous graph for a design.
+    /// Builds the heterogeneous graph for a design (and its cone index).
     pub fn new(design: &M3dDesign) -> Self {
         let nl = design.netlist();
         let sites = design.sites();
@@ -96,102 +78,34 @@ impl HetGraph {
 
         // --- Circuit-level directed edges ---
         let mut edges: Vec<(u32, u32)> = Vec::new();
-        let mut push = |a: SiteId, b: SiteId| {
-            edges.push((a.0, b.0));
-        };
         for (gi, gate) in nl.gates().iter().enumerate() {
             let g = m3d_netlist::GateId::new(gi);
             // input pins -> output pin (inside the gate)
             if let Some(out_site) = sites.output_site(nl, g) {
                 for pin in 0..gate.inputs().len() {
-                    push(sites.input_site(g, pin as u8), out_site);
+                    edges.push((sites.input_site(g, pin as u8).0, out_site.0));
                 }
             }
         }
+        // Per net: the stem to its MIV, then each branch from its driving
+        // site (the MIV for far-tier branches of a cut net).
         for (ni, net) in nl.nets().iter().enumerate() {
-            let net_id = m3d_netlist::NetId::new(ni);
-            let stem = sites
-                .output_site(nl, net.driver())
-                .expect("net drivers have output sites");
-            let miv = design.miv_on_net(net_id);
-            let driver_tier = design.tier_of_gate(net.driver());
-            if let Some(m) = miv {
-                push(stem, design.miv_site(m as usize));
-            }
-            for &(sink, pin) in net.sinks() {
-                let branch = sites.input_site(sink, pin);
-                match miv {
-                    Some(m) if design.tier_of_gate(sink) != driver_tier => {
-                        push(design.miv_site(m as usize), branch);
-                    }
-                    _ => push(stem, branch),
-                }
+            let miv = design.miv_on_net(m3d_netlist::NetId::new(ni));
+            let miv = miv.map(|m| design.miv_site(m as usize));
+            let branches = net.sinks().iter().map(|&(g, pin)| sites.input_site(g, pin));
+            for site in miv.into_iter().chain(branches) {
+                edges.push((design.driving_site(site).0, site.0));
             }
         }
-        let (out_offsets, out_edges) = to_csr(n, &edges, false);
-        let (in_offsets, in_edges) = to_csr(n, &edges, true);
+        let (out_offsets, out_edges) = to_csr(n, &edges);
 
-        // --- Site levels ---
-        let level_of = |site: SiteId| -> u32 {
+        // --- Site levels: a pin or MIV carries its stem's value ---
+        let level_of = |mut site: SiteId| loop {
             match sites.pos(site) {
-                SitePos::Output(g) => nl.level(g),
-                SitePos::Input(g, pin) => {
-                    let net = nl.gate(g).inputs()[pin as usize];
-                    nl.level(nl.net(net).driver())
-                }
-                SitePos::Miv(m) => nl.level(nl.net(design.mivs()[m as usize].net).driver()),
+                SitePos::Output(g) => break nl.level(g),
+                _ => site = design.driving_site(site),
             }
         };
-
-        // --- Topnodes: backward BFS per flop over predecessor edges ---
-        // Cones are appended to one flat CSR-style store (offsets + flat
-        // storage) instead of one `Vec` per flop.
-        let mut top_offsets: Vec<u32> = Vec::with_capacity(nl.flops().len() + 1);
-        top_offsets.push(0);
-        let mut topedges: Vec<TopEdge> = Vec::new();
-        let mut dist = vec![u32::MAX; n];
-        let mut mivs = vec![0u16; n];
-        let mut touched: Vec<u32> = Vec::new();
-        for &fg in nl.flops() {
-            let root = sites.input_site(fg, 0);
-            let mut queue = std::collections::VecDeque::new();
-            dist[root.index()] = 0;
-            mivs[root.index()] = 0;
-            touched.push(root.0);
-            queue.push_back(root.0);
-            while let Some(v) = queue.pop_front() {
-                let vi = v as usize;
-                topedges.push(TopEdge {
-                    site: SiteId(v),
-                    dist: dist[vi],
-                    mivs: mivs[vi],
-                });
-                // Stop traversal at sequential boundaries: a flop's Q pin
-                // is in the cone, but nothing behind the flop is.
-                if let SitePos::Output(g) = sites.pos(SiteId(v)) {
-                    if !nl.gate(g).kind().is_combinational() {
-                        continue;
-                    }
-                }
-                for &u in csr_row(&in_offsets, &in_edges, vi) {
-                    let ui = u as usize;
-                    if dist[ui] != u32::MAX {
-                        continue;
-                    }
-                    dist[ui] = dist[vi] + 1;
-                    let is_miv = matches!(sites.pos(SiteId(u)), SitePos::Miv(_));
-                    mivs[ui] = mivs[vi] + u16::from(is_miv);
-                    touched.push(u);
-                    queue.push_back(u);
-                }
-            }
-            for &t in &touched {
-                dist[t as usize] = u32::MAX;
-                mivs[t as usize] = 0;
-            }
-            touched.clear();
-            top_offsets.push(topedges.len() as u32);
-        }
 
         // --- Per-site features ---
         let mut features: Vec<SiteFeatures> = (0..n)
@@ -199,9 +113,7 @@ impl HetGraph {
                 let site = SiteId::new(i);
                 let pos = sites.pos(site);
                 SiteFeatures {
-                    fan_in: (in_offsets[i + 1] - in_offsets[i]) as u16,
                     fan_out: (out_offsets[i + 1] - out_offsets[i]) as u16,
-                    top_edges: 0,
                     tier: match design.tier_of_site(site) {
                         Some(Tier::Top) => 0.0,
                         Some(Tier::Bottom) => 1.0,
@@ -214,20 +126,26 @@ impl HetGraph {
                 }
             })
             .collect();
+        for &(_, b) in &edges {
+            features[b as usize].fan_in += 1;
+        }
         // Topedge aggregates per site.
+        let cones = design.fanin_cones().clone();
         let mut sum_d = vec![0.0f64; n];
         let mut sum_d2 = vec![0.0f64; n];
         let mut sum_m = vec![0.0f64; n];
         let mut sum_m2 = vec![0.0f64; n];
         let mut max_dist = 1.0f32;
-        for te in &topedges {
-            let i = te.site.index();
-            features[i].top_edges += 1;
-            sum_d[i] += f64::from(te.dist);
-            sum_d2[i] += f64::from(te.dist) * f64::from(te.dist);
-            sum_m[i] += f64::from(te.mivs);
-            sum_m2[i] += f64::from(te.mivs) * f64::from(te.mivs);
-            max_dist = max_dist.max(te.dist as f32);
+        for flop in 0..nl.flops().len() {
+            for te in cones.paths(FlopId::new(flop)) {
+                let i = te.site.index();
+                features[i].top_edges += 1;
+                sum_d[i] += f64::from(te.dist);
+                sum_d2[i] += f64::from(te.dist) * f64::from(te.dist);
+                sum_m[i] += f64::from(te.mivs);
+                sum_m2[i] += f64::from(te.mivs) * f64::from(te.mivs);
+                max_dist = max_dist.max(te.dist as f32);
+            }
         }
         for (i, f) in features.iter_mut().enumerate() {
             let c = f64::from(f.top_edges);
@@ -243,13 +161,9 @@ impl HetGraph {
 
         let max_level = nl.stats().depth.max(1) as f32;
         HetGraph {
-            node_count: n,
             out_offsets,
             out_edges,
-            in_offsets,
-            in_edges,
-            top_offsets,
-            topedges,
+            cones,
             features,
             max_level,
             max_dist,
@@ -260,26 +174,21 @@ impl HetGraph {
     /// Number of circuit-level nodes (pin sites + MIV sites).
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.node_count
+        self.out_offsets.len() - 1
     }
 
     /// Successor sites of `site` in the circuit-level graph.
     #[inline]
     pub fn successors(&self, site: SiteId) -> &[u32] {
-        csr_row(&self.out_offsets, &self.out_edges, site.index())
+        let i = site.index();
+        &self.out_edges[self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize]
     }
 
-    /// Predecessor sites of `site`.
-    #[inline]
-    pub fn predecessors(&self, site: SiteId) -> &[u32] {
-        csr_row(&self.in_offsets, &self.in_edges, site.index())
-    }
-
-    /// The Topedges of a Topnode (one per fan-in cone member).
+    /// The Topedges of a Topnode (one per fan-in cone member), sorted by
+    /// site.
     #[inline]
     pub fn topedges(&self, flop: FlopId) -> &[TopEdge] {
-        let f = flop.index();
-        &self.topedges[self.top_offsets[f] as usize..self.top_offsets[f + 1] as usize]
+        self.cones.paths(flop)
     }
 
     /// Static features of a site.
@@ -299,11 +208,12 @@ impl HetGraph {
     }
 }
 
-fn to_csr(n: usize, edges: &[(u32, u32)], reverse: bool) -> (Vec<u32>, Vec<u32>) {
+/// The successor CSR of a directed edge list: offsets per source plus a
+/// tail, and targets grouped by source in edge-list order.
+fn to_csr(n: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
     let mut counts = vec![0u32; n + 1];
-    for &(a, b) in edges {
-        let src = if reverse { b } else { a };
-        counts[src as usize + 1] += 1;
+    for &(a, _) in edges {
+        counts[a as usize + 1] += 1;
     }
     for i in 0..n {
         counts[i + 1] += counts[i];
@@ -311,25 +221,17 @@ fn to_csr(n: usize, edges: &[(u32, u32)], reverse: bool) -> (Vec<u32>, Vec<u32>)
     let mut out = vec![0u32; edges.len()];
     let mut cursor = counts.clone();
     for &(a, b) in edges {
-        let (src, dst) = if reverse { (b, a) } else { (a, b) };
-        out[cursor[src as usize] as usize] = dst;
-        cursor[src as usize] += 1;
+        out[cursor[a as usize] as usize] = b;
+        cursor[a as usize] += 1;
     }
     (counts, out)
 }
-
-#[inline]
-fn csr_row<'a>(offsets: &[u32], edges: &'a [u32], i: usize) -> &'a [u32] {
-    &edges[offsets[i] as usize..offsets[i + 1] as usize]
-}
-
-// GateKind used via is_combinational in cone construction.
-const _: fn(GateKind) -> bool = GateKind::is_combinational;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use m3d_netlist::generate::Benchmark;
+    use m3d_netlist::GateKind;
     use m3d_part::DesignConfig;
 
     fn graph() -> (M3dDesign, HetGraph) {
@@ -346,30 +248,28 @@ mod tests {
     }
 
     #[test]
-    fn csr_directions_are_inverse() {
-        let (_, g) = graph();
-        for v in 0..g.node_count() {
-            for &s in g.successors(SiteId::new(v)) {
-                assert!(
-                    g.predecessors(SiteId::new(s as usize))
-                        .contains(&(v as u32)),
-                    "edge {v}->{s} missing reverse"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn miv_nodes_sit_between_stem_and_far_branches() {
         let (d, g) = graph();
+        let nl = d.netlist();
         assert!(d.miv_count() > 0);
-        for m in 0..d.miv_count() {
+        for (m, miv) in d.mivs().iter().enumerate() {
             let site = d.miv_site(m);
-            assert!(
-                !g.predecessors(site).is_empty(),
-                "MIV has a stem predecessor"
+            let stem = d.sites().output_site(nl, nl.net(miv.net).driver()).unwrap();
+            assert!(g.successors(stem).contains(&site.0), "stem feeds its MIV");
+            assert_eq!(
+                g.site_features(site).fan_in,
+                1,
+                "the stem is its only fan-in"
             );
-            assert!(!g.successors(site).is_empty(), "MIV feeds far branches");
+            let mut far: Vec<u32> = d
+                .far_sinks(m as u32)
+                .into_iter()
+                .map(|(gate, pin)| d.sites().input_site(gate, pin).0)
+                .collect();
+            far.sort_unstable();
+            let mut succ = g.successors(site).to_vec();
+            succ.sort_unstable();
+            assert_eq!(succ, far, "MIV {m} feeds exactly its far branches");
         }
     }
 
@@ -377,10 +277,18 @@ mod tests {
     fn topedges_start_at_zero_distance_and_count_mivs() {
         let (d, g) = graph();
         let nl = d.netlist();
-        for (fi, _) in nl.flops().iter().enumerate() {
+        for (fi, &fg) in nl.flops().iter().enumerate() {
             let cone = g.topedges(FlopId::new(fi));
-            assert!(!cone.is_empty());
-            assert_eq!(cone[0].dist, 0, "root observes itself at distance 0");
+            let roots: Vec<SiteId> = cone
+                .iter()
+                .filter(|te| te.dist == 0)
+                .map(|te| te.site)
+                .collect();
+            assert_eq!(
+                roots,
+                [d.sites().input_site(fg, 0)],
+                "only the root observes itself at distance 0"
+            );
             for te in cone {
                 assert!(u32::from(te.mivs) <= te.dist);
             }

@@ -42,5 +42,6 @@
 mod graph;
 mod subgraph;
 
-pub use graph::{HetGraph, SiteFeatures, TopEdge};
+pub use graph::{HetGraph, SiteFeatures};
+pub use m3d_part::TopEdge;
 pub use subgraph::{back_trace, extract, SubGraph, FEATURE_DIM, FEATURE_NAMES};

@@ -1,7 +1,10 @@
 //! A partitioned M3D design: netlist + tier labels + MIVs + fault sites.
 
+use std::sync::{Arc, OnceLock};
+
 use m3d_netlist::{GateId, NetId, Netlist, SiteId, SitePos, SiteTable};
 
+use crate::cones::FaninCones;
 use crate::partition::Partition;
 use crate::tier::Tier;
 
@@ -39,6 +42,8 @@ pub struct M3dDesign {
     mivs: Vec<Miv>,
     miv_of_net: Vec<Option<u32>>,
     sites: SiteTable,
+    /// Built on first use: ATPG, lint and verification never walk cones.
+    cones: OnceLock<Arc<FaninCones>>,
 }
 
 impl M3dDesign {
@@ -66,6 +71,7 @@ impl M3dDesign {
             mivs,
             miv_of_net,
             sites,
+            cones: OnceLock::new(),
         }
     }
 
@@ -96,6 +102,7 @@ impl M3dDesign {
             mivs,
             miv_of_net,
             sites,
+            cones: OnceLock::new(),
         }
     }
 
@@ -129,6 +136,12 @@ impl M3dDesign {
         &self.sites
     }
 
+    /// The per-flop fan-in cones, built on the first call and shared by
+    /// clones made after it.
+    pub fn fanin_cones(&self) -> &Arc<FaninCones> {
+        self.cones.get_or_init(|| Arc::new(FaninCones::new(self)))
+    }
+
     /// The tier of a gate.
     #[inline]
     pub fn tier_of_gate(&self, gate: GateId) -> Tier {
@@ -154,6 +167,30 @@ impl M3dDesign {
     #[inline]
     pub fn miv_site(&self, index: usize) -> SiteId {
         self.sites.miv_site(index)
+    }
+
+    /// The one site that drives an input pin or MIV site in the
+    /// heterogeneous graph: a far-tier branch of a cut net hangs off the
+    /// net's MIV site, and every other branch and each MIV site off the
+    /// net's stem, its driver's output pin. Panics on an output pin, which
+    /// its gate's input pins drive.
+    pub fn driving_site(&self, site: SiteId) -> SiteId {
+        let (net, far_branch) = match self.sites.pos(site) {
+            SitePos::Input(g, pin) => {
+                let net = self.netlist.gate(g).inputs()[pin as usize];
+                let driver = self.netlist.net(net).driver();
+                (net, self.tier_of_gate(g) != self.tier_of_gate(driver))
+            }
+            SitePos::Miv(m) => (self.mivs[m as usize].net, false),
+            SitePos::Output(_) => panic!("an output pin has no single driving site"),
+        };
+        match self.miv_on_net(net) {
+            Some(m) if far_branch => self.miv_site(m as usize),
+            _ => self
+                .sites
+                .output_site(&self.netlist, self.netlist.net(net).driver())
+                .expect("net drivers have output sites"),
+        }
     }
 
     /// Sink branches of an MIV's net that lie on the far side of the via
@@ -182,12 +219,8 @@ impl M3dDesign {
                 .output()
                 .and_then(|n| self.miv_on_net(n))
                 .is_some(),
-            SitePos::Input(g, pin) => {
-                let net = self.netlist.gate(g).inputs()[pin as usize];
-                match self.miv_on_net(net) {
-                    None => false,
-                    Some(m) => self.partition.tier(g) != self.mivs[m as usize].driver_tier,
-                }
+            SitePos::Input(..) => {
+                matches!(self.sites.pos(self.driving_site(site)), SitePos::Miv(_))
             }
         }
     }

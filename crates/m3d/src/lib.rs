@@ -2,10 +2,11 @@
 //!
 //! Turns a flat [`m3d_netlist::Netlist`] into a two-tier [`M3dDesign`]:
 //! tier labels per gate, one monolithic inter-tier via (MIV) per cut net,
-//! and an extended fault-site table. Three partitioners cover the paper's
-//! configurations (min-cut, level-banded, random augmentation), and
-//! [`DesignConfig`] reproduces the Syn-1 / TPI / Syn-2 / Par design matrix
-//! of the transferability study.
+//! an extended fault-site table, and its per-flop fan-in cones
+//! ([`FaninCones`]). Three partitioners cover the paper's configurations
+//! (min-cut, level-banded, random augmentation), and [`DesignConfig`]
+//! reproduces the Syn-1 / TPI / Syn-2 / Par design matrix of the
+//! transferability study.
 //!
 //! # Examples
 //!
@@ -19,11 +20,13 @@
 
 #![warn(missing_docs)]
 
+mod cones;
 mod config;
 mod design;
 mod partition;
 mod tier;
 
+pub use cones::{FaninCones, TopEdge};
 pub use config::{augmented_design, DesignConfig};
 pub use design::{M3dDesign, Miv};
 pub use partition::{read_partition, write_partition, Partition, PartitionAlgo};

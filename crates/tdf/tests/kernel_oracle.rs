@@ -1,6 +1,7 @@
 //! Oracles for the fault-simulation kernels diagnosis runs on:
 //!
-//! - [`FaultSim::active_site_counts`] must equal the per-entry loop it
+//! - [`FaultSim::active_site_counts`] over the design's cone index
+//!   ([`M3dDesign::fanin_cones`]) must equal the per-entry loop it
 //!   replaced — one set of transition-active cone sites per log entry,
 //!   then one count per site — on bypass and compacted logs from 1–5
 //!   injected faults, with out-of-range entries (one a compacted
@@ -29,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use m3d_dft::{ObsMode, ObsPoint, ScanChains, ScanConfig};
 use m3d_netlist::generate::Benchmark;
 use m3d_netlist::{FlopId, GateId, NetId, SiteId, SitePos};
-use m3d_part::{DesignConfig, M3dDesign};
+use m3d_part::{DesignConfig, FaninCones, M3dDesign};
 use m3d_tdf::{
     full_fault_list, generate_patterns, injection_scope, site_net, AtpgConfig, Detection,
     FailEntry, FailureLog, Fault, FaultSim, InjectionScope, Polarity, Signature, TestSet,
@@ -41,8 +42,6 @@ struct Env {
     /// Eight chains, four per output channel: each compacted observation
     /// maps to up to four scan cells.
     scan: ScanChains,
-    /// Per flop: the fault sites of its fan-in cone.
-    cones: Vec<Vec<SiteId>>,
     detected: Vec<Fault>,
     /// Compacted observation points two of whose cells share cone sites.
     shared_obs: Vec<ObsPoint>,
@@ -62,9 +61,6 @@ fn env() -> &'static Env {
                 chains_per_channel: 4,
             },
         );
-        let cones: Vec<Vec<SiteId>> = (0..design.netlist().flops().len())
-            .map(|f| fan_in_cone(&design, FlopId::new(f)))
-            .collect();
         let detected = full_fault_list(&design)
             .into_iter()
             .zip(&ts.detected)
@@ -89,7 +85,7 @@ fn env() -> &'static Env {
                 (0..scan.max_chain_length() as u16)
                     .map(move |cycle| ObsPoint::ChannelCycle { channel, cycle })
             })
-            .filter(|&obs| cones_overlap(&scan, &cones, obs))
+            .filter(|&obs| cones_overlap(&scan, design.fanin_cones(), obs))
             .collect();
         assert!(
             !shared_obs.is_empty(),
@@ -99,44 +95,11 @@ fn env() -> &'static Env {
             design,
             ts,
             scan,
-            cones,
             detected,
             shared_obs,
             sites_by_kind,
         }
     })
-}
-
-/// The fault sites in a flop's structural fan-in cone: its D pin, every
-/// gate output, input pin and MIV behind it, up to the sequential
-/// boundary.
-fn fan_in_cone(design: &M3dDesign, flop: FlopId) -> Vec<SiteId> {
-    let nl = design.netlist();
-    let fg = nl.flops()[flop.index()];
-    let mut sites = vec![design.sites().input_site(fg, 0)];
-    let mut seen_nets = HashSet::new();
-    let mut seen_gates = HashSet::new();
-    let mut stack = vec![nl.gate(fg).inputs()[0]];
-    while let Some(net) = stack.pop() {
-        if !seen_nets.insert(net) {
-            continue;
-        }
-        if let Some(m) = design.miv_on_net(net) {
-            sites.push(design.miv_site(m as usize));
-        }
-        let driver = nl.net(net).driver();
-        if !seen_gates.insert(driver) {
-            continue;
-        }
-        sites.extend(design.sites().output_site(nl, driver));
-        if nl.gate(driver).kind().is_combinational() {
-            for (pin, &inp) in nl.gate(driver).inputs().iter().enumerate() {
-                sites.push(design.sites().input_site(driver, pin as u8));
-                stack.push(inp);
-            }
-        }
-    }
-    sites
 }
 
 /// The per-entry loop the kernel replaced, kept as its oracle: entries
@@ -148,8 +111,9 @@ fn reference_counts(
     sim: &FaultSim<'_>,
     log: &FailureLog,
     scan: &ScanChains,
-    cones: &[Vec<SiteId>],
+    cones: &FaninCones,
 ) -> (HashMap<SiteId, u32>, u32) {
+    let flops = sim.design().netlist().flops().len();
     let mut counts = HashMap::new();
     let mut entries = 0;
     for entry in log.entries() {
@@ -157,13 +121,13 @@ fn reference_counts(
             continue;
         };
         let cells = scan.candidate_flops(entry.obs);
-        if cells.is_empty() || cells.iter().any(|f| f.index() >= cones.len()) {
+        if cells.is_empty() || cells.iter().any(|f| f.index() >= flops) {
             continue;
         }
         entries += 1;
         let mut active = HashSet::new();
         for flop in cells {
-            for &site in &cones[flop.index()] {
+            for site in cones.sites(flop) {
                 if sim.transition_mask(site, blk) & (1u64 << bit) != 0 {
                     active.insert(site);
                 }
@@ -309,13 +273,11 @@ fn log_words(log: &FailureLog) -> Vec<(u32, ObsPoint, u64)> {
 }
 
 /// Whether two of an observation's scan cells share a cone site.
-fn cones_overlap(scan: &ScanChains, cones: &[Vec<SiteId>], obs: ObsPoint) -> bool {
+fn cones_overlap(scan: &ScanChains, cones: &FaninCones, obs: ObsPoint) -> bool {
     let mut owner: HashMap<SiteId, FlopId> = HashMap::new();
-    scan.candidate_flops(obs).into_iter().any(|f| {
-        cones[f.index()]
-            .iter()
-            .any(|&s| *owner.entry(s).or_insert(f) != f)
-    })
+    scan.candidate_flops(obs)
+        .into_iter()
+        .any(|f| cones.sites(f).any(|s| *owner.entry(s).or_insert(f) != f))
 }
 
 proptest! {
@@ -359,8 +321,9 @@ proptest! {
         let log: FailureLog = clean.entries().iter().copied().chain(junk_entries.into_iter().take(junk)).collect();
 
         let words = Signature::from_log(&log, &e.ts.patterns);
-        let got = sim.active_site_counts(&words, &e.scan, |f| e.cones[f.index()].iter().copied());
-        let (want, entries) = reference_counts(&sim, &log, &e.scan, &e.cones);
+        let cones = e.design.fanin_cones();
+        let got = sim.active_site_counts(&words, &e.scan, |f| cones.sites(f));
+        let (want, entries) = reference_counts(&sim, &log, &e.scan, cones);
         prop_assert_eq!(got.entries, entries);
         prop_assert_eq!(got.entries as usize, clean.len());
         let distinct: HashSet<ObsPoint> = clean.entries().iter().map(|x| x.obs).collect();
