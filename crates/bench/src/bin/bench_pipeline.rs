@@ -14,11 +14,9 @@
 //! The **paper-scale tier** (`--paper-scale`) runs the four archetypes
 //! the paper diagnoses — AES, Tate, netcard, leon3mp — at published gate
 //! counts (98K–338K), timing ATPG, good-machine simulation, sample
-//! generation, GNN training, the raw GCN kernels, and per-fault
-//! simulation at pool widths {1, N}. It additionally records, per
-//! archetype, the blocked-kernel speedup over the naive reference kernels
-//! and the process peak RSS, and asserts every stage is bitwise
-//! deterministic across thread counts.
+//! generation, GNN training, and per-fault simulation at pool widths
+//! {1, N}. It additionally records, per archetype, the process peak RSS,
+//! and asserts every stage is bitwise deterministic across thread counts.
 //!
 //! Run: `cargo run --release -p m3d-bench --bin bench_pipeline`
 //! (`M3D_QUICK=1` for the smoke scale, `M3D_THREADS=N` to pin the pool).
@@ -33,10 +31,7 @@ use m3d_dft::ObsMode;
 use m3d_fault_localization::{
     generate_samples, DiagSample, InjectionKind, ModelConfig, TestEnv, TierPredictor,
 };
-use m3d_gnn::reference::{
-    aggregate_naive, aggregate_transpose_naive, matmul_naive, matmul_t_naive, t_matmul_naive,
-};
-use m3d_gnn::{GcnGraph, Matrix, TrainConfig, Trainable};
+use m3d_gnn::{TrainConfig, Trainable};
 use m3d_netlist::generate::Benchmark;
 use m3d_part::DesignConfig;
 use m3d_tdf::{generate_patterns, AtpgConfig, Simulator, TestSet};
@@ -244,12 +239,6 @@ struct ArchReport {
     fault_coverage: f64,
     build_secs: f64,
     peak_rss_mb: Option<f64>,
-    /// Naive GCN kernel chain time / blocked 1-thread chain time
-    /// (bitwise-equal gradients asserted).
-    kernel_speedup_vs_naive: f64,
-    /// Same comparison for the 32-column chain, which dispatches to the
-    /// SpMM aggregation branch.
-    wide_kernel_speedup_vs_naive: f64,
     stages: Vec<StageResult>,
 }
 
@@ -397,86 +386,7 @@ fn paper_archetype(
         stages.push(fit);
     }
 
-    // Stage 5: raw GCN kernels on the full gate graph — one forward +
-    // backward layer chain (aggregate, matmul, t_matmul, matmul_t,
-    // aggregate_transpose), blocked/parallel vs the naive references.
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for &g in nl.topo_order().iter().chain(nl.inputs()).chain(nl.flops()) {
-        for s in nl.fanout_gates(g) {
-            edges.push((g.index(), s.index()));
-        }
-    }
-    let gcn = GcnGraph::from_edges(gates, &edges);
-    let x = Matrix::xavier(gates, 16, 11);
-    let w = Matrix::xavier(16, 16, 13);
-    let chain = |threads: usize| {
-        m3d_par::with_threads(threads, || {
-            let a = gcn.aggregate(&x);
-            let h = a.matmul(&w);
-            let dw = a.t_matmul(&h);
-            let dx = h.matmul_t(&w);
-            let da = gcn.aggregate_transpose(&dx);
-            (dw, da)
-        })
-    };
-    let (naive_grads, naive_times) = timed(1, || {
-        let a = aggregate_naive(&gcn, &x);
-        let h = matmul_naive(&a, &w);
-        let dw = t_matmul_naive(&a, &h);
-        let dx = matmul_t_naive(&h, &w);
-        let da = aggregate_transpose_naive(&gcn, &dx);
-        (dw, da)
-    });
-    let (grads_nt, mut kernels) = stage(
-        "gnn_kernels",
-        1,
-        configured,
-        gates as f64,
-        "nodes/s",
-        |a: &(Matrix, Matrix), b: &(Matrix, Matrix)| a == b,
-        chain,
-    );
-    // The blocked chain must also reproduce the naive references bitwise.
-    kernels.deterministic = kernels.deterministic && grads_nt == naive_grads;
-    let kernel_speedup_vs_naive = min_of(&naive_times) / kernels.secs_1t.max(1e-12);
-    stages.push(kernels);
-
-    // Stage 5b: the same chain at 32 columns, past the narrow-output
-    // boundary, so `aggregate` dispatches to the SpMM branch.
-    let xw = Matrix::xavier(gates, 32, 17);
-    let ww = Matrix::xavier(32, 32, 19);
-    let wide_chain = |threads: usize| {
-        m3d_par::with_threads(threads, || {
-            let a = gcn.aggregate(&xw);
-            let h = a.matmul(&ww);
-            let dw = a.t_matmul(&h);
-            let dx = h.matmul_t(&ww);
-            let da = gcn.aggregate_transpose(&dx);
-            (dw, da)
-        })
-    };
-    let (naive_wide, naive_wide_times) = timed(1, || {
-        let a = aggregate_naive(&gcn, &xw);
-        let h = matmul_naive(&a, &ww);
-        let dw = t_matmul_naive(&a, &h);
-        let dx = matmul_t_naive(&h, &ww);
-        let da = aggregate_transpose_naive(&gcn, &dx);
-        (dw, da)
-    });
-    let (wide_nt, mut wide) = stage(
-        "gnn_kernels_wide",
-        1,
-        configured,
-        gates as f64,
-        "nodes/s",
-        |a: &(Matrix, Matrix), b: &(Matrix, Matrix)| a == b,
-        wide_chain,
-    );
-    wide.deterministic = wide.deterministic && wide_nt == naive_wide;
-    let wide_kernel_speedup_vs_naive = min_of(&naive_wide_times) / wide.secs_1t.max(1e-12);
-    stages.push(wide);
-
-    // Stage 6: per-fault simulation over an even sample of the detected
+    // Stage 5: per-fault simulation over an even sample of the detected
     // faults (the diagnosis-time workload).
     let mut faults = env.detected_faults();
     if faults.len() > 64 {
@@ -512,8 +422,6 @@ fn paper_archetype(
         fault_coverage: env.test_set.fault_coverage,
         build_secs,
         peak_rss_mb: peak_rss_mb(),
-        kernel_speedup_vs_naive,
-        wide_kernel_speedup_vs_naive,
         stages,
     }
 }
@@ -595,8 +503,7 @@ fn paper_tier(configured: usize, host: usize, arch_filter: Option<&str>, gates_c
         let report = paper_archetype(name, benchmark, target, configured);
         println!(
             "\n== {name}: {} gates, {} patterns, coverage {:.3}, build {:.1}s, \
-             peak RSS {} MB, kernels-vs-naive {:.2}x, \
-             wide-kernels-vs-naive {:.2}x ==",
+             peak RSS {} MB ==",
             report.gates,
             report.patterns,
             report.fault_coverage,
@@ -604,8 +511,6 @@ fn paper_tier(configured: usize, host: usize, arch_filter: Option<&str>, gates_c
             report
                 .peak_rss_mb
                 .map_or("n/a".to_string(), |m| format!("{m:.0}")),
-            report.kernel_speedup_vs_naive,
-            report.wide_kernel_speedup_vs_naive,
         );
         print_stage_table(&report.stages, configured);
         reports.push(report);
@@ -621,14 +526,6 @@ fn paper_tier(configured: usize, host: usize, arch_filter: Option<&str>, gates_c
         m3d_obs::counter(&format!("{p}.patterns"), r.patterns as u64);
         m3d_obs::gauge(&format!("{p}.build_secs"), r.build_secs);
         m3d_obs::gauge(&format!("{p}.fault_coverage"), r.fault_coverage);
-        m3d_obs::gauge(
-            &format!("{p}.kernel_speedup_vs_naive"),
-            r.kernel_speedup_vs_naive,
-        );
-        m3d_obs::gauge(
-            &format!("{p}.wide_kernel_speedup_vs_naive"),
-            r.wide_kernel_speedup_vs_naive,
-        );
         if let Some(m) = r.peak_rss_mb {
             m3d_obs::gauge(&format!("{p}.peak_rss_mb"), m);
         }
@@ -692,16 +589,6 @@ fn paper_tier(configured: usize, host: usize, arch_filter: Option<&str>, gates_c
             "      \"peak_rss_mb\": {},",
             r.peak_rss_mb
                 .map_or("null".to_string(), |m| format!("{m:.1}"))
-        );
-        let _ = writeln!(
-            json,
-            "      \"kernel_speedup_vs_naive\": {:.3},",
-            r.kernel_speedup_vs_naive
-        );
-        let _ = writeln!(
-            json,
-            "      \"wide_kernel_speedup_vs_naive\": {:.3},",
-            r.wide_kernel_speedup_vs_naive
         );
         let _ = writeln!(json, "      \"stages\": [");
         for (j, s) in r.stages.iter().enumerate() {

@@ -2,14 +2,11 @@
 //!
 //! The CSR is built with a two-pass counting sort (count, prefix-sum,
 //! scatter — the same construction as `hetgraph::to_csr`), so building a
-//! 300K-node graph touches no per-node heap allocations. Aggregation
-//! picks between two bitwise-identical paths by feature width: a
-//! row-wise loop for narrow features and the tiled SpMM kernel for wide
-//! ones. Both run over disjoint output-row panels on the `m3d-par` pool
-//! and are bitwise identical to the naive references in
-//! [`reference`](crate::reference) at any thread count.
+//! graph touches no per-node heap allocations. Each aggregation is one
+//! row-wise loop on the calling thread, bitwise identical to its naive
+//! reference in [`reference`](crate::reference).
 
-use crate::matrix::{self, Matrix};
+use crate::matrix::Matrix;
 
 /// An undirected graph in CSR form with self-loops, ready for GCN
 /// aggregation (paper eq. (1): mean over neighbours).
@@ -126,55 +123,26 @@ impl GcnGraph {
 
     /// Mean-neighbour aggregation: `out[v] = (1/|N(v)|) Σ_{u∈N(v)} x[u]`.
     ///
-    /// Dispatches by feature width: narrow features take the row-wise
-    /// loop, wide ones the tiled SpMM kernel. Both add each output
-    /// element's contributions in ascending neighbour order, so the
-    /// result is bitwise identical to
-    /// [`aggregate_naive`](crate::reference::aggregate_naive) at any
-    /// thread count.
+    /// Each output element adds its contributions in ascending neighbour
+    /// order, then scales once, so the result is bitwise identical to
+    /// [`aggregate_naive`](crate::reference::aggregate_naive).
     pub fn aggregate(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.rows(), self.n, "feature rows must match nodes");
-        let c = x.cols();
-        let work = self.neighbors.len() as u64 * c as u64;
-        if c > matrix::NARROW_N {
-            // Wide rows: the SpMM register tiles keep accumulators out of
-            // memory; the per-row 1/deg scale afterwards matches the
-            // naive path's sum-then-scale order exactly.
-            return Matrix::build_rows(self.n, c, work, |rows, out| {
-                matrix::spmm_panel(
-                    &self.offsets,
-                    &self.neighbors,
-                    None,
-                    x.data(),
-                    c,
-                    rows.clone(),
-                    out,
-                );
-                for v in rows.clone() {
-                    let inv = 1.0 / self.degree(v) as f32;
-                    let base = (v - rows.start) * c;
-                    for o in &mut out[base..base + c] {
-                        *o *= inv;
-                    }
-                }
-            });
-        }
-        Matrix::build_rows(self.n, c, work, |rows, out| {
-            for v in rows.clone() {
-                let ns = self.neighbors(v);
-                let inv = 1.0 / ns.len() as f32;
-                let base = (v - rows.start) * c;
-                let row = &mut out[base..base + c];
-                for &u in ns {
-                    for (o, &val) in row.iter_mut().zip(x.row(u as usize)) {
-                        *o += val;
-                    }
-                }
-                for o in row.iter_mut() {
-                    *o *= inv;
+        let mut out = Matrix::zeros(self.n, x.cols());
+        for v in 0..self.n {
+            let ns = self.neighbors(v);
+            let inv = 1.0 / ns.len() as f32;
+            let row = out.row_mut(v);
+            for &u in ns {
+                for (o, &val) in row.iter_mut().zip(x.row(u as usize)) {
+                    *o += val;
                 }
             }
-        })
+            for o in row {
+                *o *= inv;
+            }
+        }
+        out
     }
 
     /// Transposed aggregation (`Mᵀ x`), needed for backpropagation.
@@ -184,49 +152,24 @@ impl GcnGraph {
     /// (`u ∈ N(v) ⇔ v ∈ N(u)`) and neighbour lists are sorted, this adds
     /// exactly the same contributions in exactly the same order as the
     /// scatter formulation
-    /// [`aggregate_transpose_naive`](crate::reference::aggregate_transpose_naive)
-    /// — which is what makes row-panel parallelism bitwise safe here.
-    /// Dispatches across the same two paths as [`GcnGraph::aggregate`].
+    /// [`aggregate_transpose_naive`](crate::reference::aggregate_transpose_naive),
+    /// so the two are bitwise identical.
     pub fn aggregate_transpose(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.rows(), self.n, "feature rows must match nodes");
-        let c = x.cols();
-        let work = self.neighbors.len() as u64 * c as u64;
         // One division per node instead of one per edge; each `1/|N(v)|`
         // is the exact value the scatter form computes.
         let inv_deg: Vec<f32> = (0..self.n).map(|v| 1.0 / self.degree(v) as f32).collect();
-        if c > matrix::NARROW_N {
-            // Scaled SpMM: one value per nonzero, `inv_deg` of the
-            // neighbour, accumulated in the same ascending order as the
-            // row-wise loop below.
-            let vals: Vec<f32> = self
-                .neighbors
-                .iter()
-                .map(|&v| inv_deg[v as usize])
-                .collect();
-            return Matrix::build_rows(self.n, c, work, |rows, out| {
-                matrix::spmm_panel(
-                    &self.offsets,
-                    &self.neighbors,
-                    Some(&vals),
-                    x.data(),
-                    c,
-                    rows.clone(),
-                    out,
-                );
-            });
-        }
-        Matrix::build_rows(self.n, c, work, |rows, out| {
-            for u in rows.clone() {
-                let base = (u - rows.start) * c;
-                let row = &mut out[base..base + c];
-                for &v in self.neighbors(u) {
-                    let inv = inv_deg[v as usize];
-                    for (o, &val) in row.iter_mut().zip(x.row(v as usize)) {
-                        *o += val * inv;
-                    }
+        let mut out = Matrix::zeros(self.n, x.cols());
+        for u in 0..self.n {
+            let row = out.row_mut(u);
+            for &v in self.neighbors(u) {
+                let inv = inv_deg[v as usize];
+                for (o, &val) in row.iter_mut().zip(x.row(v as usize)) {
+                    *o += val * inv;
                 }
             }
-        })
+        }
+        out
     }
 }
 
@@ -329,31 +272,6 @@ mod tests {
         let fast = g.aggregate_transpose(&x);
         let slow = crate::reference::aggregate_transpose_naive(&g, &x);
         for (a, b) in fast.data().iter().zip(slow.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    /// A ring with chords: rows of mixed degree.
-    fn chord_ring(n: usize) -> GcnGraph {
-        let mut edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
-        edges.extend((0..n).step_by(3).map(|v| (v, (v + n / 2) % n)));
-        GcnGraph::from_edges(n, &edges)
-    }
-
-    #[test]
-    fn wide_spmm_paths_match_naive_bitwise() {
-        let g = chord_ring(70);
-        // Past NARROW_N, so the dispatch takes the SpMM kernel instead
-        // of the row-wise loop.
-        let x = Matrix::xavier(70, 33, 13);
-        let fast = g.aggregate(&x);
-        let slow = crate::reference::aggregate_naive(&g, &x);
-        for (a, b) in fast.data().iter().zip(slow.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let fast_t = g.aggregate_transpose(&x);
-        let slow_t = crate::reference::aggregate_transpose_naive(&g, &x);
-        for (a, b) in fast_t.data().iter().zip(slow_t.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

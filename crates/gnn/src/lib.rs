@@ -14,7 +14,7 @@
 //! * [`PrCurve`] — precision-recall analysis and the `T_p` threshold rule,
 //! * [`pca_project`] — PCA for the Fig. 5 feature visualization,
 //! * [`permutation_significance`] — the Table II feature-importance scores,
-//! * [`reference`](mod@reference) — the naive kernels the fast ones are tested against.
+//! * [`reference`](mod@reference) — the naive kernels the products are tested against.
 //!
 //! Everything is deterministic in the provided seeds and trains on CPU in
 //! seconds at the workspace's benchmark scale.
@@ -51,7 +51,7 @@ pub use guard::{
     TrainReport,
 };
 pub use layers::{sigmoid, softmax, DenseLayer, GcnLayer, Param};
-pub use matrix::{spmm, Matrix};
+pub use matrix::Matrix;
 pub use metrics::{accuracy, PrCurve, PrPoint, RocCurve, RocPoint, ScoredSample};
 pub use model::{GcnClassifier, GraphData, NodeClassifier, TrainConfig, TrainCursor, Trainable};
 pub use pca::pca_project;

@@ -2,10 +2,9 @@
 //!
 //! Plain loops in which every output element accumulates its
 //! contributions in ascending inner-index order, one add at a time. The
-//! blocked, tiled and parallel kernels of [`Matrix`], [`spmm`](crate::spmm)
-//! and [`GcnGraph`] are proptest-proven bitwise equal to these at any
-//! thread count; the kernel-equivalence tests and the `bench_pipeline`
-//! speedup ratios compare against them. Nothing else calls them.
+//! kernels of [`Matrix`] and [`GcnGraph`] are proptest-proven bitwise
+//! equal to these; the kernel-equivalence tests compare against them.
+//! Nothing else calls them.
 
 use crate::{GcnGraph, Matrix};
 
@@ -55,41 +54,6 @@ pub fn matmul_t_naive(a: &Matrix, b: &Matrix) -> Matrix {
                 s += a[(i, k)] * b[(j, k)];
             }
             out[(i, j)] = s;
-        }
-    }
-    out
-}
-
-/// CSR sparse × dense product as a plain per-row nonzero walk in
-/// ascending order, pure adds when `vals` is `None`;
-/// [`spmm`](crate::spmm) is bitwise equal to this.
-pub fn spmm_naive(offsets: &[u32], indices: &[u32], vals: Option<&[f32]>, b: &Matrix) -> Matrix {
-    assert!(!offsets.is_empty(), "offsets must have rows + 1 entries");
-    assert_eq!(
-        *offsets.last().expect("nonempty") as usize,
-        indices.len(),
-        "offsets must cover indices"
-    );
-    let rows = offsets.len() - 1;
-    let n = b.cols();
-    let mut out = Matrix::zeros(rows, n);
-    for i in 0..rows {
-        let row = out.row_mut(i);
-        for nz in offsets[i] as usize..offsets[i + 1] as usize {
-            let brow = b.row(indices[nz] as usize);
-            match vals {
-                Some(v) => {
-                    let s = v[nz];
-                    for (o, &x) in row.iter_mut().zip(brow) {
-                        *o += s * x;
-                    }
-                }
-                None => {
-                    for (o, &x) in row.iter_mut().zip(brow) {
-                        *o += x;
-                    }
-                }
-            }
         }
     }
     out

@@ -113,7 +113,8 @@ proptest! {
     ) {
         let serial = hist_of(&values);
         let sharded = m3d_par::with_threads(4, || {
-            let shards = m3d_par::par_ranges(values.len(), |r| hist_of(&values[r]));
+            let chunk = m3d_par::default_chunk_size(values.len());
+            let shards = m3d_par::par_chunks(&values, chunk, |_, c| hist_of(c));
             let mut merged = Histogram::new(&BOUNDS);
             for s in &shards {
                 merged.merge(s);

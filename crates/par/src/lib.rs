@@ -170,35 +170,45 @@ fn calibrated_break_even() -> u64 {
         {
             return v;
         }
-        // (a) dispatch overhead: two one-item chunks at width 2 — the
-        // smallest dispatch that actually spawns workers. Minimum of a
-        // few trials filters scheduler noise.
-        let items = [0u8; 2];
-        let mut dispatch_ns = u64::MAX;
-        for _ in 0..4 {
-            let t = std::time::Instant::now();
-            with_threads(2, || {
-                par_chunks(&items, 1, |_, c| std::hint::black_box(c.len()))
-            });
-            dispatch_ns = dispatch_ns.min(t.elapsed().as_nanos() as u64);
-        }
-        // (b) per-element cost of the unit the callers estimate in: one
-        // float multiply-add with a streamed operand.
-        let n = 1usize << 16;
-        let buf: Vec<f32> = (0..n).map(|i| (i as f32) * 0.5 + 1.0).collect();
-        let t = std::time::Instant::now();
-        let mut acc = 0.0f32;
-        for &v in &buf {
-            acc += v * 1.000_1;
-        }
-        std::hint::black_box(acc);
-        let elem_ns = (t.elapsed().as_nanos() as f64 / n as f64).max(0.05);
-        let break_even = (dispatch_ns as f64 * GATE_WORK_FACTOR as f64 / elem_ns) as u64;
-        // Sanity clamp: a mismeasured calibration must never pin every
-        // call site serial (upper bound) or make the gate a no-op that
-        // parallelizes trivia (lower bound).
-        break_even.clamp(1 << 12, 1 << 26)
+        // Measure on a fresh thread, whose thread-locals are at their
+        // defaults: inside a pool worker the width-2 dispatch would run
+        // inline (nested calls are serial) and the value would sit on
+        // the clamp's floor for the rest of the process.
+        std::thread::scope(|s| s.spawn(measure_break_even).join())
+            .expect("break-even calibration thread panicked")
     })
+}
+
+/// The timing behind [`calibrated_break_even`], run on a thread of its own.
+fn measure_break_even() -> u64 {
+    // (a) dispatch overhead: two one-item chunks at width 2 — the
+    // smallest dispatch that actually spawns workers. Minimum of a
+    // few trials filters scheduler noise.
+    let items = [0u8; 2];
+    let mut dispatch_ns = u64::MAX;
+    for _ in 0..4 {
+        let t = std::time::Instant::now();
+        with_threads(2, || {
+            par_chunks(&items, 1, |_, c| std::hint::black_box(c.len()))
+        });
+        dispatch_ns = dispatch_ns.min(t.elapsed().as_nanos() as u64);
+    }
+    // (b) per-element cost of the unit the callers estimate in: one
+    // float multiply-add with a streamed operand.
+    let n = 1usize << 16;
+    let buf: Vec<f32> = (0..n).map(|i| (i as f32) * 0.5 + 1.0).collect();
+    let t = std::time::Instant::now();
+    let mut acc = 0.0f32;
+    for &v in &buf {
+        acc += v * 1.000_1;
+    }
+    std::hint::black_box(acc);
+    let elem_ns = (t.elapsed().as_nanos() as f64 / n as f64).max(0.05);
+    let break_even = (dispatch_ns as f64 * GATE_WORK_FACTOR as f64 / elem_ns) as u64;
+    // Sanity clamp: a mismeasured calibration must never pin every
+    // call site serial (upper bound) or make the gate a no-op that
+    // parallelizes trivia (lower bound).
+    break_even.clamp(1 << 12, 1 << 26)
 }
 
 /// The break-even work size (element units) the next [`par_gate`] call on
@@ -266,13 +276,13 @@ pub fn with_par_threshold<R>(break_even: u64, f: impl FnOnce() -> R) -> R {
 
 /// Typed report of a panic inside a worker closure.
 ///
-/// Returned by the `try_*` entry points ([`try_par_map`],
-/// [`try_par_map_init`], [`try_par_chunks`], [`try_par_fold`]), which
-/// `catch_unwind` each chunk instead of letting the panic poison the whole
-/// run. Sibling chunks always run to completion, and when several chunks
-/// panic the error reported is the one with the **smallest chunk index** —
-/// so the returned error is deterministic at any thread count, like every
-/// other result in this crate.
+/// Returned by the `try_*` entry points ([`try_par_map`] and
+/// [`try_par_map_init`]), which `catch_unwind` each chunk instead of
+/// letting the panic poison the whole run. Sibling chunks always run to
+/// completion, and when several chunks panic the error reported is the one
+/// with the **smallest chunk index** — so the returned error is
+/// deterministic at any thread count, like every other result in this
+/// crate.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkerPanic {
     /// Index of the (lowest-indexed) chunk whose closure panicked.
@@ -548,32 +558,6 @@ pub fn try_par_map_init<T: Sync, S, R: Send>(
     Ok(out)
 }
 
-/// Splits `0..len` into the [`default_chunk_size`] layout and runs `f` on
-/// each index range in parallel; returns one result per range, in range
-/// order.
-///
-/// The range boundaries are a function of `len` only, so for a pure `f`
-/// the output is identical at any thread count. This is the row-panel
-/// primitive behind the blocked GNN kernels: each panel owns a disjoint
-/// range of output rows, computes into private storage, and the panels are
-/// reassembled in order.
-///
-/// # Examples
-///
-/// ```
-/// let sums = m3d_par::par_ranges(10, |r| r.sum::<usize>());
-/// let total: usize = sums.into_iter().sum();
-/// assert_eq!(total, 45);
-/// ```
-pub fn par_ranges<R: Send>(len: usize, f: impl Fn(std::ops::Range<usize>) -> R + Sync) -> Vec<R> {
-    let chunk = default_chunk_size(len);
-    let ranges: Vec<std::ops::Range<usize>> = (0..len)
-        .step_by(chunk)
-        .map(|s| s..(s + chunk).min(len))
-        .collect();
-    par_map(&ranges, |r| f(r.clone()))
-}
-
 /// Applies `f` to fixed `chunk_size`-sized chunks in parallel; returns one
 /// result per chunk, in chunk order. `f` receives the chunk index and the
 /// chunk slice.
@@ -583,16 +567,6 @@ pub fn par_chunks<T: Sync, R: Send>(
     f: impl Fn(usize, &[T]) -> R + Sync,
 ) -> Vec<R> {
     chunk_results(items, chunk_size, || (), |(), ci, c| f(ci, c))
-}
-
-/// Fallible [`par_chunks`]: a panic in `f` becomes a [`WorkerPanic`]
-/// carrying the index of the chunk that panicked.
-pub fn try_par_chunks<T: Sync, R: Send>(
-    items: &[T],
-    chunk_size: usize,
-    f: impl Fn(usize, &[T]) -> R + Sync,
-) -> Result<Vec<R>, WorkerPanic> {
-    try_chunk_results(items, chunk_size, || (), |(), ci, c| f(ci, c))
 }
 
 /// Deterministic parallel fold: each chunk folds its items (in item order,
@@ -630,38 +604,6 @@ pub fn par_fold<T: Sync, A: Send>(
         None => return acc(),
     };
     it.fold(first, merge)
-}
-
-/// Fallible [`par_fold`]: a panic in `fold` becomes a [`WorkerPanic`]
-/// carrying the chunk index; the left-to-right merge then never runs.
-/// `merge` itself executes on the calling thread outside the pool, so a
-/// panic there unwinds normally.
-pub fn try_par_fold<T: Sync, A: Send>(
-    items: &[T],
-    chunk_size: usize,
-    acc: impl Fn() -> A + Sync,
-    fold: impl Fn(A, usize, &T) -> A + Sync,
-    merge: impl Fn(A, A) -> A,
-) -> Result<A, WorkerPanic> {
-    let partials = try_chunk_results(
-        items,
-        chunk_size,
-        || (),
-        |(), ci, c| {
-            let base = ci * chunk_size;
-            let mut a = acc();
-            for (off, item) in c.iter().enumerate() {
-                a = fold(a, base + off, item);
-            }
-            a
-        },
-    )?;
-    let mut it = partials.into_iter();
-    let first = match it.next() {
-        Some(a) => a,
-        None => return Ok(acc()),
-    };
-    Ok(it.fold(first, merge))
 }
 
 #[cfg(test)]
@@ -833,43 +775,8 @@ mod tests {
         let items: Vec<u64> = (0..300).collect();
         let ok = try_par_map(&items, |&x| x * 7).expect("no panic");
         assert_eq!(ok, par_map(&items, |&x| x * 7));
-        let folded = try_par_fold(
-            &items,
-            default_chunk_size(items.len()),
-            || 0u64,
-            |a, _, &x| a + x,
-            |a, b| a + b,
-        )
-        .expect("no panic");
-        assert_eq!(folded, (0..300).sum::<u64>());
-        let chunks = try_par_chunks(&items, 32, |ci, c| (ci, c.len())).expect("no panic");
-        assert_eq!(chunks, par_chunks(&items, 32, |ci, c| (ci, c.len())));
         let empty: Vec<u64> = Vec::new();
         assert_eq!(try_par_map(&empty, |&x| x), Ok(Vec::new()));
-        assert_eq!(
-            try_par_fold(&empty, 4, || 5u64, |a, _, _| a, |a, b| a + b),
-            Ok(5)
-        );
-    }
-
-    #[test]
-    fn try_par_fold_reports_panicking_chunk() {
-        let items: Vec<usize> = (0..100).collect();
-        let err = with_threads(3, || {
-            try_par_fold(
-                &items,
-                10,
-                || 0usize,
-                |a, i, _| {
-                    assert!(i != 57, "fold chaos");
-                    a + 1
-                },
-                |a, b| a + b,
-            )
-        })
-        .expect_err("must fail");
-        assert_eq!(err.chunk, 5, "item 57 lives in chunk 5 of size 10");
-        assert!(err.message.contains("fold chaos"));
     }
 
     #[test]
@@ -888,27 +795,6 @@ mod tests {
         assert_eq!(default_chunk_size(64), 1);
         assert_eq!(default_chunk_size(65), 2);
         assert_eq!(default_chunk_size(6400), 100);
-    }
-
-    #[test]
-    fn par_ranges_covers_exactly_and_in_order() {
-        for len in [0usize, 1, 3, 64, 65, 200, 6401] {
-            let ranges = par_ranges(len, |r| r);
-            let mut next = 0usize;
-            for r in &ranges {
-                assert_eq!(r.start, next, "ranges must tile 0..{len} in order");
-                assert!(r.end > r.start);
-                next = r.end;
-            }
-            assert_eq!(next, len);
-        }
-    }
-
-    #[test]
-    fn par_ranges_is_thread_count_invariant() {
-        let serial = with_threads(1, || par_ranges(1000, |r| r.sum::<usize>()));
-        let wide = with_threads(8, || par_ranges(1000, |r| r.sum::<usize>()));
-        assert_eq!(serial, wide);
     }
 
     #[test]
