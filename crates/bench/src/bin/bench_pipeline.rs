@@ -300,16 +300,9 @@ fn paper_archetype(
     // the kept pattern blocks, blocks fanned across the pool.
     let sim = Simulator::new(nl);
     let blocks = env.test_set.patterns.blocks();
-    let sim_eq = |a: &Vec<m3d_tdf::BlockSim>, b: &Vec<m3d_tdf::BlockSim>| {
-        a.len() == b.len()
-            && a.iter().zip(b).all(|(x, y)| {
-                x.f1 == y.f1
-                    && x.f2 == y.f2
-                    && x.capture1 == y.capture1
-                    && x.capture2 == y.capture2
-                    && x.lanes == y.lanes
-            })
-    };
+    // Every block's frame-2 values and captures, and the transition table.
+    type GoodSim = (Vec<m3d_tdf::BlockSim>, m3d_tdf::Transitions);
+    let sim_eq = |a: &GoodSim, b: &GoodSim| a == b;
     let (_, good_sim) = stage(
         "good_sim",
         1,

@@ -99,9 +99,27 @@ impl SubGraph {
 /// Topnodes; extracts the induced circuit-level sub-graph.
 ///
 /// Log entries naming a pattern or scan cell that does not exist are
-/// skipped, and the intersection runs over the rest. Returns `None` when
-/// no entry is left or the intersection is empty (no single site explains
-/// every response — e.g. heavy multi-fault chips).
+/// skipped. The rest pick the sub-graph's sites by one of two paths:
+///
+/// - **Intersection** (Fig. 3, line 11), always tried first:
+///   [`FaultSim::active_site_intersection`] over the Topedges, the sites in
+///   a cone of every failing observation point that transition in every
+///   failing lane. When it is not empty, it is the site set. Every
+///   single-fault log takes this path, since its fault site is in it.
+/// - **Count**, only when the intersection is empty — no single site
+///   explains every response, as on most multi-fault chips:
+///   [`FaultSim::active_site_counts`] over the same Topedges, keeping the
+///   sites whose count reaches `min(c_max, entries)`, the highest count.
+///
+/// Both paths select the same sites as the count alone would: no count
+/// exceeds `entries`, and a site's count equals `entries` exactly when the
+/// site is in the intersection. Returns `None` only when no site
+/// transitions in any failing lane of a remaining entry, which includes a
+/// log with no entry left.
+///
+/// Records a `back_trace` span with counters `obs_points`, `entries`,
+/// `sites` and `counted` (1 when the intersection was empty and the count
+/// ran), and the counter `hetgraph.back_trace.fallbacks` once per count.
 ///
 /// # Examples
 ///
@@ -112,18 +130,25 @@ pub fn back_trace(
     scan: &ScanChains,
     log: &FailureLog,
 ) -> Option<SubGraph> {
-    // Per site: the responses whose Topnodes' transition-active cones
-    // contain it.
+    let mut span = m3d_obs::span("back_trace");
     let failures = Signature::from_log(log, fsim.patterns());
-    let counts = fsim.active_site_counts(&failures, scan, |flop| {
-        het.topedges(flop).iter().map(|te| te.site)
-    });
-    // Strict intersection first (Fig. 3, line 11): `c_max == entries`.
-    // Multi-fault chips whose responses come from different faults can
-    // intersect to nothing; fall back to the best-supported sites so the
-    // GNN models still get a sub-graph (the paper's framework keeps
-    // predicting tiers for multi-fault chips — Section VII-A).
-    let c_max = counts.sites.iter().map(|&(_, c)| c).max()?;
+    let mut counts = fsim.active_site_intersection(&failures, scan, |flop| het.topedges(flop));
+    let counted = counts.sites.is_empty();
+    if counted {
+        // Multi-fault chips whose responses come from different faults
+        // can intersect to nothing; the best-supported sites keep the GNN
+        // models fed (the paper's framework keeps predicting tiers for
+        // multi-fault chips — Section VII-A).
+        counts = fsim.active_site_counts(&failures, scan, |flop| {
+            het.topedges(flop).iter().map(|te| te.site)
+        });
+        m3d_obs::counter("hetgraph.back_trace.fallbacks", 1);
+    }
+    span.add("obs_points", u64::from(counts.obs_points));
+    span.add("entries", u64::from(counts.entries));
+    span.add("counted", u64::from(counted));
+    // From the intersection, every site's count is `entries`.
+    let c_max = counts.sites.iter().map(|&(_, c)| c).max().unwrap_or(0);
     let threshold = c_max.min(counts.entries);
     let mut sites: Vec<SiteId> = counts
         .sites
@@ -132,7 +157,8 @@ pub fn back_trace(
         .map(|(s, _)| s)
         .collect();
     sites.sort_unstable();
-    Some(extract(het, fsim, sites))
+    span.add("sites", sites.len() as u64);
+    (!sites.is_empty()).then(|| extract(het, fsim, sites))
 }
 
 /// Builds the sub-graph induced on `sites` with Table II features.

@@ -101,7 +101,7 @@ pub fn generate_patterns(design: &M3dDesign, config: &AtpgConfig) -> TestSet {
     {
         let count = 64.min(config.max_patterns - patterns.len()) as u8;
         let block = PatternSet::random_block(design.netlist(), &mut rng, count);
-        let base = sim.run_block(&block);
+        let (base, trans) = sim.run_block(&block);
         // The sweep dominates ATPG runtime. Faults are grouped by site:
         // the two polarities have disjoint activation lanes and the
         // bit-parallel propagation is lane-wise independent, so one
@@ -131,11 +131,11 @@ pub fn generate_patterns(design: &M3dDesign, config: &AtpgConfig) -> TestSet {
             |det, &(s, want)| {
                 let (i0, i1) = (2 * s as usize, 2 * s as usize + 1);
                 debug_assert_eq!(faults[i0].site.index(), s as usize);
-                let net = site_net(design, faults[i0].site);
-                let (f1, f2) = (base.f1[net.index()], base.f2[net.index()]);
+                let net = site_net(design, faults[i0].site).index();
+                let (t, f2) = (trans.word(net, 0), base.f2[net]);
                 let act = [
-                    faults[i0].polarity.activation(f1, f2) & base.lanes,
-                    faults[i1].polarity.activation(f1, f2) & base.lanes,
+                    faults[i0].polarity.activation(t, f2),
+                    faults[i1].polarity.activation(t, f2),
                 ];
                 let lanes = (if want[0] { act[0] } else { 0 }) | (if want[1] { act[1] } else { 0 });
                 let diff = det.propagate_site_mask(&base, faults[i0].site, lanes);

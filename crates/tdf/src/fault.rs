@@ -16,13 +16,15 @@ impl Polarity {
     /// Both polarities.
     pub const ALL: [Polarity; 2] = [Polarity::SlowToRise, Polarity::SlowToFall];
 
-    /// Lanes (patterns) in which a site with launch value `f1` and capture
-    /// value `f2` has the sensitizing transition for this polarity.
+    /// Lanes (patterns) in which a site that transitions in `trans`
+    /// ([`crate::Transitions`]) and has capture value `f2` has the
+    /// sensitizing transition for this polarity: a rise ends at 1, a fall
+    /// at 0.
     #[inline]
-    pub fn activation(self, f1: u64, f2: u64) -> u64 {
+    pub fn activation(self, trans: u64, f2: u64) -> u64 {
         match self {
-            Polarity::SlowToRise => !f1 & f2,
-            Polarity::SlowToFall => f1 & !f2,
+            Polarity::SlowToRise => trans & f2,
+            Polarity::SlowToFall => trans & !f2,
         }
     }
 }
@@ -171,8 +173,8 @@ mod tests {
     fn activation_masks_are_disjoint_and_cover_transitions() {
         let f1 = 0b0011u64;
         let f2 = 0b0101u64;
-        let str_mask = Polarity::SlowToRise.activation(f1, f2);
-        let stf_mask = Polarity::SlowToFall.activation(f1, f2);
+        let str_mask = Polarity::SlowToRise.activation(f1 ^ f2, f2);
+        let stf_mask = Polarity::SlowToFall.activation(f1 ^ f2, f2);
         assert_eq!(str_mask & stf_mask, 0);
         assert_eq!(str_mask | stf_mask, f1 ^ f2);
         assert_eq!(str_mask, 0b0100);

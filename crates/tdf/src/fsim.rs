@@ -10,12 +10,12 @@
 
 use m3d_dft::{ObsMode, ObsPoint, ScanChains};
 use m3d_netlist::{FlopId, GateId, SiteId};
-use m3d_part::M3dDesign;
+use m3d_part::{M3dDesign, TopEdge};
 
 use crate::fault::{injection_scope, site_net, Fault, InjectionScope, Polarity};
 use crate::log::{FailEntry, ObsWord, Signature};
 use crate::pattern::{PatternId, PatternSet};
-use crate::sim::{BlockSim, Simulator};
+use crate::sim::{BlockSim, Simulator, Transitions};
 
 /// One failing scan capture: pattern id plus the failing cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -218,23 +218,29 @@ impl<'a> BlockDetector<'a> {
         self.d_flips.clear();
     }
 
-    /// Simulates `faults` simultaneously against one block and returns the
-    /// failing `(lane, flop)` pairs, sorted.
+    /// Simulates `faults` simultaneously against block `block`, whose
+    /// fault-free run is `base` and whose transitions are `trans`'s words
+    /// at `block`, and returns the failing `(lane, flop)` pairs, sorted.
     ///
     /// Multiple faults model the paper's tier-specific systematic defects
     /// (Section VII-A); activation of each fault uses the fault-free frames.
-    pub fn detect(&mut self, base: &BlockSim, faults: &[Fault]) -> Vec<(u8, FlopId)> {
+    pub fn detect(
+        &mut self,
+        base: &BlockSim,
+        trans: &Transitions,
+        block: usize,
+        faults: &[Fault],
+    ) -> Vec<(u8, FlopId)> {
         // Duplicate faults are skipped: stem injections flip bits, so a
         // repeated fault would otherwise cancel itself.
         let mut unique: Vec<Fault> = faults.to_vec();
         unique.sort_unstable();
         unique.dedup();
         for fault in &unique {
-            let net = site_net(self.design, fault.site);
+            let net = site_net(self.design, fault.site).index();
             let act = fault
                 .polarity
-                .activation(base.f1[net.index()], base.f2[net.index()])
-                & base.lanes;
+                .activation(trans.word(net, block), base.f2[net]);
             if act == 0 {
                 continue;
             }
@@ -296,11 +302,13 @@ fn add_flip<K: Ord + Copy>(flips: &mut Vec<(K, u64)>, key: K, flip: u64) {
 }
 
 /// Per-site support of a failure log, from
-/// [`FaultSim::active_site_counts`].
+/// [`FaultSim::active_site_counts`] or
+/// [`FaultSim::active_site_intersection`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ActiveSiteCounts {
-    /// `(site, supporting entries)` for every site supporting at least one
-    /// entry, in no particular order.
+    /// `(site, supporting entries)`: from the count, every site supporting
+    /// at least one entry, in no particular order; from the intersection,
+    /// the sites supporting every entry, ascending, each with `entries`.
     pub sites: Vec<(SiteId, u32)>,
     /// Failing `(pattern, observation)` pairs counted: those whose
     /// pattern and scan cells exist.
@@ -309,8 +317,41 @@ pub struct ActiveSiteCounts {
     pub obs_points: u32,
 }
 
+/// One observation point of a failure log that names existing scan cells,
+/// from [`FaultSim::obs_groups`].
+struct ObsGroup {
+    /// The scan cells the point observes.
+    cells: Vec<FlopId>,
+    /// `(block, failing lanes)` per word, in ascending block order.
+    words: Vec<(usize, u64)>,
+}
+
+impl ObsGroup {
+    /// Number of failing `(pattern, observation)` pairs.
+    fn entries(&self) -> u32 {
+        self.words
+            .iter()
+            .map(|&(_, lanes)| lanes.count_ones())
+            .sum()
+    }
+
+    /// Failing lanes in which a net with transition row `row` transitions.
+    fn hits(&self, row: &[u64]) -> u32 {
+        self.words
+            .iter()
+            .map(|&(b, lanes)| (row[b] & lanes).count_ones())
+            .sum()
+    }
+
+    /// Whether a net with transition row `row` transitions in every
+    /// failing lane.
+    fn covered_by(&self, row: &[u64]) -> bool {
+        self.words.iter().all(|&(b, lanes)| row[b] & lanes == lanes)
+    }
+}
+
 /// Fault simulation over a full pattern set, with the fault-free baseline
-/// cached per block.
+/// cached: per block, and as net-major transition words.
 ///
 /// # Examples
 ///
@@ -333,6 +374,10 @@ pub struct FaultSim<'a> {
     /// detector's faulty-machine propagation.
     sim: Simulator<'a>,
     blocks: Vec<BlockSim>,
+    trans: Transitions,
+    /// The net of each site ([`site_net`]), so cone walks skip the gate
+    /// lookups.
+    site_nets: Vec<u32>,
 }
 
 impl<'a> FaultSim<'a> {
@@ -342,12 +387,19 @@ impl<'a> FaultSim<'a> {
     /// at any thread count).
     pub fn new(design: &'a M3dDesign, patterns: &'a PatternSet) -> Self {
         let sim = Simulator::new(design.netlist());
-        let blocks = sim.run_blocks(patterns.blocks());
+        let (blocks, trans) = sim.run_blocks(patterns.blocks());
+        let site_nets = design
+            .sites()
+            .iter()
+            .map(|(site, _)| site_net(design, site).index() as u32)
+            .collect();
         FaultSim {
             design,
             patterns,
             sim,
             blocks,
+            trans,
+            site_nets,
         }
     }
 
@@ -380,7 +432,7 @@ impl<'a> FaultSim<'a> {
     pub fn detections(&self, detector: &mut BlockDetector<'_>, faults: &[Fault]) -> Vec<Detection> {
         let mut out = Vec::new();
         for (bi, base) in self.blocks.iter().enumerate() {
-            for (bit, flop) in detector.detect(base, faults) {
+            for (bit, flop) in detector.detect(base, &self.trans, bi, faults) {
                 out.push(Detection {
                     pattern: self.patterns.id_at(bi, bit),
                     flop,
@@ -397,7 +449,7 @@ impl<'a> FaultSim<'a> {
     ///
     /// One propagation per block, seeded with the union of both
     /// polarities' activation lanes, answers both: the rising and falling
-    /// activations (`!f1 & f2`, `f1 & !f2`) are disjoint and the
+    /// activations (`trans & f2`, `trans & !f2`) are disjoint and the
     /// propagation is lane-wise independent, so masking the differing
     /// lanes by each polarity's activation gives each fault's own
     /// failures. The differing captures map to observation words with
@@ -410,12 +462,13 @@ impl<'a> FaultSim<'a> {
         scan: &ScanChains,
         mode: ObsMode,
     ) -> [Signature; 2] {
-        let net = site_net(self.design, site).index();
+        let net = self.site_nets[site.index()] as usize;
+        let row = self.trans.row(net);
         let scope = injection_scope(self.design, site);
         let mut sigs = [Signature::default(), Signature::default()];
         let mut words: Vec<(ObsPoint, u64)> = Vec::new();
         for (block, base) in self.blocks.iter().enumerate() {
-            let act = Polarity::ALL.map(|p| p.activation(base.f1[net], base.f2[net]) & base.lanes);
+            let act = Polarity::ALL.map(|p| p.activation(row[block], base.f2[net]));
             if act[0] | act[1] == 0 {
                 continue;
             }
@@ -466,10 +519,11 @@ impl<'a> FaultSim<'a> {
         span.add("faults", faults.len() as u64);
         span.add("blocks", self.blocks.len() as u64);
         let start = std::time::Instant::now();
+        let block_ids: Vec<usize> = (0..self.blocks.len()).collect();
         let per_block = m3d_par::try_par_map_init(
-            &self.blocks,
+            &block_ids,
             || self.detector(),
-            |det, base| det.detect(base, faults),
+            |det, &b| det.detect(&self.blocks[b], &self.trans, b, faults),
         )?;
         let mut out = Vec::new();
         for (bi, hits) in per_block.into_iter().enumerate() {
@@ -506,7 +560,10 @@ impl<'a> FaultSim<'a> {
     /// patterns, so the words are grouped by observation point and the
     /// union of each point's cones is walked once, adding
     /// `popcount(transition & lanes)` per site and word into a dense
-    /// counter. Scratch is per call, so concurrent calls share nothing.
+    /// counter. A site's transition words are one net-major row, found
+    /// through the per-site net index, so each cone site costs one short
+    /// contiguous read. Scratch is per call, so concurrent calls share
+    /// nothing.
     pub fn active_site_counts<I>(
         &self,
         log: &Signature,
@@ -516,35 +573,24 @@ impl<'a> FaultSim<'a> {
     where
         I: IntoIterator<Item = SiteId>,
     {
+        let groups = self.obs_groups(log, scan);
+        let mut counts = ActiveSiteCounts {
+            sites: Vec::new(),
+            entries: groups.iter().map(ObsGroup::entries).sum(),
+            obs_points: groups.len() as u32,
+        };
         let site_count = self.design.sites().len();
-        // Observation groups with ascending blocks inside each.
-        let mut words: Vec<&ObsWord> = log.words().iter().collect();
-        words.sort_unstable_by_key(|w| (w.obs, w.block));
-
-        let mut counts = ActiveSiteCounts::default();
         let mut count = vec![0u32; site_count];
         // Per-site stamp of the last observation group that visited it.
         let mut visited = vec![0u32; site_count];
-        for group in words.chunk_by(|a, b| a.obs == b.obs) {
-            let Some(cells) = self.obs_cells(scan, group[0].obs) else {
-                continue;
-            };
-            counts.entries += group.iter().map(|w| w.lanes.count_ones()).sum::<u32>();
-            counts.obs_points += 1;
-            let stamp = counts.obs_points;
-            for flop in cells {
+        for (stamp, group) in (1..).zip(&groups) {
+            for &flop in &group.cells {
                 for site in cone(flop) {
                     if visited[site.index()] == stamp {
                         continue;
                     }
                     visited[site.index()] = stamp;
-                    let net = site_net(self.design, site);
-                    let hits: u32 = group
-                        .iter()
-                        .map(|w| {
-                            (self.blocks[w.block as usize].transition(net) & w.lanes).count_ones()
-                        })
-                        .sum();
+                    let hits = group.hits(self.site_row(site));
                     if hits == 0 {
                         continue;
                     }
@@ -559,6 +605,89 @@ impl<'a> FaultSim<'a> {
             *c = count[site.index()];
         }
         counts
+    }
+
+    /// The sites that explain every failure of a log on their own: those
+    /// in the `cone` of one of each observation point's scan cells that
+    /// transition (fault-free) in every failing lane of the point. These
+    /// are exactly the sites whose [`FaultSim::active_site_counts`] count
+    /// over the same cones equals `entries`, which no count exceeds; each
+    /// is listed with that count, in ascending site order. Observation
+    /// points are grouped and skipped as the count does, and
+    /// `entries` and `obs_points` are the count's.
+    ///
+    /// `cone(flop)` must be sorted by site, as [`m3d_part::FaninCones`]
+    /// rows are. The walk starts from the point whose cells' cones are
+    /// smallest in total, keeps the sites that pass its lane test, then
+    /// filters them through every other point: a lane test and a binary
+    /// search in its cells' cones. It stops once no site is left.
+    pub fn active_site_intersection<'c>(
+        &self,
+        log: &Signature,
+        scan: &ScanChains,
+        cone: impl Fn(FlopId) -> &'c [TopEdge],
+    ) -> ActiveSiteCounts {
+        let groups = self.obs_groups(log, scan);
+        let entries = groups.iter().map(ObsGroup::entries).sum();
+        let mut counts = ActiveSiteCounts {
+            sites: Vec::new(),
+            entries,
+            obs_points: groups.len() as u32,
+        };
+        let cone_size = |g: &ObsGroup| g.cells.iter().map(|&c| cone(c).len()).sum::<usize>();
+        let Some(start) = (0..groups.len()).min_by_key(|&i| cone_size(&groups[i])) else {
+            return counts;
+        };
+        let first = &groups[start];
+        let mut sites: Vec<SiteId> = first
+            .cells
+            .iter()
+            .flat_map(|&c| cone(c))
+            .map(|te| te.site)
+            .filter(|&site| first.covered_by(self.site_row(site)))
+            .collect();
+        sites.sort_unstable();
+        sites.dedup();
+        for (i, group) in groups.iter().enumerate() {
+            if sites.is_empty() {
+                break;
+            }
+            if i == start {
+                continue;
+            }
+            sites.retain(|&site| {
+                group.covered_by(self.site_row(site))
+                    && group
+                        .cells
+                        .iter()
+                        .any(|&c| cone(c).binary_search_by_key(&site, |te| te.site).is_ok())
+            });
+        }
+        counts.sites = sites.into_iter().map(|site| (site, entries)).collect();
+        counts
+    }
+
+    /// The words of `log` grouped by observation point, in ascending point
+    /// order with ascending blocks inside each group, skipping points that
+    /// name no scan cell of this design: the grouping both cone walks run
+    /// over.
+    fn obs_groups(&self, log: &Signature, scan: &ScanChains) -> Vec<ObsGroup> {
+        let mut words: Vec<&ObsWord> = log.words().iter().collect();
+        words.sort_unstable_by_key(|w| (w.obs, w.block));
+        words
+            .chunk_by(|a, b| a.obs == b.obs)
+            .filter_map(|group| {
+                let cells = self.obs_cells(scan, group[0].obs)?;
+                let words = group.iter().map(|w| (w.block as usize, w.lanes)).collect();
+                Some(ObsGroup { cells, words })
+            })
+            .collect()
+    }
+
+    /// The transition row of `site`'s net.
+    #[inline]
+    fn site_row(&self, site: SiteId) -> &[u64] {
+        self.trans.row(self.site_nets[site.index()] as usize)
     }
 
     /// Whether a log entry references a pattern and scan cells that exist
@@ -585,16 +714,7 @@ impl<'a> FaultSim<'a> {
     /// Lanes of `block` in which `site` transitions (fault-free).
     #[inline]
     pub fn transition_mask(&self, site: SiteId, block: usize) -> u64 {
-        let net = site_net(self.design, site);
-        self.blocks[block].transition(net)
-    }
-
-    /// Number of patterns in which `site` transitions — the `Tpat` feature
-    /// of the paper's Table I.
-    pub fn transition_count(&self, site: SiteId) -> u32 {
-        (0..self.blocks.len())
-            .map(|b| self.transition_mask(site, b).count_ones())
-            .sum()
+        self.site_row(site)[block]
     }
 }
 
@@ -619,7 +739,7 @@ mod tests {
         let mut det = sim.detector();
         // A site that never transitions can never be detected.
         for (site, _) in d.sites().iter() {
-            if sim.transition_count(site) == 0 {
+            if sim.site_row(site).iter().all(|&w| w == 0) {
                 for pol in Polarity::ALL {
                     assert!(sim
                         .detections(&mut det, &[Fault::new(site, pol)])
@@ -655,7 +775,7 @@ mod tests {
                 let (blk, bit) = p.locate(dt.pattern);
                 let net = site_net(&d, f.site);
                 let act = f.polarity.activation(
-                    sim.block_sims()[blk].f1[net.index()],
+                    sim.transition_mask(f.site, blk),
                     sim.block_sims()[blk].f2[net.index()],
                 );
                 assert_ne!(act & (1 << bit), 0, "detected without activation");

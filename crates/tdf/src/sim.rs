@@ -6,32 +6,57 @@
 //! strobes the final D values, which are shifted out as the test response.
 //! A node *transitions* when its frame-1 and frame-2 values differ — the
 //! condition that can activate a transition-delay fault.
+//!
+//! A run keeps the frame-2 values and the captures per block
+//! ([`BlockSim`]) and the transitions net-major ([`Transitions`]); frame-1
+//! values live only while their block is simulated. A net's frame-1 value
+//! is its frame-2 value flipped in the lanes where it transitions.
 
 use m3d_netlist::{GateKind, Netlist};
 
 use crate::pattern::PatternBlock;
 
-/// Fault-free simulation results for one pattern block.
-#[derive(Clone, Debug)]
+/// Fault-free simulation results for one pattern block: what faulty-machine
+/// propagation starts from and compares against. The block's transitions
+/// are in the [`Transitions`] its run returns beside it.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockSim {
-    /// Frame-1 (launch) value of every net.
-    pub f1: Vec<u64>,
     /// Frame-2 (capture) value of every net.
     pub f2: Vec<u64>,
-    /// Launch-captured D value per flop (becomes the frame-2 state).
-    pub capture1: Vec<u64>,
     /// Final captured D value per flop (the scan-out response).
     pub capture2: Vec<u64>,
     /// Valid-lane mask of the block.
     pub lanes: u64,
 }
 
-impl BlockSim {
-    /// Transition mask of a net: lanes whose frame-1 and frame-2 values
-    /// differ.
+/// Fault-free transitions of a pattern set, net-major: each net has one
+/// row of `u64` words, one per pattern block, holding the lanes in which
+/// the net's frame-1 and frame-2 values differ, masked to the block's
+/// valid lanes. A net's words are contiguous, so a walk over many sites
+/// reads one short row per site instead of one word from each block's
+/// arrays.
+///
+/// With frame-2 value `f2`, a slow-to-rise fault is activated in
+/// `trans & f2` and a slow-to-fall fault in `trans & !f2`
+/// ([`crate::Polarity::activation`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Transitions {
+    blocks: usize,
+    words: Vec<u64>,
+}
+
+impl Transitions {
+    /// The transition words of net `net`, one per block.
     #[inline]
-    pub fn transition(&self, net: m3d_netlist::NetId) -> u64 {
-        (self.f1[net.index()] ^ self.f2[net.index()]) & self.lanes
+    pub fn row(&self, net: usize) -> &[u64] {
+        &self.words[net * self.blocks..(net + 1) * self.blocks]
+    }
+
+    /// The lanes of `block` in which net `net` transitions.
+    #[inline]
+    pub fn word(&self, net: usize, block: usize) -> u64 {
+        debug_assert!(block < self.blocks);
+        self.words[net * self.blocks + block]
     }
 }
 
@@ -60,8 +85,9 @@ impl BlockSim {
 /// let nl = Benchmark::Aes.generate(&GenParams::small(1));
 /// let sim = Simulator::new(&nl);
 /// let pats = PatternSet::random(&nl, 64, 3);
-/// let block = sim.run_block(&pats.blocks()[0]);
+/// let (block, trans) = sim.run_block(&pats.blocks()[0]);
 /// assert_eq!(block.capture2.len(), nl.flops().len());
+/// assert_eq!(trans.row(0).len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct Simulator<'a> {
@@ -283,28 +309,58 @@ impl<'a> Simulator<'a> {
         (nets, capture)
     }
 
-    /// Runs both frames of the LOC test for one pattern block.
-    pub fn run_block(&self, block: &PatternBlock) -> BlockSim {
+    /// Runs both frames of the LOC test for one pattern block. The
+    /// transitions come back as a one-block table: one word per row.
+    pub fn run_block(&self, block: &PatternBlock) -> (BlockSim, Transitions) {
         debug_assert_eq!(block.pi.len(), self.netlist.inputs().len());
         debug_assert_eq!(block.scan.len(), self.netlist.flops().len());
         let lanes = block.lane_mask();
-        let (f1, capture1) = self.eval_frame(&block.pi, &block.scan);
+        let (mut f1, capture1) = self.eval_frame(&block.pi, &block.scan);
         let (f2, capture2) = self.eval_frame(&block.pi, &capture1);
-        BlockSim {
-            f1,
+        // The frame-1 values become the transition words in place.
+        for (t, &v) in f1.iter_mut().zip(&f2) {
+            *t = (*t ^ v) & lanes;
+        }
+        let trans = Transitions {
+            blocks: 1,
+            words: f1,
+        };
+        let sim = BlockSim {
             f2,
-            capture1,
             capture2,
             lanes,
-        }
+        };
+        (sim, trans)
     }
 
     /// Runs [`Simulator::run_block`] over every block on the `m3d-par`
-    /// pool. Blocks are independent and reassembled in block order, so the
-    /// result is identical to mapping `run_block` serially, at any thread
-    /// count.
-    pub fn run_blocks(&self, blocks: &[PatternBlock]) -> Vec<BlockSim> {
-        m3d_par::par_map(blocks, |b| self.run_block(b))
+    /// pool and gathers the per-block transitions into one net-major
+    /// table. Blocks are independent and reassembled in block order, so
+    /// the result is identical to mapping `run_block` serially, at any
+    /// thread count.
+    pub fn run_blocks(&self, blocks: &[PatternBlock]) -> (Vec<BlockSim>, Transitions) {
+        let (sims, columns): (Vec<BlockSim>, Vec<Transitions>) =
+            m3d_par::par_map(blocks, |b| self.run_block(b))
+                .into_iter()
+                .unzip();
+        // Rows are filled a tile at a time, so a tile stays in cache while
+        // every block's column writes its word into each of its rows.
+        const TILE: usize = 256;
+        let count = columns.len();
+        let mut words = vec![0u64; self.netlist.net_count() * count];
+        for (tile, rows) in words.chunks_mut(TILE * count.max(1)).enumerate() {
+            for (b, column) in columns.iter().enumerate() {
+                let column = &column.words[tile * TILE..];
+                for (row, &w) in rows.chunks_exact_mut(count).zip(column) {
+                    row[b] = w;
+                }
+            }
+        }
+        let trans = Transitions {
+            blocks: count,
+            words,
+        };
+        (sims, trans)
     }
 }
 
@@ -347,7 +403,7 @@ mod tests {
         let pats = PatternSet::random(&nl, 64, 11);
         let sim = Simulator::new(&nl);
         let block = &pats.blocks()[0];
-        let blk = sim.run_block(block);
+        let (blk, trans) = sim.run_block(block);
         let d_nets: Vec<usize> = nl
             .flops()
             .iter()
@@ -356,28 +412,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..8 {
             let lane = rng.gen_range(0..64);
-            let bits = |words: &[u64]| -> Vec<bool> {
-                words.iter().map(|&w| (w >> lane) & 1 == 1).collect()
-            };
+            let bit = |w: u64| (w >> lane) & 1 == 1;
+            let bits = |words: &[u64]| -> Vec<bool> { words.iter().map(|&w| bit(w)).collect() };
             let pi = bits(&block.pi);
-            // Frame 1 from the scan load, frame 2 from the launch capture.
-            let frames = [
-                (&blk.f1, &blk.capture1, bits(&block.scan)),
-                (&blk.f2, &blk.capture2, bits(&blk.capture1)),
-            ];
-            for (frame, (values, capture, state)) in frames.into_iter().enumerate() {
-                let nets = eval_single_frame(&nl, &pi, &state);
-                for (i, &v) in nets.iter().enumerate() {
-                    assert_eq!(
-                        (values[i] >> lane) & 1 == 1,
-                        v,
-                        "frame {}, net {i}, lane {lane}",
-                        frame + 1
-                    );
-                }
-                let d_values: Vec<bool> = d_nets.iter().map(|&n| nets[n]).collect();
-                assert_eq!(bits(capture), d_values, "frame {}, lane {lane}", frame + 1);
+            // Frame 1 from the scan load, frame 2 from frame 1's D values
+            // (the launch capture).
+            let frame1 = eval_single_frame(&nl, &pi, &bits(&block.scan));
+            let launch: Vec<bool> = d_nets.iter().map(|&n| frame1[n]).collect();
+            let frame2 = eval_single_frame(&nl, &pi, &launch);
+            for (i, (&v1, &v2)) in frame1.iter().zip(&frame2).enumerate() {
+                assert_eq!(bit(blk.f2[i]), v2, "frame 2, net {i}, lane {lane}");
+                assert_eq!(bit(trans.word(i, 0)), v1 ^ v2, "net {i}, lane {lane}");
             }
+            let capture: Vec<bool> = d_nets.iter().map(|&n| frame2[n]).collect();
+            assert_eq!(bits(&blk.capture2), capture, "lane {lane}");
         }
     }
 
@@ -399,12 +447,11 @@ mod tests {
             count: 1,
         };
         let sim = Simulator::new(&nl);
-        let s = sim.run_block(&block);
-        assert_eq!(s.capture1[0] & 1, 1);
+        let (s, trans) = sim.run_block(&block);
         assert_eq!(s.capture2[0] & 1, 0);
-        // The D net transitions between frames.
+        // The D net falls between frames: frame 1 captured 1.
         let d = nl.gate(nl.flops()[0]).inputs()[0];
-        assert_eq!(s.transition(d) & 1, 1);
+        assert_eq!(trans.word(d.index(), 0) & 1, 1);
     }
 
     #[test]
@@ -412,16 +459,14 @@ mod tests {
         let nl = Benchmark::Netcard.generate(&GenParams::small(2));
         let pats = PatternSet::random(&nl, 300, 7);
         let sim = Simulator::new(&nl);
-        let serial: Vec<BlockSim> = pats.blocks().iter().map(|b| sim.run_block(b)).collect();
+        let (serial, columns): (Vec<BlockSim>, Vec<Transitions>) =
+            pats.blocks().iter().map(|b| sim.run_block(b)).unzip();
         for threads in [1, 4] {
-            let par = m3d_par::with_threads(threads, || sim.run_blocks(pats.blocks()));
-            assert_eq!(par.len(), serial.len());
-            for (a, b) in par.iter().zip(&serial) {
-                assert_eq!(a.f1, b.f1, "threads {threads}");
-                assert_eq!(a.f2, b.f2, "threads {threads}");
-                assert_eq!(a.capture1, b.capture1, "threads {threads}");
-                assert_eq!(a.capture2, b.capture2, "threads {threads}");
-                assert_eq!(a.lanes, b.lanes, "threads {threads}");
+            let (par, trans) = m3d_par::with_threads(threads, || sim.run_blocks(pats.blocks()));
+            assert_eq!(par, serial, "threads {threads}");
+            for net in 0..nl.net_count() {
+                let want: Vec<u64> = columns.iter().map(|c| c.word(net, 0)).collect();
+                assert_eq!(trans.row(net), want, "threads {threads}, net {net}");
             }
         }
     }
@@ -431,8 +476,9 @@ mod tests {
         let nl = Benchmark::Aes.generate(&GenParams::small(1));
         let pats = PatternSet::random(&nl, 5, 2);
         let sim = Simulator::new(&nl);
-        let blk = sim.run_block(&pats.blocks()[0]);
+        let (blk, trans) = sim.run_block(&pats.blocks()[0]);
         assert_eq!(blk.lanes, (1 << 5) - 1);
+        assert!((0..nl.net_count()).all(|n| trans.word(n, 0) & !blk.lanes == 0));
     }
 
     #[test]
@@ -442,11 +488,11 @@ mod tests {
         let nl = Benchmark::Aes.generate(&GenParams::small(1));
         let pats = PatternSet::random(&nl, 64, 4);
         let sim = Simulator::new(&nl);
-        let blk = sim.run_block(&pats.blocks()[0]);
+        let (_, trans) = sim.run_block(&pats.blocks()[0]);
         // PI-driven nets never transition (PIs are held across frames).
         for &g in nl.inputs() {
             let out = nl.gate(g).output().unwrap();
-            assert_eq!(blk.transition(out), 0);
+            assert_eq!(trans.word(out.index(), 0), 0);
         }
     }
 }

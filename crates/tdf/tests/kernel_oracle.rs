@@ -141,7 +141,8 @@ fn reference_counts(
 }
 
 /// The faulty machine by brute force: per block, every distinct fault's
-/// activation lanes on the fault-free frames become flips — on an output
+/// activation lanes (its site's fault-free transition word and frame-2
+/// value, [`Polarity::activation`]) become flips — on an output
 /// pin's net, an input pin, or an MIV's far-tier pins, ORed where faults
 /// share one — then every frame-2 gate is re-evaluated in topological
 /// order and every flop's capture is compared with the fault-free one.
@@ -163,7 +164,9 @@ fn brute_force_detections(sim: &FaultSim<'_>, faults: &[Fault]) -> Vec<Detection
         let mut pin_flips: HashMap<(GateId, usize), u64> = HashMap::new();
         for fault in &distinct {
             let net = site_net(design, fault.site).index();
-            let act = fault.polarity.activation(base.f1[net], base.f2[net]) & base.lanes;
+            let act = fault
+                .polarity
+                .activation(sim.transition_mask(fault.site, block), base.f2[net]);
             match injection_scope(design, fault.site) {
                 InjectionScope::Net(n) => *net_flips.entry(n).or_default() |= act,
                 InjectionScope::Branch(g, pin) => {
@@ -224,9 +227,9 @@ fn stem_and_branch_faults_of_one_gate_match_the_brute_force_machine() {
     let sim = FaultSim::new(&e.design, &e.ts.patterns);
     let nl = e.design.netlist();
     let activation = |f: Fault, block: usize| {
-        let b = &sim.block_sims()[block];
-        let n = site_net(&e.design, f.site).index();
-        f.polarity.activation(b.f1[n], b.f2[n]) & b.lanes
+        let f2 = sim.block_sims()[block].f2[site_net(&e.design, f.site).index()];
+        f.polarity
+            .activation(sim.transition_mask(f.site, block), f2)
     };
     let mut det = sim.detector();
     let pairs = nl.topo_order().iter().flat_map(|&g| {

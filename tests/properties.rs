@@ -65,14 +65,21 @@ proptest! {
         let pats = PatternSet::random(nl, 32, 99);
         let sim = Simulator::new(nl);
         let block = &pats.blocks()[0];
-        let run = sim.run_block(block);
-        let pi: Vec<bool> =
-            block.pi.iter().map(|&w| (w >> lane) & 1 == 1).collect();
-        let st: Vec<bool> =
-            block.scan.iter().map(|&w| (w >> lane) & 1 == 1).collect();
-        let reference = eval_single_frame(nl, &pi, &st);
-        for (i, &v) in reference.iter().enumerate() {
-            prop_assert_eq!((run.f1[i] >> lane) & 1 == 1, v);
+        let (run, trans) = sim.run_block(block);
+        let bit = |w: u64| (w >> lane) & 1 == 1;
+        let pi: Vec<bool> = block.pi.iter().map(|&w| bit(w)).collect();
+        let st: Vec<bool> = block.scan.iter().map(|&w| bit(w)).collect();
+        let frame1 = eval_single_frame(nl, &pi, &st);
+        // Frame 2 starts from frame 1's D values (the launch capture).
+        let launch: Vec<bool> = nl
+            .flops()
+            .iter()
+            .map(|&f| frame1[nl.gate(f).inputs()[0].index()])
+            .collect();
+        let frame2 = eval_single_frame(nl, &pi, &launch);
+        for (i, (&v1, &v2)) in frame1.iter().zip(&frame2).enumerate() {
+            prop_assert_eq!(bit(run.f2[i]), v2);
+            prop_assert_eq!(bit(trans.word(i, 0)), v1 ^ v2);
         }
     }
 
