@@ -2,11 +2,23 @@
 //!
 //! Given a failure log, the engine (1) extracts suspect sites by tracing
 //! the fan-in cones of failing observation points, filtered to sites that
-//! transition under the failing pattern, (2) fault-simulates each suspect
-//! and scores its predicted failure signature against the log, and (3)
-//! ranks and retains candidates. When no single fault explains the log
-//! (systematic multi-fault chips), an iterative-cover pass selects a set of
-//! faults that jointly explain the failures.
+//! transition under the failing pattern, (2) fault-simulates the suspects
+//! that can still reach the report and scores each predicted failure
+//! signature against the log, and (3) ranks and retains candidates. When
+//! no single fault explains the log (systematic multi-fault chips), an
+//! iterative-cover pass selects a set of faults that jointly explain the
+//! failures.
+//!
+//! Step (2) runs in two waves. Wave 1 is the suspects whose count reaches
+//! the log's failure count; no site explains more failures than it counts,
+//! so a candidate that explains the log perfectly is among them. If one
+//! is, the report is the single-fault ranking, whose retention floor is
+//! then fixed by the failure count alone, and a remaining suspect is
+//! simulated only if one of its polarities is activated in enough failing
+//! patterns to reach that floor ([`FaultSim::activation_support`]). The
+//! suspects skipped can neither pass the floor nor be perfect, and the
+//! ranking orders by site, so the report is the one scoring every suspect
+//! gives. Without a perfect candidate in wave 1, every suspect is scored.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,7 +33,10 @@ use crate::report::{Candidate, DiagnosisReport, MatchScore};
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DiagnosisConfig {
     /// Keep candidates explaining at least this fraction of the failures
-    /// the best candidate explains (`tfsf` relative cut).
+    /// the best candidate explains (`tfsf` relative cut). When a candidate
+    /// explains the log perfectly, the best explains every failure, so the
+    /// same fraction of the failure count is also the floor below which a
+    /// suspect's activation support lets diagnosis skip simulating it.
     pub retain_ratio: f64,
     /// Hard cap on report length.
     pub max_candidates: usize,
@@ -256,17 +271,13 @@ impl<'a> Diagnoser<'a> {
         span.add("obs_points", u64::from(counts.obs_points));
         let needed =
             ((f64::from(counts.entries) * self.config.suspect_entry_frac).ceil() as u32).max(1);
-        let mut by_freq = counts.sites;
-        by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let suspects: Vec<SiteId> = by_freq
-            .iter()
-            .take_while(|&&(_, c)| c >= needed)
-            .take(self.config.max_cover_suspects)
-            .map(|&(s, _)| s)
-            .collect();
+        let by_freq = self.most_frequent(counts.sites);
+        let suspects = &by_freq[..by_freq.partition_point(|&(_, c)| c >= needed)];
 
-        let scored = self.score_suspects(&suspects, &tester, cancel)?;
-        span.add("suspects", suspects.len() as u64);
+        let (scored, skipped) = self.score_phase1(suspects, &tester, cancel)?;
+        span.add("suspects", scored.len() as u64);
+        span.add("skipped", skipped as u64);
+        m3d_obs::counter("diagnosis.suspects_skipped", skipped as u64);
 
         let _rank = m3d_obs::span("cover_rank");
         let single_explains = scored.iter().any(|(c, _)| c.score.is_perfect());
@@ -283,12 +294,75 @@ impl<'a> Diagnoser<'a> {
         Ok(self.rank_and_retain(scored))
     }
 
-    /// Scores every suspect in parallel: each candidate simulates both
-    /// polarities over the full pattern set, which is the dominant cost
-    /// of a diagnosis at paper scale. Suspects are independent and the
-    /// map is order-preserving with one propagation scratch per worker,
-    /// so the report is bitwise identical at any thread count — which is
-    /// also why the cost gate (suspects × design size) can keep
+    /// The `max_cover_suspects` most frequent counted sites, by count
+    /// descending and then site. Phase 1's suspects are a prefix of them
+    /// and the cover reads no site past them, so only the kept ones are
+    /// sorted; the order is total, so the prefix is the one a full sort
+    /// gives.
+    fn most_frequent(&self, mut sites: Vec<(SiteId, u32)>) -> Vec<(SiteId, u32)> {
+        let by_freq = |a: &(SiteId, u32), b: &(SiteId, u32)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
+        let keep = self.config.max_cover_suspects;
+        if sites.len() > keep {
+            sites.select_nth_unstable_by(keep, by_freq);
+            sites.truncate(keep);
+        }
+        sites.sort_unstable_by(by_freq);
+        sites
+    }
+
+    /// Phase 1's scoring, in two waves; `suspects` are `(site, count)` in
+    /// frequency order. Returns the scored suspects, in suspect order, and
+    /// how many were skipped.
+    ///
+    /// Wave 1 is the leading suspects whose count reaches the failure
+    /// count. A site's predicted failures lie in its failing cells' cones
+    /// and in patterns that make it transition, so its `tfsf` never
+    /// exceeds its count, and a perfect candidate (`tfsf` = failures) is
+    /// in wave 1. If wave 1 holds one, [`Diagnoser::rank_and_retain`]'s
+    /// best `tfsf` is the failure count whatever else is scored, and its
+    /// floor is [`Diagnoser::retention_floor`] of it. A remaining suspect
+    /// whose activation support is below that floor under both polarities
+    /// has `tfsf` below it whichever polarity it keeps, and its count, so
+    /// its `tfsf`, is below the failure count, so it is neither retained
+    /// nor perfect; the ranking orders by site, so its absence changes no
+    /// report, and it is skipped. Otherwise every suspect is scored, as
+    /// the cover needs.
+    fn score_phase1(
+        &self,
+        suspects: &[(SiteId, u32)],
+        tester: &Signature,
+        cancel: &AtomicBool,
+    ) -> Result<(Vec<(Candidate, Signature)>, usize), Cancelled> {
+        let failures = tester.failures();
+        let (wave1, rest) = suspects.split_at(suspects.partition_point(|&(_, c)| c >= failures));
+        let sites = |s: &[(SiteId, u32)]| -> Vec<SiteId> { s.iter().map(|&(s, _)| s).collect() };
+        let mut scored = if wave1.is_empty() {
+            Vec::new()
+        } else {
+            self.score_suspects(&sites(wave1), tester, cancel)?
+        };
+        let mut rest = sites(rest);
+        let total = rest.len();
+        if scored.iter().any(|(c, _)| c.score.is_perfect()) {
+            let floor = self.retention_floor(failures);
+            rest.retain(|&s| {
+                self.fsim
+                    .activation_support(s, tester)
+                    .into_iter()
+                    .any(|n| n >= floor)
+            });
+        }
+        let skipped = total - rest.len();
+        scored.extend(self.score_suspects(&rest, tester, cancel)?);
+        Ok((scored, skipped))
+    }
+
+    /// Scores one wave of suspects in parallel: each candidate simulates
+    /// both polarities over the full pattern set, which is the dominant
+    /// cost of a diagnosis at paper scale. Suspects are independent and
+    /// the map is order-preserving with one propagation scratch per
+    /// worker, so the report is bitwise identical at any thread count —
+    /// which is also why the cost gate (suspects × design size) can keep
     /// small-design diagnoses serial without changing any report.
     fn score_suspects(
         &self,
@@ -329,7 +403,8 @@ impl<'a> Diagnoser<'a> {
 
     /// Greedy cover: repeatedly pick the suspect explaining the most
     /// residual failures, until the log is explained or progress stops.
-    /// `ranked` is phase 1's frequency-ranked union of per-entry suspects.
+    /// `ranked` is phase 1's frequency-ranked union of per-entry suspects,
+    /// cut to `max_cover_suspects` ([`Diagnoser::most_frequent`]).
     fn cover_diagnosis(
         &self,
         ranked: &[(SiteId, u32)],
@@ -338,11 +413,7 @@ impl<'a> Diagnoser<'a> {
         cancel: &AtomicBool,
         span: &mut m3d_obs::SpanGuard,
     ) -> Result<Vec<(Candidate, Signature)>, Cancelled> {
-        let by_freq: Vec<SiteId> = ranked
-            .iter()
-            .take(self.config.max_cover_suspects)
-            .map(|&(s, _)| s)
-            .collect();
+        let by_freq: Vec<SiteId> = ranked.iter().map(|&(s, _)| s).collect();
 
         let mut pool: HashMap<SiteId, (Candidate, Signature)> = seed
             .into_iter()
@@ -441,7 +512,7 @@ impl<'a> Diagnoser<'a> {
                 .cmp(&band(a.score.tfsf))
                 .then(a.fault.site.cmp(&b.fault.site))
         });
-        let floor = (f64::from(best_tfsf) * self.config.retain_ratio).ceil() as u32;
+        let floor = self.retention_floor(best_tfsf);
         let candidates: Vec<Candidate> = scored
             .into_iter()
             .filter(|(c, _)| c.score.is_perfect() || c.score.tfsf >= floor)
@@ -449,6 +520,13 @@ impl<'a> Diagnoser<'a> {
             .map(|(c, _)| c)
             .collect();
         DiagnosisReport::new(candidates)
+    }
+
+    /// The fewest explained failures a non-perfect candidate needs to be
+    /// retained when the best candidate explains `best_tfsf`: the one
+    /// expression both the ranking and phase 1's skip use.
+    fn retention_floor(&self, best_tfsf: u32) -> u32 {
+        (f64::from(best_tfsf) * self.config.retain_ratio).ceil() as u32
     }
 }
 
@@ -459,8 +537,10 @@ mod tests {
     use m3d_netlist::generate::Benchmark;
     use m3d_part::DesignConfig;
     use m3d_tdf::{generate_patterns, AtpgConfig, FailEntry};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{seq::SliceRandom, Rng, SeedableRng};
+    use std::sync::OnceLock;
 
     struct Env {
         design: m3d_part::M3dDesign,
@@ -485,6 +565,20 @@ mod tests {
             .filter(|&(_, &d)| d)
             .map(|(f, _)| f)
             .collect()
+    }
+
+    /// The AES-300 environment, its fault simulator and its detected
+    /// faults, built once for every case of the exactness oracle.
+    fn oracle_env() -> (&'static Env, &'static FaultSim<'static>, &'static [Fault]) {
+        static ENV: OnceLock<(Env, Vec<Fault>)> = OnceLock::new();
+        static FSIM: OnceLock<FaultSim<'static>> = OnceLock::new();
+        let (e, detected) = ENV.get_or_init(|| {
+            let e = env();
+            let detected = detected_faults(&e);
+            (e, detected)
+        });
+        let fsim = FSIM.get_or_init(|| FaultSim::new(&e.design, &e.ts.patterns));
+        (e, fsim, detected)
     }
 
     #[test]
@@ -677,5 +771,150 @@ mod tests {
         let set = AtomicBool::new(true);
         assert_eq!(diag.try_diagnose(&log, &set), Err(Cancelled));
         assert!(diag.try_diagnose(&FailureLog::default(), &set).is_ok());
+    }
+
+    /// Entries naming no pattern or scan cell of the environment, as in
+    /// `m3d-tdf`'s kernel oracle: each one degrades the report.
+    fn junk_entries(e: &Env) -> [FailEntry; 4] {
+        use m3d_dft::ObsPoint;
+        use m3d_netlist::FlopId;
+        let flops = e.design.netlist().flops().len();
+        [
+            FailEntry {
+                pattern: u32::MAX,
+                obs: ObsPoint::Flop(FlopId::new(u32::MAX as usize)),
+            },
+            FailEntry {
+                pattern: 3,
+                obs: ObsPoint::Flop(FlopId::new(flops)),
+            },
+            FailEntry {
+                pattern: e.ts.patterns.len() as u32,
+                obs: ObsPoint::Flop(FlopId::new(0)),
+            },
+            FailEntry {
+                pattern: 3,
+                obs: ObsPoint::ChannelCycle {
+                    channel: 9999,
+                    cycle: 0,
+                },
+            },
+        ]
+    }
+
+    /// What the reference diagnosis computed.
+    struct Reference {
+        report: DiagnosisReport,
+        /// Phase 1's suspects, `(site, count)` in frequency order.
+        suspects: Vec<(SiteId, u32)>,
+        tester: Signature,
+        /// Every suspect scored, in suspect order.
+        scored: Vec<(Candidate, Signature)>,
+        /// Whether the phase-2 cover ran.
+        cover: bool,
+    }
+
+    /// `diagnose_trusted` as it was before phase 1 scored in waves, kept
+    /// as the exactness oracle's reference: every counted site sorted,
+    /// every suspect scored, then the cover or the ranking.
+    fn reference_diagnose(diag: &Diagnoser<'_>, log: &FailureLog) -> Reference {
+        let never = AtomicBool::new(false);
+        let mut span = m3d_obs::span("reference");
+        let tester = Signature::from_log(log, diag.fsim.patterns());
+        let counts = diag
+            .fsim
+            .active_site_counts(&tester, diag.scan, |flop| diag.cones.sites(flop));
+        let needed =
+            ((f64::from(counts.entries) * diag.config.suspect_entry_frac).ceil() as u32).max(1);
+        let mut by_freq = counts.sites;
+        by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let suspects: Vec<(SiteId, u32)> = by_freq
+            .iter()
+            .copied()
+            .take_while(|&(_, c)| c >= needed)
+            .take(diag.config.max_cover_suspects)
+            .collect();
+        let sites: Vec<SiteId> = suspects.iter().map(|&(s, _)| s).collect();
+        let scored = diag
+            .score_suspects(&sites, &tester, &never)
+            .expect("never cancelled");
+        let cover = !scored.iter().any(|(c, _)| c.score.is_perfect());
+        let report = if cover {
+            let ranked = &by_freq[..by_freq.len().min(diag.config.max_cover_suspects)];
+            let selected = diag
+                .cover_diagnosis(ranked, &tester, scored.clone(), &never, &mut span)
+                .expect("never cancelled");
+            diag.rank_cover(selected)
+        } else {
+            diag.rank_and_retain(scored.clone())
+        };
+        Reference {
+            report,
+            suspects,
+            tester,
+            scored,
+            cover,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Scoring only the suspects that can reach the report gives the
+        /// report scoring every suspect gives, at pool widths 1 and 4, on
+        /// bypass and compacted logs of 1–5 faults with out-of-range
+        /// entries mixed in, under the default, a low and a full
+        /// retention ratio, and with the suspect cap cut to 8. A log
+        /// that reaches the cover must have been scored in full.
+        #[test]
+        fn diagnosis_equals_the_score_every_suspect_reference(
+            seed in any::<u64>(),
+            k in 1usize..6,
+            compacted in any::<bool>(),
+            junk in 0usize..5,
+            ratio in 0usize..4,
+            cap in 0usize..4,
+        ) {
+            let (e, fsim, detected) = oracle_env();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let picks: Vec<Fault> = (0..k)
+                .map(|_| detected[rng.gen_range(0..detected.len())])
+                .collect();
+            let mode = if compacted { ObsMode::Compacted } else { ObsMode::Bypass };
+            let config = DiagnosisConfig {
+                retain_ratio: [0.55, 0.55, 0.3, 1.0][ratio],
+                max_cover_suspects: [8, 160, 160, 160][cap],
+                ..DiagnosisConfig::default()
+            };
+            let diag = Diagnoser::new(fsim, &e.scan, mode, config);
+            let dets = fsim.detections(&mut fsim.detector(), &picks);
+            let clean = FailureLog::from_detections(&dets, &e.scan, mode);
+            let log: FailureLog = clean
+                .entries()
+                .iter()
+                .copied()
+                .chain(junk_entries(e).into_iter().take(junk))
+                .collect();
+
+            let want = reference_diagnose(&diag, &clean);
+            let mut report = want.report.clone();
+            if junk > 0 {
+                report.mark_degraded();
+            }
+            for width in [1, 4] {
+                let got = m3d_par::with_threads(width, || {
+                    m3d_par::with_par_threshold(0, || diag.diagnose(&log))
+                });
+                prop_assert_eq!(&got, &report, "{:?}, {:?}, width {}", picks, mode, width);
+            }
+            let never = AtomicBool::new(false);
+            let (scored, skipped) = diag
+                .score_phase1(&want.suspects, &want.tester, &never)
+                .expect("never cancelled");
+            prop_assert_eq!(scored.len() + skipped, want.suspects.len());
+            if want.cover {
+                prop_assert_eq!(scored, want.scored, "the cover's suspects were skipped");
+            }
+        }
     }
 }

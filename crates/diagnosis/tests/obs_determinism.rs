@@ -4,6 +4,10 @@
 //! log cost, and each has one child span per phase — suspect counting,
 //! scoring and cover/rank — so its time splits by phase.
 //!
+//! The spans also say which path scoring took, which report equality
+//! cannot see: a single-fault log whose perfect candidate is in wave 1
+//! skips suspects, and a log that reaches the cover skips none.
+//!
 //! Single `#[test]`: obs state is process-global, so the scenarios run
 //! sequentially inside one test function.
 
@@ -135,19 +139,36 @@ fn diagnosis_telemetry_is_a_pure_read() {
             counters.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
         };
         let mut scored = 0;
+        let mut skipped = 0;
         for counters in &spans {
             assert!(field(counters, "obs_points").is_some_and(|n| n > 0));
             let suspects = field(counters, "suspects").expect("phase-1 suspects recorded");
             scored += suspects + field(counters, "cover_suspects").unwrap_or(0);
+            let skips = field(counters, "skipped").expect("skipped suspects recorded");
+            if field(counters, "cover_suspects").is_some() {
+                assert_eq!(skips, 0, "a log that reaches the cover is scored in full");
+            }
+            skipped += skips;
         }
         assert!(
             spans.iter().any(|c| field(c, "cover_suspects").is_some()),
             "a multi-fault log ran the cover"
         );
+        assert!(
+            spans.iter().any(|c| field(c, "cover_suspects").is_none()
+                && field(c, "skipped").is_some_and(|n| n > 0)),
+            "a single-fault log skipped suspects its perfect candidate ruled out"
+        );
+        let registry = m3d_obs::registry_snapshot();
         assert_eq!(
-            m3d_obs::registry_snapshot().counter_value("diagnosis.suspects_scored"),
+            registry.counter_value("diagnosis.suspects_scored"),
             Some(scored),
             "the counter sums the spans"
+        );
+        assert_eq!(
+            registry.counter_value("diagnosis.suspects_skipped"),
+            Some(skipped),
+            "the skip counter sums the spans"
         );
         assert_eq!(
             scored_in_phases, scored,

@@ -488,6 +488,31 @@ impl<'a> FaultSim<'a> {
         sigs
     }
 
+    /// The activation support of both single faults at `site` against a
+    /// failure log in word form, indexed like [`Polarity::ALL`]: how many
+    /// of the log's failures fall in patterns that activate the polarity,
+    /// `Σ popcount(activation(trans, f2) & lanes)` over the log's words.
+    ///
+    /// It bounds each polarity's explained failures (`tfsf`) from above:
+    /// [`FaultSim::signatures`] masks each polarity's words by its
+    /// activation lanes, so no predicted failure falls outside them and
+    /// `signatures(det, site, scan, mode)[p].overlap(log)` never exceeds
+    /// `activation_support(site, log)[p]`, in either mode. It reads one
+    /// transition word per log word and propagates nothing.
+    pub fn activation_support(&self, site: SiteId, log: &Signature) -> [u32; 2] {
+        let net = self.site_nets[site.index()] as usize;
+        let row = self.trans.row(net);
+        let mut support = [0u32; 2];
+        for w in log.words() {
+            let block = w.block as usize;
+            let f2 = self.blocks[block].f2[net];
+            for (s, p) in support.iter_mut().zip(Polarity::ALL) {
+                *s += (p.activation(row[block], f2) & w.lanes).count_ones();
+            }
+        }
+        support
+    }
+
     /// Like [`FaultSim::detections`], but fans the per-block propagation
     /// across the `m3d_par` pool with one [`BlockDetector`] scratch per
     /// worker. Results are identical to the serial method (blocks are

@@ -19,6 +19,12 @@
 //!   `FailureLog::from_detections` builds from a single-fault
 //!   [`FaultSim::detections`] call, regrouped into `(block, observation,
 //!   lanes)` words, in bypass and compacted modes.
+//! - [`FaultSim::activation_support`] must bound every polarity's
+//!   explained failures from above: for every site and both polarities,
+//!   `signatures(site)[p].overlap(log) <= activation_support(site, log)[p]`
+//!   on bypass and compacted logs of 1–5 faults with out-of-range entries
+//!   mixed in. On a fault's own single-fault log the two are equal, to the
+//!   log's failure count, and the other polarity's support is zero.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::OnceLock;
@@ -262,6 +268,57 @@ fn stem_and_branch_faults_of_one_gate_match_the_brute_force_machine() {
     panic!("only {checked} stem/branch pairs share an activation lane");
 }
 
+/// Every site with its signatures, per mode of [`ObsMode::ALL`].
+type SiteSignatures = [Vec<(SiteId, [Signature; 2])>; 2];
+
+/// Every site's signatures, in each mode of [`ObsMode::ALL`], computed
+/// once for the support bound's cases.
+fn all_signatures() -> &'static SiteSignatures {
+    static SIGS: OnceLock<SiteSignatures> = OnceLock::new();
+    SIGS.get_or_init(|| {
+        let e = env();
+        let sim = FaultSim::new(&e.design, &e.ts.patterns);
+        let mut det = sim.detector();
+        ObsMode::ALL.map(|mode| {
+            e.design
+                .sites()
+                .iter()
+                .map(|(site, _)| (site, sim.signatures(&mut det, site, &e.scan, mode)))
+                .collect()
+        })
+    })
+}
+
+/// On a fault's own single-fault log every failure is activated by its
+/// polarity and explained by its signature, so the support bound is met
+/// exactly; the other polarity activates none of those patterns.
+#[test]
+fn activation_support_is_tight_on_a_fault_s_own_log() {
+    let e = env();
+    let sim = FaultSim::new(&e.design, &e.ts.patterns);
+    let mut det = sim.detector();
+    let mut failing = 0;
+    for (mode, sigs) in ObsMode::ALL.into_iter().zip(all_signatures()) {
+        for (site, sig) in sigs {
+            for (p, pol) in Polarity::ALL.into_iter().enumerate() {
+                let dets = sim.detections(&mut det, &[Fault::new(*site, pol)]);
+                let log = FailureLog::from_detections(&dets, &e.scan, mode);
+                let own = Signature::from_log(&log, &e.ts.patterns);
+                let support = sim.activation_support(*site, &own);
+                assert_eq!(support[p], own.failures(), "{pol:?} at {site:?}, {mode:?}");
+                assert_eq!(
+                    sig[p].overlap(&own),
+                    support[p],
+                    "{pol:?} at {site:?}, {mode:?}"
+                );
+                assert_eq!(support[1 - p], 0, "{pol:?} at {site:?}, {mode:?}");
+                failing += usize::from(!own.is_empty());
+            }
+        }
+    }
+    assert!(failing > 0, "some single-fault log fails");
+}
+
 /// A failure log regrouped into `(block, observation, lanes)` words, one
 /// per `(block, observation)` with a failure, in key order.
 fn log_words(log: &FailureLog) -> Vec<(u32, ObsPoint, u64)> {
@@ -273,6 +330,35 @@ fn log_words(log: &FailureLog) -> Vec<(u32, ObsPoint, u64)> {
         .into_iter()
         .map(|((b, obs), lanes)| (b, obs, lanes))
         .collect()
+}
+
+/// Entries naming no pattern or scan cell of the environment: a pattern
+/// and a cell past every index, a cell one past the last, a pattern one
+/// past the last, and a compacted observation on a channel that does not
+/// exist.
+fn junk_entries(e: &Env) -> [FailEntry; 4] {
+    let flops = e.design.netlist().flops().len();
+    [
+        FailEntry {
+            pattern: u32::MAX,
+            obs: ObsPoint::Flop(FlopId::new(u32::MAX as usize)),
+        },
+        FailEntry {
+            pattern: 3,
+            obs: ObsPoint::Flop(FlopId::new(flops)),
+        },
+        FailEntry {
+            pattern: e.ts.patterns.len() as u32,
+            obs: ObsPoint::Flop(FlopId::new(0)),
+        },
+        FailEntry {
+            pattern: 3,
+            obs: ObsPoint::ChannelCycle {
+                channel: 9999,
+                cycle: 0,
+            },
+        },
+    ]
 }
 
 /// Whether two of an observation's scan cells share a cone site.
@@ -314,14 +400,8 @@ proptest! {
             }
         }
         let clean: FailureLog = entries.into_iter().collect();
-        let flops = e.design.netlist().flops().len();
-        let junk_entries = [
-            FailEntry { pattern: u32::MAX, obs: ObsPoint::Flop(FlopId::new(u32::MAX as usize)) },
-            FailEntry { pattern: 3, obs: ObsPoint::Flop(FlopId::new(flops)) },
-            FailEntry { pattern: e.ts.patterns.len() as u32, obs: ObsPoint::Flop(FlopId::new(0)) },
-            FailEntry { pattern: 3, obs: ObsPoint::ChannelCycle { channel: 9999, cycle: 0 } },
-        ];
-        let log: FailureLog = clean.entries().iter().copied().chain(junk_entries.into_iter().take(junk)).collect();
+        let out_of_range = junk_entries(e).into_iter().take(junk);
+        let log: FailureLog = clean.entries().iter().copied().chain(out_of_range).collect();
 
         let words = Signature::from_log(&log, &e.ts.patterns);
         let cones = e.design.fanin_cones();
@@ -386,6 +466,43 @@ proptest! {
             prop_assert_eq!(got, log_words(&log), "{:?} at {:?}", pol, site);
             prop_assert_eq!(sig.failures() as usize, log.len());
             prop_assert_eq!(sig, Signature::from_log(&log, &e.ts.patterns));
+        }
+    }
+
+    #[test]
+    fn activation_support_bounds_every_signature_overlap(
+        seed in any::<u64>(),
+        k in 1usize..6,
+        compacted in any::<bool>(),
+        junk in 0usize..5,
+    ) {
+        let e = env();
+        let sim = FaultSim::new(&e.design, &e.ts.patterns);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let picks: Vec<Fault> = (0..k)
+            .map(|_| e.detected[rng.gen_range(0..e.detected.len())])
+            .collect();
+        let mode = ObsMode::ALL[usize::from(compacted)];
+        let dets = sim.detections(&mut sim.detector(), &picks);
+        let log: FailureLog = FailureLog::from_detections(&dets, &e.scan, mode)
+            .entries()
+            .iter()
+            .copied()
+            .chain(junk_entries(e).into_iter().take(junk))
+            .collect();
+        let words = Signature::from_log(&log, &e.ts.patterns);
+        for (site, sig) in &all_signatures()[usize::from(compacted)] {
+            let support = sim.activation_support(*site, &words);
+            for (p, pol) in Polarity::ALL.into_iter().enumerate() {
+                prop_assert!(
+                    sig[p].overlap(&words) <= support[p],
+                    "{:?} at {:?}: overlap {} > support {}",
+                    pol,
+                    site,
+                    sig[p].overlap(&words),
+                    support[p]
+                );
+            }
         }
     }
 }
