@@ -145,11 +145,10 @@ fn render_str(s: &str, out: &mut String) {
 
 /// Parses a complete JSON document, rejecting trailing garbage.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing input at byte {pos}"));
     }
     Ok(value)
@@ -170,16 +169,17 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_str(bytes, pos).map(Json::Str),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'{') => parse_obj(bytes, pos),
+        Some(b'"') => parse_str(text, pos).map(Json::Str),
+        Some(b'[') => parse_arr(text, pos),
+        Some(b'{') => parse_obj(text, pos),
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(bytes, pos),
         Some(c) => Err(format!("unexpected `{}` at byte {}", *c as char, *pos)),
     }
@@ -217,17 +217,28 @@ fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
     u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".into())
 }
 
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_str(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run of plain characters up to the next delimiter in one
+        // step. Both delimiters are ASCII, so the run ends on a character
+        // boundary of `text`, which is valid UTF-8 already.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - *pos);
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A backslash: one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -265,19 +276,12 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 character (multi-byte safe).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8 in string")?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -286,7 +290,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -299,7 +303,8 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -309,10 +314,10 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_str(bytes, pos)?;
+        let key = parse_str(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -393,6 +398,39 @@ mod tests {
         assert!(parse("tru").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"abc").is_err());
+    }
+
+    #[test]
+    fn plain_runs_end_exactly_at_every_escape_and_multibyte_character() {
+        let escapes = [
+            (r#"\""#, "\""),
+            (r"\\", "\\"),
+            (r"\/", "/"),
+            (r"\n", "\n"),
+            (r"\t", "\t"),
+            (r"\r", "\r"),
+            (r"\b", "\u{8}"),
+            (r"\f", "\u{c}"),
+            (r"\u00e9", "é"),
+            (r"\uD83D\uDE00", "\u{1F600}"),
+            (r"\uDC00", "\u{fffd}"),
+        ];
+        // Empty, ASCII, and runs that start or end with a 2-, 3- or 4-byte
+        // character.
+        let runs = ["", "ab", "é", "€x", "x\u{1F600}", "\u{10FFFF}é€"];
+        for (escape, decoded) in escapes {
+            for before in runs {
+                for after in runs {
+                    let text = format!("\"{before}{escape}{after}{escape}{before}\"");
+                    let want = format!("{before}{decoded}{after}{decoded}{before}");
+                    assert_eq!(parse(&text), Ok(Json::Str(want)), "{text}");
+                }
+            }
+        }
+        // A run may reach the end of the input only in an unterminated
+        // string.
+        assert!(parse("\"é€\u{1F600}").is_err());
+        assert!(parse("\"ab\\").is_err());
     }
 
     #[test]

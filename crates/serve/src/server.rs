@@ -1,5 +1,6 @@
-//! The server: a generation loop around an acceptor, per-connection
-//! handlers, a cross-connection batcher, and a deadline reaper.
+//! The server: a generation loop around an acceptor, a reader and a
+//! writer thread per connection, a cross-connection batcher, and a
+//! deadline reaper.
 //!
 //! # Ownership: the generation loop
 //!
@@ -39,8 +40,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::{Arc, Mutex, Weak};
+use std::thread::{self, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use m3d_diagnosis::{Cancelled, Diagnoser};
@@ -55,6 +56,23 @@ use crate::proto::{
 };
 use crate::telemetry::{self, TelemetryConfig};
 
+/// How long a connection's reader blocks on the socket before it looks at
+/// the exit flags and the slow-writer clock again. Replies never wait on
+/// it: the connection's writer sends each one as soon as it is ready.
+const READ_TICK: Duration = Duration::from_millis(5);
+
+/// Stack of a connection's writer thread, which only encodes and writes
+/// frames.
+const WRITER_STACK: usize = 64 * 1024;
+
+/// Most replies a connection may owe before its reader stops reading
+/// requests. Every request frame earns exactly one reply, so the reader
+/// owes one per frame it dispatched until the writer has written it. A
+/// client that never reads fills its socket, its writer blocks, and its
+/// further requests then wait in the kernel instead of queueing replies
+/// in server memory.
+const MAX_OWED: usize = 64;
+
 /// Server configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -64,8 +82,6 @@ pub struct ServeConfig {
     pub pool_width: usize,
     /// Admission / scheduling knobs.
     pub admission: AdmissionConfig,
-    /// Socket poll tick in milliseconds (read timeout granularity).
-    pub poll_ms: u64,
     /// A *partial* frame older than this is a slow-writer attack: the
     /// connection gets a typed protocol error and is closed. Idle
     /// connections at a frame boundary are unaffected.
@@ -91,7 +107,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             pool_width: 1,
             admission: AdmissionConfig::default(),
-            poll_ms: 5,
             frame_timeout_ms: 2_000,
             chaos_panic_every: None,
             telemetry_addr: None,
@@ -306,7 +321,7 @@ struct GenCtx<'g> {
     gen_exit: &'g AtomicBool,
     pending_bundle: &'g Mutex<Option<ArtifactBundle>>,
     admission: &'g Admission,
-    reaper: &'g Mutex<Vec<(Instant, Arc<AtomicBool>)>>,
+    reaper: &'g Mutex<Vec<(Instant, Weak<AtomicBool>)>>,
     active_conns: &'g AtomicUsize,
 }
 
@@ -340,21 +355,25 @@ fn run_generation(
 
     thread::scope(|s| {
         // Deadline reaper: sets cancellation flags the instant a budget
-        // expires, so jobs mid-batch stop scoring cooperatively.
+        // expires, so jobs mid-batch stop scoring cooperatively. It holds
+        // each flag weakly: once the batcher drops a finished job, the
+        // flag no longer upgrades and its entry leaves on the next tick,
+        // so a tick touches only live jobs.
         s.spawn(|| {
             while !gen_exit.load(Ordering::Relaxed) || active_conns.load(Ordering::Relaxed) > 0 {
                 let now = Instant::now();
-                {
-                    let mut reg = reaper.lock().expect("reaper registry");
-                    reg.retain(|(deadline, flag)| {
-                        if *deadline <= now {
-                            flag.store(true, Ordering::Relaxed);
-                            false
-                        } else {
-                            true
+                reaper
+                    .lock()
+                    .expect("reaper registry")
+                    .retain(|(deadline, flag)| {
+                        if *deadline > now {
+                            return flag.strong_count() > 0;
                         }
+                        if let Some(flag) = flag.upgrade() {
+                            flag.store(true, Ordering::Relaxed);
+                        }
+                        false
                     });
-                }
                 thread::sleep(Duration::from_millis(2));
             }
         });
@@ -397,7 +416,8 @@ fn run_generation(
                             }
                             ctx.active_conns.fetch_sub(1, Ordering::Relaxed);
                         });
-                    if spawned.is_err() {
+                    if let Err(e) = spawned {
+                        spawn_failed(&format!("conn-{conn_id}"), "reader", &e);
                         active_conns.fetch_sub(1, Ordering::Relaxed);
                     }
                 }
@@ -637,30 +657,77 @@ fn finish_job(job: &Job, resp: Response, ctx: &GenCtx<'_>) {
     let _ = job.reply.send(resp);
 }
 
-/// One connection: a poll loop multiplexing socket reads, batcher
-/// replies, and the generation exit flags.
-fn handle_conn(mut stream: TcpStream, ctx: &GenCtx<'_>, conn_id: u64) {
+/// One connection: this thread reads and dispatches frames, and a writer
+/// thread of its own writes every response. Returns once both are done.
+fn handle_conn(stream: TcpStream, ctx: &GenCtx<'_>, conn_id: u64) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(ctx.cfg.poll_ms.max(1))));
-    let (reply_tx, reply_rx) = channel::<Response>();
+    let _ = stream.set_read_timeout(Some(READ_TICK));
+    let (replies, reply_rx) = channel::<Response>();
+    let written = &AtomicUsize::new(0);
+    thread::scope(|s| {
+        let writer = stream.try_clone().and_then(|out| {
+            thread::Builder::new()
+                .name("m3d-serve-write".into())
+                .stack_size(WRITER_STACK)
+                .spawn_scoped(s, move || write_replies(out, reply_rx, written))
+        });
+        match writer {
+            Ok(writer) => read_requests(stream, ctx, conn_id, replies, written, &writer),
+            Err(e) => spawn_failed(&format!("conn-{conn_id}"), "writer", &e),
+        }
+    });
+}
+
+/// Counts and records a thread the server could not start (most likely a
+/// thread limit under many connections); its connection closes unanswered.
+fn spawn_failed(source: &str, thread: &str, err: &std::io::Error) {
+    m3d_obs::counter("serve.spawn_failures", 1);
+    m3d_obs::flight_record(source, "spawn_failed", format!("{thread}: {err}"));
+}
+
+/// The connection's only writer: each response is written the moment it
+/// arrives, in arrival order, and counted in `written`. Returns when the
+/// client stops accepting bytes, or when every sender is gone: the reader
+/// has stopped and no admitted job is outstanding, so dropping `out`
+/// closes the connection.
+fn write_replies(mut out: TcpStream, replies: Receiver<Response>, written: &AtomicUsize) {
+    for resp in replies {
+        if write_frame(&mut out, &resp.encode()).is_err() {
+            return; // client went away; remaining replies are moot
+        }
+        written.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The connection's reader: decodes frames and dispatches them until the
+/// client closes, a frame is rejected, or the generation winds down. It
+/// never writes, and it stops reading while the connection owes more than
+/// [`MAX_OWED`] replies. Once it returns, its sender is gone and only
+/// admitted jobs hold one, so the writer ends after the last outstanding
+/// reply.
+fn read_requests(
+    mut stream: TcpStream,
+    ctx: &GenCtx<'_>,
+    conn_id: u64,
+    replies: Sender<Response>,
+    written: &AtomicUsize,
+    writer: &ScopedJoinHandle<'_, ()>,
+) {
     let mut dec = Decoder::new();
     let mut chunk = [0u8; 4096];
-    let mut pending = 0usize; // outstanding diagnose jobs
     let mut partial_since: Option<Instant> = None;
-    let mut closing = false; // stop reading, drain replies, then close
+    // Counted before each dispatch, so it never trails `written`.
+    let mut owed = 0usize;
 
-    loop {
-        while let Ok(resp) = reply_rx.try_recv() {
-            pending -= 1;
-            if write_frame(&mut stream, &resp.encode()).is_err() {
-                return; // client went away; remaining replies are moot
-            }
-        }
-        if closing || ctx.gen_exit.load(Ordering::Relaxed) {
-            if pending == 0 {
+    while !ctx.gen_exit.load(Ordering::Relaxed) {
+        if owed - written.load(Ordering::Relaxed) > MAX_OWED {
+            // Backpressure: the client is not taking its replies. Leave
+            // its requests unread until the writer catches up, or stop
+            // once the writer has given up on the socket.
+            if writer.is_finished() {
                 return;
             }
-            thread::sleep(Duration::from_millis(1));
+            thread::sleep(READ_TICK);
             continue;
         }
         match stream.read(&mut chunk) {
@@ -675,7 +742,7 @@ fn handle_conn(mut stream: TcpStream, ctx: &GenCtx<'_>, conn_id: u64) {
                         "mid-frame disconnect",
                     );
                 }
-                closing = true;
+                return;
             }
             Ok(n) => {
                 dec.push(&chunk[..n]);
@@ -683,32 +750,22 @@ fn handle_conn(mut stream: TcpStream, ctx: &GenCtx<'_>, conn_id: u64) {
                     match dec.next_frame() {
                         Ok(Some(frame)) => {
                             partial_since = None;
-                            if !handle_frame(
-                                &frame,
-                                &mut stream,
-                                ctx,
-                                &reply_tx,
-                                &mut pending,
-                                conn_id,
-                            ) {
-                                closing = true;
-                                break;
+                            owed += 1;
+                            if !handle_frame(&frame, ctx, &replies, conn_id) {
+                                return;
                             }
                         }
                         Ok(None) => break,
                         Err(e) => {
-                            protocol_reject(&mut stream, ctx, &e, conn_id);
-                            closing = true;
-                            break;
+                            protocol_reject(&replies, ctx, &e, conn_id);
+                            return;
                         }
                     }
                 }
-                if !closing {
-                    if dec.has_partial() {
-                        partial_since.get_or_insert_with(Instant::now);
-                    } else {
-                        partial_since = None;
-                    }
+                if dec.has_partial() {
+                    partial_since.get_or_insert_with(Instant::now);
+                } else {
+                    partial_since = None;
                 }
             }
             Err(e)
@@ -722,19 +779,19 @@ fn handle_conn(mut stream: TcpStream, ctx: &GenCtx<'_>, conn_id: u64) {
                 // slow-writer (slowloris) attack: reject and close.
                 if let Some(since) = partial_since {
                     if since.elapsed() >= Duration::from_millis(ctx.cfg.frame_timeout_ms) {
-                        protocol_reject(&mut stream, ctx, &ProtoError::Timeout, conn_id);
-                        closing = true;
+                        protocol_reject(&replies, ctx, &ProtoError::Timeout, conn_id);
+                        return;
                     }
                 }
             }
-            Err(_) => closing = true,
+            Err(_) => return,
         }
     }
 }
 
 /// Counts and reports a protocol violation (best-effort) before the
 /// caller closes the connection.
-fn protocol_reject(stream: &mut TcpStream, ctx: &GenCtx<'_>, err: &ProtoError, conn_id: u64) {
+fn protocol_reject(replies: &Sender<Response>, ctx: &GenCtx<'_>, err: &ProtoError, conn_id: u64) {
     ctx.counters.bump(&ctx.counters.protocol_errors);
     m3d_obs::counter("serve.protocol_errors", 1);
     m3d_obs::flight_record(&format!("conn-{conn_id}"), "reject", err.to_string());
@@ -743,42 +800,34 @@ fn protocol_reject(stream: &mut TcpStream, ctx: &GenCtx<'_>, err: &ProtoError, c
     if let Some(dir) = &ctx.cfg.flight_dir {
         let _ = telemetry::dump_flight_limited(dir, "poison", Duration::from_millis(500));
     }
-    let resp = Response::Error {
+    let _ = replies.send(Response::Error {
         id: None,
         kind: "protocol".into(),
         message: err.to_string(),
-    };
-    let _ = write_frame(stream, &resp.encode());
+    });
 }
 
 /// Dispatches one parsed frame; returns `false` when the connection must
-/// close (protocol violation or server wind-down).
-fn handle_frame(
-    frame: &str,
-    stream: &mut TcpStream,
-    ctx: &GenCtx<'_>,
-    reply_tx: &Sender<Response>,
-    pending: &mut usize,
-    conn_id: u64,
-) -> bool {
+/// close (protocol violation, server wind-down, or a writer that stopped
+/// on a dead socket).
+fn handle_frame(frame: &str, ctx: &GenCtx<'_>, replies: &Sender<Response>, conn_id: u64) -> bool {
     let req = match Request::parse(frame) {
         Ok(req) => req,
         Err(e) => {
-            protocol_reject(stream, ctx, &e, conn_id);
+            protocol_reject(replies, ctx, &e, conn_id);
             return false;
         }
     };
     match req {
-        Request::Ping { id } => send_now(
-            stream,
-            &Response::Pong {
+        Request::Ping { id } => replies
+            .send(Response::Pong {
                 id,
                 generation: ctx.counters.generation.load(Ordering::Relaxed),
-            },
-        ),
+            })
+            .is_ok(),
         Request::Stats { id } => {
             let snapshot = ctx.counters.snapshot(ctx.admission.depth() as u64);
-            send_now(stream, &Response::Stats { id, snapshot })
+            replies.send(Response::Stats { id, snapshot }).is_ok()
         }
         Request::Shutdown { id } => {
             m3d_obs::flight_record(
@@ -788,7 +837,7 @@ fn handle_frame(
             );
             ctx.shutdown.store(true, Ordering::Relaxed);
             ctx.gen_exit.store(true, Ordering::Relaxed);
-            send_now(stream, &Response::ShuttingDown { id });
+            let _ = replies.send(Response::ShuttingDown { id });
             false
         }
         Request::Reload { id } => {
@@ -798,23 +847,19 @@ fn handle_frame(
                 Ok(fresh) => {
                     *ctx.pending_bundle.lock().expect("pending bundle") = Some(fresh);
                     ctx.gen_exit.store(true, Ordering::Relaxed);
-                    send_now(
-                        stream,
-                        &Response::Reloaded {
-                            id,
-                            generation: ctx.counters.generation.load(Ordering::Relaxed) + 1,
-                        },
-                    );
+                    let _ = replies.send(Response::Reloaded {
+                        id,
+                        generation: ctx.counters.generation.load(Ordering::Relaxed) + 1,
+                    });
                     false
                 }
-                Err(message) => send_now(
-                    stream,
-                    &Response::Error {
+                Err(message) => replies
+                    .send(Response::Error {
                         id: Some(id),
                         kind: "reload_failed".into(),
                         message,
-                    },
-                ),
+                    })
+                    .is_ok(),
             }
         }
         Request::Diagnose {
@@ -829,19 +874,18 @@ fn handle_frame(
                     // A well-framed request with an unreadable log is a
                     // client data error, not a protocol violation: answer
                     // typed and keep the connection.
-                    return send_now(
-                        stream,
-                        &Response::Error {
+                    return replies
+                        .send(Response::Error {
                             id: Some(id),
                             kind: "bad_log".into(),
                             message: e.to_string(),
-                        },
-                    );
+                        })
+                        .is_ok();
                 }
             };
             match ctx
                 .admission
-                .admit(id, log, deadline_ms, no_enhance, reply_tx.clone())
+                .admit(id, log, deadline_ms, no_enhance, replies.clone())
             {
                 Ok((deadline, cancel)) => {
                     m3d_obs::flight_record(
@@ -852,8 +896,7 @@ fn handle_frame(
                     ctx.reaper
                         .lock()
                         .expect("reaper registry")
-                        .push((deadline, cancel));
-                    *pending += 1;
+                        .push((deadline, Arc::downgrade(&cancel)));
                     true
                 }
                 Err(resp) => {
@@ -861,14 +904,9 @@ fn handle_frame(
                         ctx.counters.bump(&ctx.counters.overloaded);
                         m3d_obs::counter("serve.overloaded", 1);
                     }
-                    send_now(stream, &resp)
+                    replies.send(resp).is_ok()
                 }
             }
         }
     }
-}
-
-/// Writes a response inline; `false` (close) on a dead socket.
-fn send_now(stream: &mut TcpStream, resp: &Response) -> bool {
-    write_frame(stream, &resp.encode()).is_ok()
 }

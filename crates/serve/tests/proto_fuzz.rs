@@ -5,6 +5,8 @@
 //! a typed [`ProtoError`], never a panic and never an unbounded buffer
 //! (the style of `crates/tdf/tests/log_fuzz.rs`, one protocol layer up).
 
+use std::time::{Duration, Instant};
+
 use proptest::prelude::*;
 
 use m3d_resilient::chaos::ChaosSchedule;
@@ -230,4 +232,52 @@ proptest! {
         };
         prop_assert_eq!(Request::parse(&req.encode()).expect("own encoding"), req);
     }
+}
+
+/// A `Diagnose` frame just under [`MAX_FRAME_LEN`] is a legal frame, and
+/// it round-trips through `encode` and `Request::parse` with an identical
+/// log in well under a second: string parsing is linear in the frame's
+/// length (about 12 ms in a debug build). A parser that re-reads the rest
+/// of the frame for each character takes ~20 s on it in a release build.
+#[test]
+fn a_maximum_size_frame_parses_in_linear_time() {
+    let header = "# m3d-faillog v1\n# lot \"Ω-7\"\tbin \\3 ✓\n";
+    let request = |log: String| Request::Diagnose {
+        id: u64::from(u32::MAX),
+        log,
+        deadline_ms: Some(250),
+        no_enhance: false,
+    };
+    // Each entry is plain ASCII but for its newline, which encodes as two
+    // bytes, so it adds one byte more than its length to the frame.
+    let mut len = request(header.to_owned()).encode().len();
+    let mut log = header.to_owned();
+    for k in 0usize.. {
+        let entry = format!("fail pattern {} flop {}\n", k % 640, k * 7 % 4096);
+        if len + entry.len() + 1 > MAX_FRAME_LEN {
+            break;
+        }
+        len += entry.len() + 1;
+        log.push_str(&entry);
+    }
+    let req = request(log);
+
+    let start = Instant::now();
+    let line = req.encode();
+    let mut dec = Decoder::new();
+    dec.push(&encode_frame(&line));
+    let frame = dec.next_frame().expect("a legal frame").expect("complete");
+    let parsed = Request::parse(&frame).expect("own encoding");
+    let elapsed = start.elapsed();
+
+    assert_eq!(line.len(), len, "the size estimate is exact");
+    assert!(
+        len > MAX_FRAME_LEN - 64,
+        "{len} bytes is not just under the cap"
+    );
+    assert_eq!(parsed, req, "the log must survive the round trip");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "a {len}-byte frame took {elapsed:?} to encode and parse"
+    );
 }

@@ -1,5 +1,6 @@
 //! Service-level tests: the chaos invariant, hot reload, typed overload
-//! and deadline outcomes, the shed ladder, and shutdown drain.
+//! and deadline outcomes, the shed ladder, pipelined requests, and
+//! shutdown drain.
 //!
 //! The invariant everything here defends: for every well-formed request,
 //! the served report is **bit-identical** to an offline
@@ -7,13 +8,14 @@
 //! schedule. Infrastructure failure is only ever visible as a typed
 //! protocol outcome.
 
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::io::{ErrorKind, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 use m3d_diagnosis::Diagnoser;
 use m3d_fault_localization::{try_generate_samples, InjectionKind};
 use m3d_netlist::generate::Benchmark;
-use m3d_serve::proto::{read_frame, write_frame, Decoder, Request, Response};
+use m3d_serve::proto::{encode_frame, read_frame, write_frame, Decoder, Request, Response};
 use m3d_serve::{
     run_load, spawn_server, AdmissionConfig, ArtifactBundle, BundleSource, BundleSpec, LoadConfig,
     ServeConfig,
@@ -28,6 +30,20 @@ fn spec(target: usize, enhance_samples: usize) -> BundleSpec {
         },
         enhance_samples,
         epochs: 2,
+        ..BundleSpec::default()
+    }
+}
+
+/// A leon3mp bundle without models: its multi-fault logs keep a scoring
+/// worker busy for milliseconds (`target` 6,000) to tens of milliseconds
+/// (30,000) in a release build.
+fn leon3mp_spec(target: usize) -> BundleSpec {
+    BundleSpec {
+        source: BundleSource::Generated {
+            bench: Benchmark::Leon3mp,
+            target: Some(target),
+        },
+        enhance_samples: 0,
         ..BundleSpec::default()
     }
 }
@@ -87,22 +103,31 @@ struct Offline {
 }
 
 /// Computes the offline ground truth the served reports must match, for
-/// one chip with `kind` faults.
-fn offline_expected(spec: &BundleSpec, kind: InjectionKind) -> Offline {
+/// `n` chips with `kind` faults.
+fn offline_chips(spec: &BundleSpec, kind: InjectionKind, n: usize) -> Vec<Offline> {
     let bundle = ArtifactBundle::load(spec).expect("offline bundle");
     let fsim = bundle.env.fault_sim();
     let diagnoser = Diagnoser::new(&fsim, &bundle.env.scan, bundle.mode, bundle.diag_cfg);
-    let sample =
-        &try_generate_samples(&bundle.env, &fsim, bundle.mode, kind, 1, 0xBEEF).expect("sample")[0];
-    let plain = diagnoser.diagnose(&sample.log);
-    let mut shed = plain.clone();
-    shed.mark_degraded();
-    Offline {
-        log_text: write_failure_log(&sample.log),
-        plain_text: plain.to_string(),
-        shed_text: shed.to_string(),
-        perfect: plain.candidates().iter().any(|c| c.score.is_perfect()),
-    }
+    try_generate_samples(&bundle.env, &fsim, bundle.mode, kind, n, 0xBEEF)
+        .expect("samples")
+        .iter()
+        .map(|sample| {
+            let plain = diagnoser.diagnose(&sample.log);
+            let mut shed = plain.clone();
+            shed.mark_degraded();
+            Offline {
+                log_text: write_failure_log(&sample.log),
+                plain_text: plain.to_string(),
+                shed_text: shed.to_string(),
+                perfect: plain.candidates().iter().any(|c| c.score.is_perfect()),
+            }
+        })
+        .collect()
+}
+
+/// [`offline_chips`] for one chip.
+fn offline_expected(spec: &BundleSpec, kind: InjectionKind) -> Offline {
+    offline_chips(spec, kind, 1).pop().expect("one chip")
 }
 
 /// The tentpole invariant, end to end: ≥ 48 chaos-ridden client sessions
@@ -428,4 +453,163 @@ fn junk_log_entries_serve_a_degraded_enhanced_report() {
         expected.to_string(),
         "served report diverged from offline"
     );
+}
+
+/// One connection writes several diagnoses, a ping and a stats request
+/// before it reads anything, then half-closes. Every request gets exactly
+/// one reply with its own id, in any order, each report equals its log's
+/// offline text, and EOF comes only after the last reply: the server
+/// drains a connection's outstanding replies before it closes it.
+///
+/// The logs are multi-fault on a mid-size design, a few milliseconds of
+/// scoring each, so most of them are still queued or running when the
+/// server reads the half-close.
+#[test]
+fn pipelined_requests_are_all_answered_before_a_half_close_ends() {
+    let spec = leon3mp_spec(6_000);
+    let chips = offline_chips(&spec, InjectionKind::MultiSameTier, 6);
+    let server = spawn_server(&spec, &ServeConfig::default()).expect("spawn");
+
+    let mut c = Client::connect(server.addr());
+    let n = chips.len() as u64;
+    for (id, chip) in (0..).zip(&chips) {
+        c.send(&Request::Diagnose {
+            id,
+            log: chip.log_text.clone(),
+            deadline_ms: None,
+            no_enhance: false,
+        });
+    }
+    c.send(&Request::Ping { id: n });
+    c.send(&Request::Stats { id: n + 1 });
+    c.stream.shutdown(Shutdown::Write).expect("half-close");
+
+    let mut answered = vec![false; chips.len() + 2];
+    while let Some(line) = read_frame(&mut c.stream, &mut c.dec).expect("read frame") {
+        let resp = Response::parse(&line).expect("parse response");
+        let id = match &resp {
+            Response::Report { id, text, .. } => {
+                let chip = usize::try_from(*id).ok().and_then(|k| chips.get(k));
+                let chip = chip.unwrap_or_else(|| panic!("report for unknown id {id}"));
+                assert_eq!(text, &chip.plain_text, "report {id} diverged from offline");
+                *id
+            }
+            Response::Pong { id, .. } if *id == n => *id,
+            Response::Stats { id, .. } if *id == n + 1 => *id,
+            other => panic!("unexpected reply: {other:?}"),
+        };
+        let slot = &mut answered[id as usize];
+        assert!(!*slot, "request {id} was answered twice");
+        *slot = true;
+    }
+    let missing: Vec<usize> = (0..answered.len()).filter(|&k| !answered[k]).collect();
+    assert!(missing.is_empty(), "EOF before the replies to {missing:?}");
+
+    let mut c = Client::connect(server.addr());
+    c.call(&Request::Shutdown { id: 99 });
+    let summary = server.join().expect("clean shutdown");
+    assert_eq!(summary.stats.completed, n);
+}
+
+/// A client that writes requests and never reads its replies has its own
+/// writes blocked: once the socket toward it is full, the server stops
+/// reading its requests instead of queueing their replies in memory. The
+/// bound on what the client may send first is far above what the socket
+/// buffers of both ends hold.
+#[test]
+fn a_client_that_never_reads_has_its_writes_blocked() {
+    const MAX_SENT: usize = 64 << 20;
+    let server = spawn_server(&spec(200, 0), &ServeConfig::default()).expect("spawn");
+    let mut c = Client::connect(server.addr());
+    c.call(&Request::Ping { id: 0 });
+    c.stream
+        .set_write_timeout(Some(Duration::from_secs(2)))
+        .expect("write timeout");
+    let burst: Vec<u8> = (1..=1_000)
+        .flat_map(|id| encode_frame(&Request::Ping { id }.encode()))
+        .collect();
+    let mut sent = 0;
+    let blocked = loop {
+        if sent >= MAX_SENT {
+            break false;
+        }
+        match c.stream.write_all(&burst) {
+            Ok(()) => sent += burst.len(),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                break true
+            }
+            Err(e) => panic!("write failed after {sent} bytes: {e}"),
+        }
+    };
+    assert!(
+        blocked,
+        "the server read {sent} bytes of pings from a client that never reads"
+    );
+    drop(c);
+
+    let mut c = Client::connect(server.addr());
+    c.call(&Request::Shutdown { id: 1 });
+    server.join().expect("clean shutdown");
+}
+
+/// The reaper cancels a job mid-score: on an idle server, a log whose
+/// diagnosis takes tens of milliseconds gets a budget of a tenth of its
+/// offline time. The job is dequeued long before that budget runs out,
+/// so only the reaper's flag, polled by the scoring loops, can turn the
+/// reply into `DeadlineExceeded`.
+///
+/// The multi-fault log runs the cover over many suspects: about 40 ms in
+/// a release build and 0.3 s in a debug build on a 2-core host.
+#[test]
+fn the_reaper_cancels_a_job_mid_score() {
+    let spec = leon3mp_spec(30_000);
+    let bundle = ArtifactBundle::load(&spec).expect("offline bundle");
+    let fsim = bundle.env.fault_sim();
+    let diagnoser = Diagnoser::new(&fsim, &bundle.env.scan, bundle.mode, bundle.diag_cfg);
+    let sample = try_generate_samples(
+        &bundle.env,
+        &fsim,
+        bundle.mode,
+        InjectionKind::MultiSameTier,
+        1,
+        0xBEEF,
+    )
+    .expect("sample")
+    .remove(0);
+    // The fastest of three runs: contention from parallel tests only
+    // lengthens a run, and a shorter time gives a tighter budget.
+    let offline_ms = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            let report = diagnoser.diagnose(&sample.log);
+            assert!(
+                !report.candidates().iter().any(|c| c.score.is_perfect()),
+                "the log must reach the cover: no candidate explains it perfectly"
+            );
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min);
+    let budget_ms = ((offline_ms / 10.0) as u64).max(1);
+
+    let server = spawn_server(&spec, &ServeConfig::default()).expect("spawn");
+    let mut c = Client::connect(server.addr());
+    match c.call(&Request::Diagnose {
+        id: 1,
+        log: write_failure_log(&sample.log),
+        deadline_ms: Some(budget_ms),
+        no_enhance: true,
+    }) {
+        Response::DeadlineExceeded { id, budget_ms: got } => {
+            assert_eq!(id, 1);
+            assert_eq!(got, budget_ms, "the response echoes the budget");
+        }
+        other => panic!(
+            "a {budget_ms} ms budget on a {offline_ms:.1} ms diagnosis must be cancelled, \
+             got {other:?}"
+        ),
+    }
+    c.call(&Request::Shutdown { id: 2 });
+    let summary = server.join().expect("clean shutdown");
+    assert_eq!(summary.stats.deadline_exceeded, 1);
+    assert_eq!(summary.stats.completed, 0);
 }

@@ -1266,7 +1266,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         addr: flags.get("addr").unwrap_or("127.0.0.1:7433").to_owned(),
         pool_width: flags.num("width", d.pool_width)?,
         admission: admission_of(&flags)?,
-        poll_ms: d.poll_ms,
         frame_timeout_ms: flags.num("frame-timeout-ms", d.frame_timeout_ms)?,
         chaos_panic_every: flags
             .get("chaos-panic-every")
