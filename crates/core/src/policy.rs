@@ -18,6 +18,19 @@ pub enum PolicyAction {
     Degraded,
 }
 
+impl PolicyAction {
+    /// The action's name on the `m3d-serve` wire (a report's `action`
+    /// field): `reorder`, `prune`, `pass_through` or `degraded`.
+    pub fn wire_name(self) -> &'static str {
+        match self {
+            PolicyAction::Reorder => "reorder",
+            PolicyAction::Prune => "prune",
+            PolicyAction::PassThrough => "pass_through",
+            PolicyAction::Degraded => "degraded",
+        }
+    }
+}
+
 /// The policy's result: the final report, the action taken, and the backup
 /// dictionary entry (pruned candidates, recoverable by a diagnosis
 /// engineer if the root cause is missing from the pruned report).
@@ -163,6 +176,18 @@ mod tests {
             },
             tier: d.tier_of_site(site),
         }
+    }
+
+    #[test]
+    fn wire_names_are_pinned() {
+        let names = [
+            PolicyAction::Reorder,
+            PolicyAction::Prune,
+            PolicyAction::PassThrough,
+            PolicyAction::Degraded,
+        ]
+        .map(PolicyAction::wire_name);
+        assert_eq!(names, ["reorder", "prune", "pass_through", "degraded"]);
     }
 
     #[test]

@@ -40,9 +40,9 @@ macro_rules! lint_codes {
         ///
         /// Codes are grouped by pass family: `L00xx` netlist DRC, `L01xx`
         /// M3D partition/MIV checks, `L02xx` DFT scan/TPI checks, `L03xx`
-        /// graph-tensor checks, `L1xxx` flow-sensitive dataflow findings
-        /// (`m3d-dataflow`). Codes are never renumbered; retired checks
-        /// leave holes. The full catalogue lives in `DESIGN.md`.
+        /// graph-tensor checks. Codes are never renumbered; retired checks
+        /// leave holes. L1001–L1201, the retired dataflow findings, are
+        /// never reused. The full catalogue lives in `DESIGN.md`.
         #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub enum LintCode {
             $($(#[$meta])* $variant,)+
@@ -132,22 +132,6 @@ lint_codes! {
     BadMivNode = ("L0305", Error, "invalid MIV node in sub-graph"),
     /// A diagnosis sample's labels disagree with its design or injection.
     LabelMismatch = ("L0306", Error, "sample label/candidate inconsistency"),
-    /// A net is statically constant (reconvergent logic ties it down).
-    ConstantNet = ("L1001", Warn, "statically constant net"),
-    /// A gate computes a constant or a copy of another net.
-    RedundantLogic = ("L1002", Warn, "redundant logic"),
-    /// A TDF site that can never launch: its net is not sequentially
-    /// driven, so it holds its value across the two at-speed frames.
-    UntestableNoLaunch = ("L1101", Warn, "TDF site cannot launch"),
-    /// A TDF site whose fault effect has no structural path to a scan
-    /// capture point.
-    UntestableNoCapture = ("L1102", Warn, "TDF effect cannot reach capture"),
-    /// A TDF site on a proven-constant net: the activation condition
-    /// never holds.
-    UntestableConstant = ("L1103", Warn, "TDF site frozen by constant net"),
-    /// Small-delay escape surface: testable sites whose minimum
-    /// detectable defect size is a large fraction of the clock period.
-    SmallDelayEscapes = ("L1201", Info, "small-delay escape surface"),
 }
 
 impl fmt::Display for LintCode {

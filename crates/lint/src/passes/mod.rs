@@ -5,7 +5,6 @@
 //! [`Diagnostic`](crate::Diagnostic)s, so tests can point a single check at
 //! deliberately corrupted inputs without assembling a full lint target.
 
-pub mod dataflow;
 pub mod dft;
 pub mod m3d;
 pub mod netlist;

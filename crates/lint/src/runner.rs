@@ -22,17 +22,10 @@ pub enum Pass {
     Dft,
     /// Graph-tensor and label checks (`L03xx`).
     Tensor,
-    /// Flow-sensitive dataflow findings from `m3d-dataflow` (`L1xxx`):
-    /// constant nets, redundant logic, statically untestable TDF sites,
-    /// and the small-delay escape surface. Opt-in — not part of
-    /// [`Pass::ALL`], because healthy designs legitimately carry
-    /// untestable sites; `m3d-diag verify` runs it with a baseline.
-    Dataflow,
 }
 
 impl Pass {
-    /// The default pass families, in code order. `Dataflow` is opt-in
-    /// (see its docs) and deliberately excluded.
+    /// Every pass family, in code order.
     pub const ALL: [Pass; 4] = [Pass::Netlist, Pass::M3d, Pass::Dft, Pass::Tensor];
 }
 
@@ -161,13 +154,6 @@ impl LintRunner {
                     // `insert_test_points` appends.
                     if let Some(nl) = nl.filter(|nl| nl.name().ends_with("-tpi")) {
                         for d in passes::dft::check_tpi(nl) {
-                            report.push(d);
-                        }
-                    }
-                }
-                Pass::Dataflow => {
-                    if let Some(design) = target.design {
-                        for d in passes::dataflow::check_design(design) {
                             report.push(d);
                         }
                     }

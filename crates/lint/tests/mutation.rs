@@ -12,7 +12,7 @@ use m3d_dft::{ObsMode, ScanChains};
 use m3d_fault_localization::{generate_samples, DiagSample, InjectionKind, TestEnv};
 use m3d_gnn::{GcnGraph, GraphData, Matrix};
 use m3d_hetgraph::FEATURE_DIM;
-use m3d_lint::passes::{dataflow, dft, m3d, netlist, tensor};
+use m3d_lint::passes::{dft, m3d, netlist, tensor};
 use m3d_lint::{Diagnostic, LintCode};
 use m3d_netlist::generate::{Benchmark, GenParams};
 use m3d_netlist::{
@@ -522,61 +522,6 @@ fn l0306_label_mismatch() {
     assert!(has(&corrupted_truth(), LintCode::LabelMismatch));
 }
 
-// The dataflow scenarios are not mutations: the `L1xxx` findings describe
-// legitimate properties a well-formed design carries (reconvergent
-// constants, untestable input cones, slack surface), which is why the
-// pass is opt-in. The archetype covers the organic findings; a
-// handcrafted netlist pins down the capture-blocked class.
-
-fn archetype_dataflow() -> Vec<Diagnostic> {
-    let (env, _) = env_with_samples();
-    dataflow::check_design(&env.design)
-}
-
-#[test]
-fn l1001_constant_net() {
-    assert!(has(&archetype_dataflow(), LintCode::ConstantNet));
-}
-
-#[test]
-fn l1002_redundant_logic() {
-    assert!(has(&archetype_dataflow(), LintCode::RedundantLogic));
-}
-
-#[test]
-fn l1101_untestable_no_launch() {
-    assert!(has(&archetype_dataflow(), LintCode::UntestableNoLaunch));
-}
-
-#[test]
-fn l1103_untestable_constant() {
-    assert!(has(&archetype_dataflow(), LintCode::UntestableConstant));
-}
-
-#[test]
-fn l1201_small_delay_escapes() {
-    assert!(has(&archetype_dataflow(), LintCode::SmallDelayEscapes));
-}
-
-/// A cone that ends at an unstrobed primary output: `q -> INV -> y`
-/// never reaches a scan capture point, so its sites are NoCapture.
-fn capture_blocked() -> Vec<Diagnostic> {
-    let mut b = NetlistBuilder::new("no-capture");
-    let a = b.add_input("a");
-    let q = b.add_dff(a);
-    let y = b.add_gate(GateKind::Inv, &[q]);
-    b.add_output("y", y);
-    let nl = b.finish().unwrap();
-    let part = PartitionAlgo::MinCut.partition(&nl, 1);
-    let design = M3dDesign::new(nl, part);
-    dataflow::check_design(&design)
-}
-
-#[test]
-fn l1102_untestable_no_capture() {
-    assert!(has(&capture_blocked(), LintCode::UntestableNoCapture));
-}
-
 // ---------------------------------------------------------- completeness --
 
 /// Every code in the catalogue is fired by at least one scenario above;
@@ -613,8 +558,6 @@ fn every_code_is_reachable() {
         shuffled_sites(),
         phantom_miv_node(),
         corrupted_truth(),
-        archetype_dataflow(),
-        capture_blocked(),
     ];
     let missing: Vec<&str> = LintCode::ALL
         .iter()

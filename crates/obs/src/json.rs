@@ -143,10 +143,18 @@ fn render_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parses a complete JSON document, rejecting trailing garbage.
+/// Deepest nesting of arrays and objects that [`parse`] accepts. The
+/// parser recurses once per level, and `m3d-serve` parses each frame on a
+/// connection thread with a 256 KiB stack: a bare parse on such a stack
+/// overflows past about 200 levels in a debug build and 1,000 in a
+/// release build. The deepest document the workspace writes nests 5.
+const MAX_DEPTH: usize = 64;
+
+/// Parses a complete JSON document, rejecting trailing garbage and
+/// arrays or objects nested more than 64 deep.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut pos = 0;
-    let value = parse_value(text, &mut pos)?;
+    let value = parse_value(text, &mut pos, 0)?;
     skip_ws(text.as_bytes(), &mut pos);
     if pos != text.len() {
         return Err(format!("trailing input at byte {pos}"));
@@ -169,7 +177,9 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays and
+/// objects.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
@@ -178,8 +188,12 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'"') => parse_str(text, pos).map(Json::Str),
-        Some(b'[') => parse_arr(text, pos),
-        Some(b'{') => parse_obj(text, pos),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'[') => parse_arr(text, pos, depth + 1),
+        Some(b'{') => parse_obj(text, pos, depth + 1),
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(bytes, pos),
         Some(c) => Err(format!("unexpected `{}` at byte {}", *c as char, *pos)),
     }
@@ -280,7 +294,7 @@ fn parse_str(text: &str, pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(text: &str, pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
@@ -290,7 +304,7 @@ fn parse_arr(text: &str, pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(text, pos)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -303,7 +317,7 @@ fn parse_arr(text: &str, pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(text: &str, pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
@@ -317,7 +331,7 @@ fn parse_obj(text: &str, pos: &mut usize) -> Result<Json, String> {
         let key = parse_str(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(text, pos)?;
+        let value = parse_value(text, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -398,6 +412,29 @@ mod tests {
         assert!(parse("tru").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"abc").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        // `depth` levels, the innermost one empty.
+        let nest = |depth: usize, open: &str, empty: &str, close: &str| {
+            format!(
+                "{}{empty}{}",
+                open.repeat(depth - 1),
+                close.repeat(depth - 1)
+            )
+        };
+        let arrays = nest(MAX_DEPTH, "[", "[]", "]");
+        assert_eq!(parse(&arrays).map(|v| v.render()), Ok(arrays));
+        assert!(parse(&nest(MAX_DEPTH, "{\"k\":", "{}", "}")).is_ok());
+        assert!(parse(&nest(MAX_DEPTH, "[", "{\"k\":1}", "]")).is_ok());
+
+        let too_deep = format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}");
+        assert_eq!(parse(&nest(MAX_DEPTH + 1, "[", "[]", "]")), Err(too_deep));
+        let mixed = nest(MAX_DEPTH, "[", "{\"k\":[]}", "]");
+        assert!(parse(&mixed).unwrap_err().starts_with("nesting deeper"));
+        // A run of `[` far past the cap fails at the cap, not the stack.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use m3d_diagnosis::Diagnoser;
-use m3d_fault_localization::{try_generate_samples, InjectionKind, PolicyAction};
+use m3d_fault_localization::{try_generate_samples, InjectionKind};
 use m3d_resilient::chaos::{ChaosAction, ChaosSchedule};
 use m3d_tdf::write_failure_log;
 
@@ -239,13 +239,7 @@ fn compute_expected(cfg: &LoadConfig) -> Result<Vec<Expected>, String> {
                     text: outcome.report.to_string(),
                     cands: wire_candidates(&outcome.report),
                     degraded: outcome.report.degraded(),
-                    action: match outcome.action {
-                        PolicyAction::Reorder => "reorder",
-                        PolicyAction::Prune => "prune",
-                        PolicyAction::PassThrough => "pass_through",
-                        PolicyAction::Degraded => "degraded",
-                    }
-                    .to_string(),
+                    action: outcome.action.wire_name().to_string(),
                 }
             });
             Expected {

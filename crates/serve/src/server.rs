@@ -34,7 +34,7 @@
 //! [`Diagnoser::diagnose`] run — at any pool width, under any chaos
 //! schedule.
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -45,20 +45,21 @@ use std::thread::{self, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use m3d_diagnosis::{Cancelled, Diagnoser};
-use m3d_fault_localization::PolicyAction;
 use m3d_obs::SloSpec;
 use m3d_tdf::{read_failure_log, FailureLog, FaultSim};
 
 use crate::admission::{admission_queue, Admission, AdmissionConfig, Job};
 use crate::artifacts::{ArtifactBundle, BundleSpec};
 use crate::proto::{
-    wire_candidates, write_frame, Decoder, ProtoError, Request, Response, StatsSnapshot,
+    encode_frame, wire_candidates, Decoder, ProtoError, Request, Response, StatsSnapshot,
 };
 use crate::telemetry::{self, TelemetryConfig};
 
 /// How long a connection's reader blocks on the socket before it looks at
-/// the exit flags and the slow-writer clock again. Replies never wait on
-/// it: the connection's writer sends each one as soon as it is ready.
+/// the exit flags and the slow-writer clock again, and how long a write
+/// to a client that is not reading blocks before the writer looks at the
+/// exit flag. Replies never wait on it: the connection's writer sends
+/// each one as soon as it is ready.
 const READ_TICK: Duration = Duration::from_millis(5);
 
 /// Stack of a connection's writer thread, which only encodes and writes
@@ -84,7 +85,9 @@ pub struct ServeConfig {
     pub admission: AdmissionConfig,
     /// A *partial* frame older than this is a slow-writer attack: the
     /// connection gets a typed protocol error and is closed. Idle
-    /// connections at a frame boundary are unaffected.
+    /// connections at a frame boundary are unaffected. Once a shutdown or
+    /// reload has begun, a reply that has not moved for this long closes
+    /// its connection too, so a client that never reads cannot stall it.
     pub frame_timeout_ms: u64,
     /// Chaos hook: every Nth admitted job panics inside its diagnosis
     /// worker (`None` in production). Drives the panic-containment tests.
@@ -609,13 +612,8 @@ fn run_job(
             (Some(loc), false) => {
                 let sample = bundle.sample_for(fsim, &job.log);
                 let outcome = loc.enhance(&bundle.env.design, &report, &sample);
-                let action = match outcome.action {
-                    PolicyAction::Reorder => "reorder",
-                    PolicyAction::Prune => "prune",
-                    PolicyAction::PassThrough => "pass_through",
-                    PolicyAction::Degraded => "degraded",
-                };
-                (outcome.report, true, Some(action.to_string()))
+                let action = outcome.action.wire_name().to_string();
+                (outcome.report, true, Some(action))
             }
             _ => (report, false, None),
         }
@@ -669,7 +667,7 @@ fn handle_conn(stream: TcpStream, ctx: &GenCtx<'_>, conn_id: u64) {
             thread::Builder::new()
                 .name("m3d-serve-write".into())
                 .stack_size(WRITER_STACK)
-                .spawn_scoped(s, move || write_replies(out, reply_rx, written))
+                .spawn_scoped(s, move || write_replies(out, reply_rx, written, ctx))
         });
         match writer {
             Ok(writer) => read_requests(stream, ctx, conn_id, replies, written, &writer),
@@ -687,16 +685,56 @@ fn spawn_failed(source: &str, thread: &str, err: &std::io::Error) {
 
 /// The connection's only writer: each response is written the moment it
 /// arrives, in arrival order, and counted in `written`. Returns when the
-/// client stops accepting bytes, or when every sender is gone: the reader
-/// has stopped and no admitted job is outstanding, so dropping `out`
-/// closes the connection.
-fn write_replies(mut out: TcpStream, replies: Receiver<Response>, written: &AtomicUsize) {
+/// client goes away or stalls a winding-down generation (see
+/// [`write_reply`]), or when every sender is gone: the reader has stopped
+/// and no admitted job is outstanding, so dropping `out` closes the
+/// connection.
+fn write_replies(
+    mut out: TcpStream,
+    replies: Receiver<Response>,
+    written: &AtomicUsize,
+    ctx: &GenCtx<'_>,
+) {
+    let _ = out.set_write_timeout(Some(READ_TICK));
     for resp in replies {
-        if write_frame(&mut out, &resp.encode()).is_err() {
+        if write_reply(&mut out, &encode_frame(&resp.encode()), ctx).is_err() {
             return; // client went away; remaining replies are moot
         }
         written.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// Writes one whole frame. While the generation is live, it waits for as
+/// long as the client takes to read. Once the generation winds down, it
+/// gives up after `frame_timeout_ms` without progress, so a client that
+/// never reads cannot hold a shutdown or a reload open.
+fn write_reply(out: &mut TcpStream, mut frame: &[u8], ctx: &GenCtx<'_>) -> std::io::Result<()> {
+    let mut stalled_since: Option<Instant> = None;
+    while !frame.is_empty() {
+        match out.write(frame) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                frame = &frame[n..];
+                stalled_since = None;
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                let since = *stalled_since.get_or_insert_with(Instant::now);
+                if ctx.gen_exit.load(Ordering::Relaxed)
+                    && since.elapsed() >= Duration::from_millis(ctx.cfg.frame_timeout_ms)
+                {
+                    return Err(e);
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// The connection's reader: decodes frames and dispatches them until the

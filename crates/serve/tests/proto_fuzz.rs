@@ -5,14 +5,18 @@
 //! a typed [`ProtoError`], never a panic and never an unbounded buffer
 //! (the style of `crates/tdf/tests/log_fuzz.rs`, one protocol layer up).
 
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
+use m3d_netlist::generate::Benchmark;
 use m3d_resilient::chaos::ChaosSchedule;
 use m3d_serve::proto::{
-    encode_frame, Decoder, ProtoError, Request, Response, MAX_FRAME_LEN, MAX_PREFIX_DIGITS,
+    encode_frame, read_frame, write_frame, Decoder, ProtoError, Request, Response, MAX_FRAME_LEN,
+    MAX_PREFIX_DIGITS,
 };
+use m3d_serve::{spawn_server, BundleSource, BundleSpec, ServeConfig};
 
 /// Drains a decoder: frames decoded so far plus the terminal error, if any.
 fn drain(dec: &mut Decoder) -> (Vec<String>, Option<ProtoError>) {
@@ -280,4 +284,54 @@ fn a_maximum_size_frame_parses_in_linear_time() {
         elapsed < Duration::from_secs(1),
         "a {len}-byte frame took {elapsed:?} to encode and parse"
     );
+}
+
+/// A frame of 200,000 `[` bytes, a fifth of [`MAX_FRAME_LEN`], gets a
+/// typed protocol error and the server keeps serving. A JSON parser that
+/// recursed once per `[` without a cap would overflow the connection
+/// thread's stack, which aborts the whole process.
+#[test]
+fn a_deeply_nested_frame_is_a_typed_error_not_a_crash() {
+    let spec = BundleSpec {
+        source: BundleSource::Generated {
+            bench: Benchmark::Aes,
+            target: Some(200),
+        },
+        enhance_samples: 0,
+        ..BundleSpec::default()
+    };
+    let server = spawn_server(&spec, &ServeConfig::default()).expect("spawn");
+    let call = |stream: &mut TcpStream, line: &str| {
+        // Generous: a debug build may still be building artifacts.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(300)))
+            .expect("timeout");
+        write_frame(stream, line).expect("send");
+        let reply = read_frame(stream, &mut Decoder::new())
+            .expect("read frame")
+            .expect("a reply before EOF");
+        Response::parse(&reply).expect("a typed reply")
+    };
+
+    let mut hostile = TcpStream::connect(server.addr()).expect("connect");
+    match call(&mut hostile, &"[".repeat(200_000)) {
+        Response::Error {
+            id: None,
+            kind,
+            message,
+        } => {
+            assert_eq!(kind, "protocol");
+            assert!(
+                message.starts_with("frame payload is not valid JSON: nesting deeper than"),
+                "{message}"
+            );
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+
+    let mut fresh = TcpStream::connect(server.addr()).expect("connect");
+    let pong = call(&mut fresh, &Request::Ping { id: 7 }.encode());
+    assert!(matches!(pong, Response::Pong { id: 7, .. }), "{pong:?}");
+    call(&mut fresh, &Request::Shutdown { id: 8 }.encode());
+    server.join().expect("clean shutdown");
 }

@@ -511,16 +511,12 @@ fn pipelined_requests_are_all_answered_before_a_half_close_ends() {
     assert_eq!(summary.stats.completed, n);
 }
 
-/// A client that writes requests and never reads its replies has its own
-/// writes blocked: once the socket toward it is full, the server stops
-/// reading its requests instead of queueing their replies in memory. The
-/// bound on what the client may send first is far above what the socket
-/// buffers of both ends hold.
-#[test]
-fn a_client_that_never_reads_has_its_writes_blocked() {
+/// Connects a client that writes pings and never reads the replies, until
+/// a write has blocked for 2 s. Returns `None` if the server instead read
+/// 64 MiB of them, far more than the socket buffers of both ends hold.
+fn client_blocked_by_unread_replies(addr: SocketAddr) -> Option<Client> {
     const MAX_SENT: usize = 64 << 20;
-    let server = spawn_server(&spec(200, 0), &ServeConfig::default()).expect("spawn");
-    let mut c = Client::connect(server.addr());
+    let mut c = Client::connect(addr);
     c.call(&Request::Ping { id: 0 });
     c.stream
         .set_write_timeout(Some(Duration::from_secs(2)))
@@ -529,27 +525,57 @@ fn a_client_that_never_reads_has_its_writes_blocked() {
         .flat_map(|id| encode_frame(&Request::Ping { id }.encode()))
         .collect();
     let mut sent = 0;
-    let blocked = loop {
-        if sent >= MAX_SENT {
-            break false;
-        }
+    while sent < MAX_SENT {
         match c.stream.write_all(&burst) {
             Ok(()) => sent += burst.len(),
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                break true
+                return Some(c)
             }
             Err(e) => panic!("write failed after {sent} bytes: {e}"),
         }
-    };
+    }
+    None
+}
+
+/// A client that writes requests and never reads its replies has its own
+/// writes blocked: once the socket toward it is full, the server stops
+/// reading its requests instead of queueing their replies in memory.
+#[test]
+fn a_client_that_never_reads_has_its_writes_blocked() {
+    let server = spawn_server(&spec(200, 0), &ServeConfig::default()).expect("spawn");
+    let blocked = client_blocked_by_unread_replies(server.addr());
     assert!(
-        blocked,
-        "the server read {sent} bytes of pings from a client that never reads"
+        blocked.is_some(),
+        "the server read 64 MiB of pings from a client that never reads"
     );
-    drop(c);
+    drop(blocked);
 
     let mut c = Client::connect(server.addr());
     c.call(&Request::Shutdown { id: 1 });
     server.join().expect("clean shutdown");
+}
+
+/// A shutdown completes while a client that never reads stays connected:
+/// once the generation winds down, the writer blocked on that client
+/// gives up after `frame_timeout_ms` (2 s by default) without progress,
+/// so `join` returns well within its 20 s bound. A writer that waits on
+/// the client forever holds the generation open until the client leaves.
+#[test]
+fn shutdown_completes_while_a_client_never_reads() {
+    let server = spawn_server(&spec(200, 0), &ServeConfig::default()).expect("spawn");
+    let blocked = client_blocked_by_unread_replies(server.addr()).expect("writes blocked");
+    let mut c = Client::connect(server.addr());
+    let ack = c.call(&Request::Shutdown { id: 1 });
+    assert!(matches!(ack, Response::ShuttingDown { id: 1 }), "{ack:?}");
+
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.join()));
+    let outcome = joined.recv_timeout(Duration::from_secs(20));
+    // Dropping the client ends the server in either case, so a failure
+    // leaves no thread behind.
+    drop(blocked);
+    let summary = outcome.expect("join had not returned 20 s after the shutdown ack");
+    summary.expect("clean shutdown");
 }
 
 /// The reaper cancels a job mid-score: on an idle server, a log whose

@@ -15,9 +15,6 @@
 //! m3d-diag lint      [--bench all|aes|tate|netcard|leon3mp] [--target N] [--samples N] [--json]
 //!                    [--deny] [--baseline FILE] [--write-baseline FILE]
 //! m3d-diag lint      --netlist F [--partition F] [--json]
-//! m3d-diag verify    [--bench all|aes|tate|netcard|leon3mp] [--target N] [--json]
-//!                    [--deny] [--baseline FILE] [--write-baseline FILE]
-//! m3d-diag verify    --netlist F --partition F [--json]
 //! m3d-diag serve     [--addr A] [--bench aes|--design-dir D] [--width N]
 //!                    [--enhance-samples N] [--model-cache F] [--queue N] [--watermark N]
 //!                    [--telemetry-addr A] [--flight-dir D] [--slo SPEC]
@@ -221,7 +218,6 @@ fn run(args: &[String]) -> Result<(), String> {
             "train" => cmd_train(rest),
             "demo" => cmd_demo(rest),
             "lint" => cmd_lint(rest),
-            "verify" => cmd_verify(rest),
             "serve" => cmd_serve(rest),
             "load" => cmd_load(rest),
             "watch" => cmd_watch(rest),
@@ -272,7 +268,6 @@ fn root_span_name(cmd: &str) -> &'static str {
         "train" => "train",
         "demo" => "demo",
         "lint" => "lint",
-        "verify" => "verify",
         "serve" => "serve",
         "load" => "load",
         "watch" => "watch",
@@ -393,20 +388,6 @@ const COMMANDS: &[CommandHelp] = &[
                 --compacted       compacted observation mode",
     },
     CommandHelp {
-        name: "verify",
-        summary: "flow-sensitive design verification (SCOAP, constants, untestable faults)",
-        flags: "  --bench NAME          all|aes|tate|netcard|leon3mp (default all)\n  \
-                --target N            benchmark gate-count target (default 400)\n  \
-                --netlist FILE        verify a netlist file instead of benchmarks\n  \
-                --partition FILE      with --netlist: tier assignment (required)\n  \
-                --clock-factor X      test clock as a multiple of the critical path (default 1.1)\n  \
-                --slack-frac X        escape threshold as a clock fraction (default 0.75)\n  \
-                --json                machine-readable report\n  \
-                --deny                exit nonzero on any unwaived finding\n  \
-                --baseline FILE       waive the findings listed in FILE\n  \
-                --write-baseline FILE write the current findings as a baseline",
-    },
-    CommandHelp {
         name: "serve",
         summary: "long-running TCP diagnosis service (length-prefixed JSONL)",
         flags: "  --addr A              bind address (default 127.0.0.1:7433; :0 picks a port)\n  \
@@ -425,7 +406,7 @@ const COMMANDS: &[CommandHelp] = &[
                 --default-deadline-ms N  budget when the request names none (default 2000)\n  \
                 --max-deadline-ms N   hard cap on requested budgets (default 10000)\n  \
                 --batch-max N         max jobs per scoring batch (default 8)\n  \
-                --frame-timeout-ms N  slow-writer (partial-frame) timeout (default 2000)\n  \
+                --frame-timeout-ms N  slow-peer timeout: partial frames, and stalled replies\n                        once shutting down (default 2000)\n  \
                 --chaos-panic-every N chaos hook: panic every Nth job's worker\n  \
                 --telemetry-addr A    bind the live telemetry exporter (:0 picks a port)\n  \
                 --flight-dir D        flight-recorder dump directory (panic/poison/storm/shutdown)\n  \
@@ -925,111 +906,6 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         if total > 0 {
             return Err(format!("lint found {total} finding(s) under --deny"));
         }
-    }
-    Ok(())
-}
-
-/// `m3d-diag verify`: flow-sensitive design verification.
-///
-/// Runs the `m3d-dataflow` analyses — SCOAP testability, constant
-/// propagation, and static untestable-fault proofs — over benchmark
-/// archetypes (or a `--netlist`/`--partition` pair) and reports the
-/// `L1xxx` findings with a per-design summary. Findings are facts about
-/// healthy designs, so gating is baseline-driven: `--write-baseline`
-/// records the current state, `--baseline` waives it, and `--deny` fails
-/// on anything new.
-fn cmd_verify(args: &[String]) -> Result<(), String> {
-    use m3d_fault_diagnosis::dataflow::{verify_design, UntestableClass, VerifyConfig};
-    use m3d_fault_diagnosis::lint::{passes, LintReport};
-
-    let flags = Flags::parse(
-        args,
-        &[
-            "bench",
-            "target",
-            "netlist",
-            "partition",
-            "clock-factor",
-            "slack-frac",
-            "baseline",
-            "write-baseline",
-        ],
-        &["json", "deny"],
-    )?;
-    let mut named: Vec<(String, M3dDesign)> = Vec::new();
-    if flags.get("netlist").is_some() {
-        let design = load_design(&flags)?;
-        named.push((design.netlist().name().to_owned(), design));
-    } else {
-        let benches: Vec<Benchmark> = match flags.get("bench").unwrap_or("all") {
-            "all" => Benchmark::ALL.to_vec(),
-            name => vec![parse_bench(name)?],
-        };
-        let target_size = flags.num("target", 400usize)?;
-        for bench in benches {
-            let design =
-                m3d_fault_diagnosis::part::DesignConfig::Syn1.build_sized(bench, Some(target_size));
-            named.push((bench.name().to_owned(), design));
-        }
-    }
-
-    let cfg = VerifyConfig {
-        clock_factor: flags.num("clock-factor", 1.1f32)?,
-        slack_frac: flags.num("slack-frac", 0.75f32)?,
-        ..VerifyConfig::default()
-    };
-    let mut reports: Vec<LintReport> = Vec::new();
-    let mut summaries: Vec<String> = Vec::new();
-    for (name, design) in &named {
-        let verify = verify_design(design, &cfg);
-        let mut report = LintReport::new(name.clone());
-        for d in passes::dataflow::report_diagnostics(design, &verify) {
-            report.push(d);
-        }
-        let class_count = |c: UntestableClass| {
-            verify
-                .proofs
-                .classes()
-                .iter()
-                .filter(|&&x| x == Some(c))
-                .count()
-        };
-        summaries.push(format!(
-            "{name}: {} sites, {} untestable ({} constant-site, {} no-launch, \
-             {} no-capture), {} constant nets, {} slack sites, clock {:.2}",
-            verify.sites.len(),
-            verify.proofs.untestable_count(),
-            class_count(UntestableClass::ConstantSite),
-            class_count(UntestableClass::NoLaunch),
-            class_count(UntestableClass::NoCapture),
-            verify.constprop.constant_nets().len(),
-            verify.slack_site_count(),
-            verify.clock_period,
-        ));
-        reports.push(report.sorted());
-    }
-
-    if let Some(path) = flags.get("write-baseline") {
-        write_baseline(&reports, path)?;
-        eprintln!("baseline written to {path}");
-    }
-    if let Some(path) = flags.get("baseline") {
-        let waived = apply_baseline(&mut reports, path)?;
-        eprintln!("baseline {path}: {waived} finding(s) waived");
-    }
-
-    if flags.flag("json") {
-        let body: Vec<String> = reports.iter().map(LintReport::render_json).collect();
-        println!("[{}]", body.join(","));
-    } else {
-        for (summary, report) in summaries.iter().zip(&reports) {
-            println!("{summary}");
-            print!("{}", report.render_text());
-        }
-    }
-    let total: usize = reports.iter().map(|r| r.diagnostics().len()).sum();
-    if flags.flag("deny") && total > 0 {
-        return Err(format!("verify found {total} unwaived finding(s)"));
     }
     Ok(())
 }

@@ -7,7 +7,6 @@
 
 #![warn(missing_docs)]
 
-pub use m3d_dataflow as dataflow;
 pub use m3d_dft as dft;
 pub use m3d_diagnosis as diagnosis;
 pub use m3d_fault_localization as fault_localization;

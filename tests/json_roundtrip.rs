@@ -28,7 +28,7 @@ fn lint_report_json_round_trips_hostile_messages() {
     let mut report = LintReport::new("design \"x\\y\"\nwith \u{1F4A3} in the name");
     for (i, msg) in hostile.iter().enumerate() {
         report.push(Diagnostic::new(
-            LintCode::ConstantNet,
+            LintCode::DanglingNet,
             Span::Net(NetId::new(i)),
             msg.clone(),
         ));
@@ -48,7 +48,7 @@ fn lint_report_json_round_trips_hostile_messages() {
         .expect("diagnostics array");
     assert_eq!(diags.len(), hostile.len());
     for (entry, msg) in diags.iter().zip(&hostile) {
-        assert_eq!(entry.get("code").and_then(Json::as_str), Some("L1001"));
+        assert_eq!(entry.get("code").and_then(Json::as_str), Some("L0002"));
         assert_eq!(
             entry.get("message").and_then(Json::as_str),
             Some(msg.as_str()),
