@@ -21,7 +21,7 @@
 //! gives. Without a perfect candidate in wave 1, every suspect is scored.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 use m3d_dft::{ObsMode, ScanChains};
 use m3d_netlist::SiteId;
@@ -61,9 +61,9 @@ impl Default for DiagnosisConfig {
     }
 }
 
-/// Returned by [`Diagnoser::try_diagnose`] when the caller's cancel flag
-/// was observed set before the report was complete (a per-request deadline
-/// expired). The partial work is discarded — there is no partial report.
+/// Returned by [`Diagnoser::try_diagnose`] when the caller's deadline
+/// passed before the report was complete. The partial work is discarded —
+/// there is no partial report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cancelled;
 
@@ -74,6 +74,11 @@ impl std::fmt::Display for Cancelled {
 }
 
 impl std::error::Error for Cancelled {}
+
+/// Whether `deadline` has passed; `None` never does and reads no clock.
+fn passed(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
+}
 
 /// The diagnosis engine, reusable across failure logs of one test setup.
 ///
@@ -173,31 +178,27 @@ impl<'a> Diagnoser<'a> {
     /// report is tagged [`DiagnosisReport::degraded`] — graceful
     /// degradation instead of an out-of-bounds panic.
     pub fn diagnose(&self, log: &FailureLog) -> DiagnosisReport {
-        let never = AtomicBool::new(false);
-        match self.try_diagnose(log, &never) {
-            Ok(report) => report,
-            Err(Cancelled) => unreachable!("flag is never set"),
-        }
+        self.try_diagnose(log, None)
+            .expect("a diagnosis without a deadline is never cancelled")
     }
 
-    /// [`Diagnoser::diagnose`] with cooperative cancellation: the caller
-    /// owns `cancel` (e.g. a deadline reaper sets it when a request's
-    /// budget expires) and the engine polls it at phase boundaries and
-    /// between suspect simulations, abandoning the remaining cone-scoring
-    /// work with `Err(Cancelled)`.
+    /// [`Diagnoser::diagnose`] with a deadline: the engine reads the clock
+    /// at phase boundaries and between suspect simulations, and abandons
+    /// the remaining cone-scoring work with `Err(Cancelled)` once
+    /// `deadline` has passed. `None` never expires and reads no clock.
     ///
-    /// Cancellation is pure control flow: with the flag never set, the
-    /// computation — and therefore the report — is bit-identical to
-    /// [`Diagnoser::diagnose`] at any thread count.
+    /// Cancellation is pure control flow: a report completed before the
+    /// deadline is bit-identical to [`Diagnoser::diagnose`] at any thread
+    /// count.
     ///
     /// # Errors
     ///
-    /// [`Cancelled`] when the flag was observed set before the report was
-    /// complete. No partial report is returned.
+    /// [`Cancelled`] when the deadline was seen passed before the report
+    /// was complete. No partial report is returned.
     pub fn try_diagnose(
         &self,
         log: &FailureLog,
-        cancel: &AtomicBool,
+        deadline: Option<Instant>,
     ) -> Result<DiagnosisReport, Cancelled> {
         let mut span = m3d_obs::span("diagnosis");
         span.add("entries", log.entries().len() as u64);
@@ -217,7 +218,7 @@ impl<'a> Diagnoser<'a> {
         } else {
             log
         };
-        let mut report = self.diagnose_trusted(log, cancel, &mut span)?;
+        let mut report = self.diagnose_trusted(log, deadline, &mut span)?;
         if dropped {
             report.mark_degraded();
             span.add("degraded", 1);
@@ -230,8 +231,8 @@ impl<'a> Diagnoser<'a> {
     }
 
     /// A zero-score placeholder a cancelled scoring worker returns; the
-    /// whole result vector is discarded once the cancel flag is seen, so
-    /// placeholders never reach a report.
+    /// whole result vector is discarded once the deadline is seen passed,
+    /// so placeholders never reach a report.
     fn cancelled_stub(site: SiteId) -> (Candidate, Signature) {
         (
             Candidate {
@@ -247,13 +248,13 @@ impl<'a> Diagnoser<'a> {
     fn diagnose_trusted(
         &self,
         log: &FailureLog,
-        cancel: &AtomicBool,
+        deadline: Option<Instant>,
         span: &mut m3d_obs::SpanGuard,
     ) -> Result<DiagnosisReport, Cancelled> {
         if log.is_empty() {
             return Ok(DiagnosisReport::default());
         }
-        if cancel.load(Ordering::Relaxed) {
+        if passed(deadline) {
             return Err(Cancelled);
         }
         let tester = Signature::from_log(log, self.fsim.patterns());
@@ -274,7 +275,7 @@ impl<'a> Diagnoser<'a> {
         let by_freq = self.most_frequent(counts.sites);
         let suspects = &by_freq[..by_freq.partition_point(|&(_, c)| c >= needed)];
 
-        let (scored, skipped) = self.score_phase1(suspects, &tester, cancel)?;
+        let (scored, skipped) = self.score_phase1(suspects, &tester, deadline)?;
         span.add("suspects", scored.len() as u64);
         span.add("skipped", skipped as u64);
         m3d_obs::counter("diagnosis.suspects_skipped", skipped as u64);
@@ -287,7 +288,7 @@ impl<'a> Diagnoser<'a> {
             // selected candidate explains a *disjoint share* of the log,
             // so the single-fault retention floor does not apply — the
             // cover itself is the retention decision.
-            let selected = self.cover_diagnosis(&by_freq, &tester, scored, cancel, span)?;
+            let selected = self.cover_diagnosis(&by_freq, &tester, scored, deadline, span)?;
             return Ok(self.rank_cover(selected));
         }
 
@@ -331,7 +332,7 @@ impl<'a> Diagnoser<'a> {
         &self,
         suspects: &[(SiteId, u32)],
         tester: &Signature,
-        cancel: &AtomicBool,
+        deadline: Option<Instant>,
     ) -> Result<(Vec<(Candidate, Signature)>, usize), Cancelled> {
         let failures = tester.failures();
         let (wave1, rest) = suspects.split_at(suspects.partition_point(|&(_, c)| c >= failures));
@@ -339,7 +340,7 @@ impl<'a> Diagnoser<'a> {
         let mut scored = if wave1.is_empty() {
             Vec::new()
         } else {
-            self.score_suspects(&sites(wave1), tester, cancel)?
+            self.score_suspects(&sites(wave1), tester, deadline)?
         };
         let mut rest = sites(rest);
         let total = rest.len();
@@ -353,7 +354,7 @@ impl<'a> Diagnoser<'a> {
             });
         }
         let skipped = total - rest.len();
-        scored.extend(self.score_suspects(&rest, tester, cancel)?);
+        scored.extend(self.score_suspects(&rest, tester, deadline)?);
         Ok((scored, skipped))
     }
 
@@ -368,7 +369,7 @@ impl<'a> Diagnoser<'a> {
         &self,
         sites: &[SiteId],
         tester: &Signature,
-        cancel: &AtomicBool,
+        deadline: Option<Instant>,
     ) -> Result<Vec<(Candidate, Signature)>, Cancelled> {
         let mut span = m3d_obs::span("suspect_score");
         span.add("suspects", sites.len() as u64);
@@ -379,15 +380,15 @@ impl<'a> Diagnoser<'a> {
                 || self.fsim.detector(),
                 |det, &s| {
                     // Deadline early-out: skip the simulation and return
-                    // a stub; the batch result is discarded.
-                    if cancel.load(Ordering::Relaxed) {
+                    // a stub; the wave's result is discarded.
+                    if passed(deadline) {
                         return Self::cancelled_stub(s);
                     }
                     self.best_candidate(det, s, tester)
                 },
             )
         });
-        if cancel.load(Ordering::Relaxed) {
+        if passed(deadline) {
             return Err(Cancelled);
         }
         m3d_obs::counter("diagnosis.suspects_scored", sites.len() as u64);
@@ -410,7 +411,7 @@ impl<'a> Diagnoser<'a> {
         ranked: &[(SiteId, u32)],
         tester: &Signature,
         seed: Vec<(Candidate, Signature)>,
-        cancel: &AtomicBool,
+        deadline: Option<Instant>,
         span: &mut m3d_obs::SpanGuard,
     ) -> Result<Vec<(Candidate, Signature)>, Cancelled> {
         let by_freq: Vec<SiteId> = ranked.iter().map(|&(s, _)| s).collect();
@@ -425,7 +426,7 @@ impl<'a> Diagnoser<'a> {
             .copied()
             .filter(|s| !pool.contains_key(s))
             .collect();
-        let scored_missing = self.score_suspects(&missing, tester, cancel)?;
+        let scored_missing = self.score_suspects(&missing, tester, deadline)?;
         span.add("cover_suspects", missing.len() as u64);
         for (site, cand) in missing.into_iter().zip(scored_missing) {
             pool.insert(site, cand);
@@ -761,16 +762,16 @@ mod tests {
         let dets = fsim.detections(&mut det, &[faults[3]]);
         let log = FailureLog::from_detections(&dets, &e.scan, ObsMode::Bypass);
 
-        // An unset flag yields exactly the plain report.
-        let clear = AtomicBool::new(false);
-        let report = diag.try_diagnose(&log, &clear).expect("not cancelled");
+        // A deadline that does not pass yields exactly the plain report.
+        let later = Instant::now() + std::time::Duration::from_secs(3_600);
+        let report = diag.try_diagnose(&log, Some(later)).expect("not cancelled");
         assert_eq!(report, diag.diagnose(&log));
 
-        // A pre-set flag cancels before any work, even for empty logs'
+        // A passed deadline cancels before any work, even for empty logs'
         // non-empty siblings; the empty log still short-circuits to Ok.
-        let set = AtomicBool::new(true);
-        assert_eq!(diag.try_diagnose(&log, &set), Err(Cancelled));
-        assert!(diag.try_diagnose(&FailureLog::default(), &set).is_ok());
+        let past = Some(Instant::now());
+        assert_eq!(diag.try_diagnose(&log, past), Err(Cancelled));
+        assert!(diag.try_diagnose(&FailureLog::default(), past).is_ok());
     }
 
     /// Entries naming no pattern or scan cell of the environment, as in
@@ -818,7 +819,6 @@ mod tests {
     /// as the exactness oracle's reference: every counted site sorted,
     /// every suspect scored, then the cover or the ranking.
     fn reference_diagnose(diag: &Diagnoser<'_>, log: &FailureLog) -> Reference {
-        let never = AtomicBool::new(false);
         let mut span = m3d_obs::span("reference");
         let tester = Signature::from_log(log, diag.fsim.patterns());
         let counts = diag
@@ -836,13 +836,13 @@ mod tests {
             .collect();
         let sites: Vec<SiteId> = suspects.iter().map(|&(s, _)| s).collect();
         let scored = diag
-            .score_suspects(&sites, &tester, &never)
+            .score_suspects(&sites, &tester, None)
             .expect("never cancelled");
         let cover = !scored.iter().any(|(c, _)| c.score.is_perfect());
         let report = if cover {
             let ranked = &by_freq[..by_freq.len().min(diag.config.max_cover_suspects)];
             let selected = diag
-                .cover_diagnosis(ranked, &tester, scored.clone(), &never, &mut span)
+                .cover_diagnosis(ranked, &tester, scored.clone(), None, &mut span)
                 .expect("never cancelled");
             diag.rank_cover(selected)
         } else {
@@ -907,9 +907,8 @@ mod tests {
                 });
                 prop_assert_eq!(&got, &report, "{:?}, {:?}, width {}", picks, mode, width);
             }
-            let never = AtomicBool::new(false);
             let (scored, skipped) = diag
-                .score_phase1(&want.suspects, &want.tester, &never)
+                .score_phase1(&want.suspects, &want.tester, None)
                 .expect("never cancelled");
             prop_assert_eq!(scored.len() + skipped, want.suspects.len());
             if want.cover {

@@ -5,10 +5,12 @@
 //! Unlike the trace buffer, which grows without bound and is flushed at
 //! process exit, the recorder is sized for *always-on* use in a
 //! long-running server: each source keeps only its most recent
-//! [`flight_capacity`] events (oldest overwritten first), so memory is
-//! bounded no matter the uptime. A global monotone sequence number gives
-//! every event a stable total order across sources — the causal timeline
-//! `m3d-diag report --flight` reconstructs.
+//! [`flight_capacity`] events (oldest overwritten first), and at most
+//! [`MAX_FLIGHT_RINGS`] sources keep a ring (a new source evicts the ring
+//! whose newest event is oldest), so memory and dump size are bounded no
+//! matter the uptime or how many connections were served. A global
+//! monotone sequence number gives every event a stable total order across
+//! sources — the causal timeline `m3d-diag report --flight` reconstructs.
 //!
 //! Recording is gated by its own flag ([`set_flight_enabled`]),
 //! independent of the trace/metrics gate: a production server records
@@ -25,10 +27,18 @@ use crate::event::Event;
 /// Default per-source ring capacity.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
+/// Most rings kept at once. A server records each connection under a
+/// source of its own, so without a cap it would keep one ring for every
+/// connection it ever served.
+pub const MAX_FLIGHT_RINGS: usize = 64;
+
 static FLIGHT_ENABLED: AtomicBool = AtomicBool::new(false);
 static FLIGHT_SEQ: AtomicU64 = AtomicU64::new(1);
 static FLIGHT_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_FLIGHT_CAPACITY);
 static RINGS: Mutex<BTreeMap<String, Ring>> = Mutex::new(BTreeMap::new());
+/// Events held by rings evicted since the last clear (updated under the
+/// `RINGS` lock).
+static EVICTED: AtomicU64 = AtomicU64::new(0);
 
 /// One recorded flight event.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +104,8 @@ pub fn flight_capacity() -> usize {
 }
 
 /// Records one event into `source`'s ring (no-op when disabled). The
-/// oldest event is overwritten once the ring is at capacity.
+/// oldest event is overwritten once the ring is at capacity; a source
+/// without a ring evicts the stalest one once [`MAX_FLIGHT_RINGS`] exist.
 pub fn flight_record(source: &str, kind: &str, detail: impl Into<String>) {
     if !flight_enabled() {
         return;
@@ -108,12 +119,27 @@ pub fn flight_record(source: &str, kind: &str, detail: impl Into<String>) {
     };
     let cap = flight_capacity();
     let mut rings = lock_rings();
+    if rings.len() >= MAX_FLIGHT_RINGS && !rings.contains_key(source) {
+        evict_stalest(&mut rings);
+    }
     let ring = rings.entry(ev.source.clone()).or_default();
     while ring.events.len() >= cap {
         ring.events.pop_front();
         ring.dropped += 1;
     }
     ring.events.push_back(ev);
+}
+
+/// Drops the ring whose newest event is oldest, counting its events as
+/// dropped.
+fn evict_stalest(rings: &mut BTreeMap<String, Ring>) {
+    let stalest = rings
+        .iter()
+        .min_by_key(|(_, r)| r.events.back().map_or(0, |e| e.seq))
+        .map(|(source, _)| source.clone());
+    if let Some(ring) = stalest.and_then(|source| rings.remove(&source)) {
+        EVICTED.fetch_add(ring.events.len() as u64 + ring.dropped, Ordering::Relaxed);
+    }
 }
 
 /// Every retained event across all rings, in global sequence order.
@@ -127,15 +153,18 @@ pub fn flight_events() -> Vec<FlightEvent> {
     out
 }
 
-/// Total events overwritten across all rings since the last clear (how
-/// much history the capacity bound cost).
+/// Total events overwritten or evicted since the last clear (how much
+/// history the capacity and ring-count bounds cost).
 pub fn flight_dropped() -> u64 {
-    lock_rings().values().map(|r| r.dropped).sum()
+    let rings = lock_rings();
+    rings.values().map(|r| r.dropped).sum::<u64>() + EVICTED.load(Ordering::Relaxed)
 }
 
 /// Drops every ring and resets the sequence counter.
 pub fn flight_clear() {
-    lock_rings().clear();
+    let mut rings = lock_rings();
+    rings.clear();
+    EVICTED.store(0, Ordering::Relaxed);
     FLIGHT_SEQ.store(1, Ordering::Relaxed);
 }
 
@@ -198,6 +227,35 @@ mod tests {
         // Global sequence order is a total order across sources.
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
         set_flight_capacity(DEFAULT_FLIGHT_CAPACITY);
+        flight_clear();
+    }
+
+    #[test]
+    fn ring_count_is_capped_by_evicting_the_stalest_source() {
+        let _x = exclusive();
+        flight_clear();
+        set_flight_enabled(true);
+        // One ring per connection, as a server records them, while the
+        // `serve` ring stays active and is never the stalest.
+        let conns = MAX_FLIGHT_RINGS + 10;
+        for i in 0..conns {
+            flight_record(&format!("conn-{i}"), "admit", "id=1");
+            flight_record("serve", "tick", format!("{i}"));
+        }
+        set_flight_enabled(false);
+        let events = flight_events();
+        let sources: std::collections::BTreeSet<&str> =
+            events.iter().map(|e| e.source.as_str()).collect();
+        assert_eq!(sources.len(), MAX_FLIGHT_RINGS, "ring count is capped");
+        assert!(sources.contains("serve"), "the active ring survives");
+        // The 11 connections that went quiet first lost their rings.
+        let evicted = conns + 1 - MAX_FLIGHT_RINGS;
+        for i in 0..conns {
+            let kept = sources.contains(format!("conn-{i}").as_str());
+            assert_eq!(kept, i >= evicted, "conn-{i}");
+        }
+        assert_eq!(flight_dropped(), evicted as u64, "evicted events count");
+        assert_eq!(events.len(), conns + MAX_FLIGHT_RINGS - 1);
         flight_clear();
     }
 

@@ -155,8 +155,7 @@ const GATE_WORK_FACTOR: u64 = 8;
 /// two-worker dispatch — scope spawn, chunk claim, channel send, join —
 /// and (b) the per-element cost of a simple float multiply-add stream,
 /// then sets the break-even at [`GATE_WORK_FACTOR`] dispatch-costs worth
-/// of elements. `M3D_PAR_THRESHOLD` (elements; `0` = always parallel)
-/// skips the measurement entirely.
+/// of elements.
 ///
 /// The calibration is timing-derived and therefore varies per process —
 /// which is safe precisely because [`par_gate`] only ever chooses between
@@ -164,12 +163,6 @@ const GATE_WORK_FACTOR: u64 = 8;
 fn calibrated_break_even() -> u64 {
     static CAL: OnceLock<u64> = OnceLock::new();
     *CAL.get_or_init(|| {
-        if let Some(v) = std::env::var("M3D_PAR_THRESHOLD")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-        {
-            return v;
-        }
         // Measure on a fresh thread, whose thread-locals are at their
         // defaults: inside a pool worker the width-2 dispatch would run
         // inline (nested calls are serial) and the value would sit on
@@ -213,7 +206,7 @@ fn measure_break_even() -> u64 {
 
 /// The break-even work size (element units) the next [`par_gate`] call on
 /// this thread will use: the scoped [`with_par_threshold`] override if
-/// set, else the per-process calibration (or `M3D_PAR_THRESHOLD`).
+/// set, else the per-process calibration.
 pub fn par_break_even() -> u64 {
     let o = THRESHOLD_OVERRIDE.with(Cell::get);
     if o != u64::MAX {
@@ -857,9 +850,7 @@ mod tests {
         let a = calibrated_break_even();
         let b = calibrated_break_even();
         assert_eq!(a, b, "calibration is once per process");
-        if std::env::var_os("M3D_PAR_THRESHOLD").is_none() {
-            assert!((1 << 12..=1 << 26).contains(&a), "break-even {a} unclamped");
-        }
+        assert!((1 << 12..=1 << 26).contains(&a), "break-even {a} unclamped");
     }
 
     #[test]

@@ -7,10 +7,6 @@
 
 #[test]
 fn break_even_first_computed_inside_a_worker_is_above_the_floor() {
-    if std::env::var_os("M3D_PAR_THRESHOLD").is_some() {
-        // The override replaces the measurement.
-        return;
-    }
     let seen = m3d_par::with_threads(2, || {
         m3d_par::par_map(&[(), ()], |_| {
             assert_eq!(m3d_par::num_threads(), 1, "runs inside a worker");

@@ -10,6 +10,9 @@
 //!    `retry_after_ms` hint scaled to the backlog, and the server does no
 //!    further work for it.
 //!
+//! A job leaves the queue only when a scoring worker starts it, so the
+//! server holds at most `queue_capacity` waiting jobs plus one per worker.
+//!
 //! Shedding is a *ladder*, not a cliff (DESIGN.md §16): below the
 //! watermark requests get the full pipeline (diagnosis + GNN
 //! enhancement); between the watermark and capacity they are admitted but
@@ -17,9 +20,10 @@
 //! the expensive, optional stage); at capacity they are refused with
 //! `Overloaded`. Every rung is a typed, observable outcome.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use m3d_tdf::FailureLog;
@@ -39,8 +43,6 @@ pub struct AdmissionConfig {
     /// Hard cap on client-requested deadlines (a client cannot pin a slot
     /// for minutes).
     pub max_deadline_ms: u64,
-    /// Most jobs drained into one scoring batch.
-    pub batch_max: usize,
 }
 
 impl Default for AdmissionConfig {
@@ -50,73 +52,65 @@ impl Default for AdmissionConfig {
             shed_watermark: 48,
             default_deadline_ms: 2_000,
             max_deadline_ms: 10_000,
-            batch_max: 8,
         }
     }
 }
 
-/// One admitted diagnosis request, queued for the batcher.
+/// One admitted diagnosis request, queued until a scoring worker takes it.
 #[derive(Debug)]
 pub struct Job {
     /// Client-chosen request id (echoed in the response).
     pub id: u64,
-    /// Server-assigned admission sequence number (1-based). Stable across
-    /// a panic-recovery re-run of the same job, which is what makes the
-    /// chaos panic injector deterministic.
+    /// Server-assigned admission sequence number (1-based), drawn for
+    /// every request that reaches admission, refused ones included. The
+    /// chaos panic injector keys on it.
     pub seq: u64,
     /// The parsed failure log.
     pub log: FailureLog,
     /// Admission timestamp (queue-latency accounting).
     pub enqueued: Instant,
-    /// Absolute deadline; past it the job is cancelled.
+    /// Absolute deadline: a worker answers a job past it unscored, and the
+    /// scoring loops stop once they see it pass.
     pub deadline: Instant,
     /// The budget behind `deadline`, echoed in `DeadlineExceeded`.
     pub budget_ms: u64,
-    /// Cooperative cancellation flag, set by the deadline reaper and
-    /// polled inside the scoring loops.
-    pub cancel: Arc<AtomicBool>,
     /// Serve the baseline (un-enhanced) ranking, tagged degraded.
     pub degrade: bool,
     /// The client opted out of enhancement (not a degradation).
     pub no_enhance: bool,
-    /// Where the batcher sends the response (the connection handler owns
+    /// Where the worker sends the response (the connection's writer owns
     /// the socket).
     pub reply: Sender<Response>,
 }
 
-/// The admission gate handed to every connection handler. Cloneable; all
-/// clones share one bounded queue and one depth gauge.
-#[derive(Clone)]
+/// The admission gate every connection handler admits into and every
+/// scoring worker takes from: one bounded FIFO queue.
 pub struct Admission {
-    tx: SyncSender<Job>,
-    depth: Arc<AtomicUsize>,
-    seq: Arc<AtomicU64>,
+    queue: Mutex<VecDeque<Job>>,
+    /// Signalled once per admitted job.
+    ready: Condvar,
+    seq: AtomicU64,
     cfg: AdmissionConfig,
 }
 
-/// Builds the gate and the receiving end the batcher drains.
-pub fn admission_queue(cfg: AdmissionConfig) -> (Admission, Receiver<Job>) {
-    let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
-    (
-        Admission {
-            tx,
-            depth: Arc::new(AtomicUsize::new(0)),
-            seq: Arc::new(AtomicU64::new(0)),
-            cfg,
-        },
-        rx,
-    )
-}
-
 impl Admission {
-    /// The shared config.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
+    /// An empty gate.
+    pub fn new(cfg: AdmissionConfig) -> Admission {
+        Admission {
+            queue: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
+            seq: AtomicU64::new(0),
+            cfg,
+        }
+    }
+
+    fn queue(&self) -> MutexGuard<'_, VecDeque<Job>> {
+        self.queue.lock().expect("admission queue")
     }
 
     /// Current queue depth (gauge for stats).
     pub fn depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
+        self.queue().len()
     }
 
     /// Resolves a client-requested budget against the server's default
@@ -129,10 +123,9 @@ impl Admission {
 
     /// Tries to admit a diagnosis request.
     ///
-    /// On success the job is queued (its `degrade` flag reflecting the
-    /// shed watermark) and its cancellation flag is returned so the caller
-    /// can register the deadline with the reaper. On a full queue the
-    /// typed `Overloaded` response to send back is returned instead.
+    /// On success the job is queued, its `degrade` flag reflecting the
+    /// shed watermark. On a full queue the typed `Overloaded` response to
+    /// send back is returned instead.
     pub fn admit(
         &self,
         id: u64,
@@ -140,61 +133,47 @@ impl Admission {
         requested_deadline_ms: Option<u64>,
         no_enhance: bool,
         reply: Sender<Response>,
-    ) -> Result<(Instant, Arc<AtomicBool>), Response> {
-        let depth = self.depth.load(Ordering::Relaxed);
+    ) -> Result<(), Response> {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let budget_ms = self.budget_ms(requested_deadline_ms);
+        let mut queue = self.queue();
+        let depth = queue.len();
+        if depth >= self.cfg.queue_capacity.max(1) {
+            return Err(Response::Overloaded {
+                id,
+                retry_after_ms: retry_after_ms(depth),
+            });
+        }
         let now = Instant::now();
-        let deadline = now + Duration::from_millis(budget_ms);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let job = Job {
+        queue.push_back(Job {
             id,
-            seq: self.seq.fetch_add(1, Ordering::Relaxed) + 1,
+            seq,
             log,
             enqueued: now,
-            deadline,
+            deadline: now + Duration::from_millis(budget_ms),
             budget_ms,
-            cancel: Arc::clone(&cancel),
             degrade: depth >= self.cfg.shed_watermark.min(self.cfg.queue_capacity),
             no_enhance,
             reply,
-        };
-        match self.tx.try_send(job) {
-            Ok(()) => {
-                let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-                self.sample_depth(depth);
-                Ok((deadline, cancel))
-            }
-            Err(TrySendError::Full(_)) => Err(Response::Overloaded {
-                id,
-                retry_after_ms: self.retry_after_ms(),
-            }),
-            Err(TrySendError::Disconnected(_)) => Err(Response::Error {
-                id: Some(id),
-                kind: "internal".into(),
-                message: "diagnosis queue closed".into(),
-            }),
-        }
+        });
+        drop(queue);
+        self.ready.notify_one();
+        self.sample_depth(depth + 1);
+        Ok(())
     }
 
-    /// Backoff hint for a refused request, scaled to the backlog: a full
-    /// queue of slow jobs earns a longer hint than a momentary spike.
-    fn retry_after_ms(&self) -> u64 {
-        let depth = self.depth.load(Ordering::Relaxed) as u64;
-        10 + depth.saturating_mul(5)
-    }
-
-    /// Records that the batcher dequeued one job.
-    pub fn note_dequeued(&self) {
-        // `admit` increments after a successful try_send, so the counter
-        // can transiently lag the channel; saturate instead of wrapping.
-        let updated = self
-            .depth
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                Some(d.saturating_sub(1))
-            });
-        if let Ok(prev) = updated {
-            self.sample_depth(prev.saturating_sub(1));
-        }
+    /// Takes the oldest queued job, waiting up to `timeout` for one to be
+    /// admitted; `None` if none was.
+    pub fn take(&self, timeout: Duration) -> Option<Job> {
+        let (mut queue, _) = self
+            .ready
+            .wait_timeout_while(self.queue(), timeout, |q| q.is_empty())
+            .expect("admission queue");
+        let job = queue.pop_front()?;
+        let depth = queue.len();
+        drop(queue);
+        self.sample_depth(depth);
+        Some(job)
     }
 
     /// Exports the instantaneous queue depth on every enqueue/dequeue: a
@@ -219,6 +198,12 @@ impl Admission {
     }
 }
 
+/// Backoff hint for a refused request, scaled to the backlog: a full
+/// queue of slow jobs earns a longer hint than a momentary spike.
+fn retry_after_ms(depth: usize) -> u64 {
+    10 + (depth as u64).saturating_mul(5)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,7 +219,7 @@ mod tests {
 
     #[test]
     fn full_queue_refuses_with_typed_backpressure() {
-        let (adm, rx) = admission_queue(tiny());
+        let adm = Admission::new(tiny());
         let (reply, _keep) = channel();
         assert!(adm
             .admit(1, FailureLog::default(), None, false, reply.clone())
@@ -250,8 +235,7 @@ mod tests {
             other => panic!("expected Overloaded, got {other:?}"),
         }
         // Draining reopens admission.
-        let job = rx.recv().expect("queued job");
-        adm.note_dequeued();
+        let job = adm.take(Duration::ZERO).expect("queued job");
         assert_eq!(job.id, 1);
         assert!(!job.degrade, "first admit saw an empty queue");
         let (reply, _keep) = channel();
@@ -263,13 +247,13 @@ mod tests {
 
     #[test]
     fn shed_watermark_degrades_instead_of_refusing() {
-        let (adm, _rx) = admission_queue(tiny());
+        let adm = Admission::new(tiny());
         let (reply, _keep) = channel();
         adm.admit(1, FailureLog::default(), None, false, reply.clone())
             .expect("admit");
         adm.admit(2, FailureLog::default(), None, false, reply)
             .expect("admit");
-        let jobs: Vec<Job> = _rx.try_iter().collect();
+        let jobs: Vec<Job> = std::iter::from_fn(|| adm.take(Duration::ZERO)).collect();
         assert_eq!(jobs.len(), 2);
         assert!(!jobs[0].degrade);
         assert!(jobs[1].degrade, "above the watermark");
@@ -277,7 +261,7 @@ mod tests {
 
     #[test]
     fn deadlines_are_defaulted_and_capped() {
-        let (adm, _rx) = admission_queue(AdmissionConfig::default());
+        let adm = Admission::new(AdmissionConfig::default());
         assert_eq!(adm.budget_ms(None), 2_000);
         assert_eq!(adm.budget_ms(Some(0)), 1);
         assert_eq!(adm.budget_ms(Some(250)), 250);

@@ -28,7 +28,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use m3d_dft::ObsMode;
-use m3d_diagnosis::DiagnosisConfig;
 use m3d_fault_localization::{
     try_generate_samples, DiagSample, FaultLocalizer, FrameworkConfig, InjectionKind,
     MivPinpointer, ModelConfig, TestEnv, TierPredictor,
@@ -159,15 +158,13 @@ impl fmt::Display for ModelProvenance {
 }
 
 /// One loaded artifact generation: the environment, the observation mode,
-/// diagnosis knobs, and (optionally) the trained localizer.
+/// and (optionally) the trained localizer.
 #[derive(Debug)]
 pub struct ArtifactBundle {
     /// Design + scan + patterns + heterogeneous graph.
     pub env: TestEnv,
     /// Observation mode requests are diagnosed under.
     pub mode: ObsMode,
-    /// Diagnosis engine knobs.
-    pub diag_cfg: DiagnosisConfig,
     /// The enhancement models (`None` = baseline-only serving).
     pub localizer: Option<FaultLocalizer>,
     /// Where the models came from.
@@ -201,7 +198,6 @@ impl ArtifactBundle {
         Ok(ArtifactBundle {
             env,
             mode: spec.mode(),
-            diag_cfg: DiagnosisConfig::default(),
             localizer,
             provenance,
         })

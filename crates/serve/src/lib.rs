@@ -20,10 +20,10 @@
 //!   deadlines, and a load-shedding watermark past which requests are
 //!   served the baseline ranking tagged `degraded` (the GNN enhancement
 //!   stage is shed first).
-//! * [`server`] — the generation loop: an acceptor, per-connection
-//!   handler threads, a deadline reaper, and a batcher that scores
-//!   requests across connections on the `m3d_par` pool with per-request
-//!   spans and panic isolation (`try_par_map`).
+//! * [`server`] — the generation loop: an acceptor, a reader and a
+//!   writer thread per connection, and `pool_width` scoring workers that
+//!   each take the oldest admitted request, check its deadline, and score
+//!   it with per-request spans and panic isolation (`try_par_map`).
 //! * [`loadgen`] — a deterministic load generator and chaos client:
 //!   thousands of concurrent synthetic tester sessions with seeded fault
 //!   injection, verifying every served report bit-for-bit against an

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use m3d_diagnosis::Diagnoser;
+use m3d_diagnosis::{Diagnoser, DiagnosisConfig};
 use m3d_fault_localization::{try_generate_samples, InjectionKind};
 use m3d_resilient::chaos::{ChaosAction, ChaosSchedule};
 use m3d_tdf::write_failure_log;
@@ -216,7 +216,12 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
 fn compute_expected(cfg: &LoadConfig) -> Result<Vec<Expected>, String> {
     let bundle = ArtifactBundle::load(&cfg.spec)?;
     let fsim = bundle.env.fault_sim();
-    let diagnoser = Diagnoser::new(&fsim, &bundle.env.scan, bundle.mode, bundle.diag_cfg);
+    let diagnoser = Diagnoser::new(
+        &fsim,
+        &bundle.env.scan,
+        bundle.mode,
+        DiagnosisConfig::default(),
+    );
     let samples = try_generate_samples(
         &bundle.env,
         &fsim,

@@ -1,6 +1,6 @@
 //! The server: a generation loop around an acceptor, a reader and a
-//! writer thread per connection, a cross-connection batcher, and a
-//! deadline reaper.
+//! writer thread per connection, and `pool_width` scoring workers that
+//! each take one admitted job at a time.
 //!
 //! # Ownership: the generation loop
 //!
@@ -22,12 +22,12 @@
 //!   connection — never a panic (`tests/proto_fuzz.rs`).
 //! * A panicking connection handler is caught, counted, and closes only
 //!   its own socket.
-//! * A panicking diagnosis worker is caught by the `m3d_par` `try_*`
-//!   containment; the batch re-runs its jobs individually so the poisoned
-//!   request gets a typed `internal` error while every sibling completes.
-//! * A request past its budget is cancelled cooperatively (the reaper
-//!   sets its flag; the scoring loops poll it) and answered with
-//!   `DeadlineExceeded`.
+//! * A panicking diagnosis is caught by the `m3d_par` `try_*`
+//!   containment: the poisoned request gets a typed `internal` error and
+//!   its worker goes on to the next job.
+//! * A request past its budget is answered with `DeadlineExceeded`:
+//!   unscored if it expired while queued, and from mid-score once the
+//!   scoring loops see its deadline pass.
 //!
 //! The invariant the service tests pin down: for every well-formed
 //! request, the served report is bit-identical to an offline
@@ -39,16 +39,16 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
-use m3d_diagnosis::{Cancelled, Diagnoser};
+use m3d_diagnosis::{Cancelled, Diagnoser, DiagnosisConfig};
 use m3d_obs::SloSpec;
 use m3d_tdf::{read_failure_log, FailureLog, FaultSim};
 
-use crate::admission::{admission_queue, Admission, AdmissionConfig, Job};
+use crate::admission::{Admission, AdmissionConfig, Job};
 use crate::artifacts::{ArtifactBundle, BundleSpec};
 use crate::proto::{
     encode_frame, wire_candidates, Decoder, ProtoError, Request, Response, StatsSnapshot,
@@ -79,7 +79,8 @@ const MAX_OWED: usize = 64;
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// `m3d_par` pool width for batched diagnosis scoring.
+    /// Scoring workers, each taking one job at a time; also the `m3d_par`
+    /// pool width one job's scoring may fan out to.
     pub pool_width: usize,
     /// Admission / scheduling knobs.
     pub admission: AdmissionConfig,
@@ -324,7 +325,6 @@ struct GenCtx<'g> {
     gen_exit: &'g AtomicBool,
     pending_bundle: &'g Mutex<Option<ArtifactBundle>>,
     admission: &'g Admission,
-    reaper: &'g Mutex<Vec<(Instant, Weak<AtomicBool>)>>,
     active_conns: &'g AtomicUsize,
 }
 
@@ -338,11 +338,15 @@ fn run_generation(
     shutdown: &AtomicBool,
 ) -> Option<ArtifactBundle> {
     let fsim = bundle.env.fault_sim();
-    let diagnoser = Diagnoser::new(&fsim, &bundle.env.scan, bundle.mode, bundle.diag_cfg);
-    let (admission, jobs_rx) = admission_queue(cfg.admission);
+    let diagnoser = Diagnoser::new(
+        &fsim,
+        &bundle.env.scan,
+        bundle.mode,
+        DiagnosisConfig::default(),
+    );
+    let admission = Admission::new(cfg.admission);
     let gen_exit = AtomicBool::new(false);
     let pending_bundle = Mutex::new(None);
-    let reaper = Mutex::new(Vec::new());
     let active_conns = AtomicUsize::new(0);
     let ctx = GenCtx {
         spec,
@@ -352,44 +356,13 @@ fn run_generation(
         gen_exit: &gen_exit,
         pending_bundle: &pending_bundle,
         admission: &admission,
-        reaper: &reaper,
         active_conns: &active_conns,
     };
 
     thread::scope(|s| {
-        // Deadline reaper: sets cancellation flags the instant a budget
-        // expires, so jobs mid-batch stop scoring cooperatively. It holds
-        // each flag weakly: once the batcher drops a finished job, the
-        // flag no longer upgrades and its entry leaves on the next tick,
-        // so a tick touches only live jobs.
-        s.spawn(|| {
-            while !gen_exit.load(Ordering::Relaxed) || active_conns.load(Ordering::Relaxed) > 0 {
-                let now = Instant::now();
-                reaper
-                    .lock()
-                    .expect("reaper registry")
-                    .retain(|(deadline, flag)| {
-                        if *deadline > now {
-                            return flag.strong_count() > 0;
-                        }
-                        if let Some(flag) = flag.upgrade() {
-                            flag.store(true, Ordering::Relaxed);
-                        }
-                        false
-                    });
-                thread::sleep(Duration::from_millis(2));
-            }
-        });
-
-        // Batcher: drains admitted jobs across all connections and scores
-        // them together over the worker pool. It owns the receiver
-        // (`Receiver` is `Send` but not `Sync`).
-        let batcher_ctx = &ctx;
-        let batcher_diag = &diagnoser;
-        let batcher_fsim = &fsim;
-        s.spawn(move || {
-            run_batcher(&jobs_rx, batcher_ctx, batcher_diag, bundle, batcher_fsim);
-        });
+        for _ in 0..cfg.pool_width.max(1) {
+            s.spawn(|| run_worker(&ctx, &diagnoser, bundle, &fsim));
+        }
 
         // Acceptor: polls the nonblocking listener so it can observe the
         // exit flags (std offers no unblockable accept).
@@ -430,133 +403,82 @@ fn run_generation(
                 Err(_) => thread::sleep(Duration::from_millis(5)),
             }
         }
-        // The scope now joins the reaper, the batcher, and every live
-        // connection handler before the borrows of `bundle` end.
+        // The scope now joins the workers and every live connection
+        // handler before the borrows of `bundle` end.
     });
 
     let next = pending_bundle.lock().expect("pending bundle").take();
     next
 }
 
-/// The batcher loop: deadline-checks, batches, scores, replies.
-fn run_batcher(
-    jobs_rx: &Receiver<Job>,
+/// A scoring worker: takes the oldest admitted job, answers it unscored if
+/// its deadline has passed, and scores it otherwise. Returns once the
+/// generation winds down and no handler is left to admit another job; a
+/// handler ends only after every job it admitted has replied, so none is
+/// left queued.
+fn run_worker(
     ctx: &GenCtx<'_>,
     diagnoser: &Diagnoser<'_>,
     bundle: &ArtifactBundle,
     fsim: &FaultSim<'_>,
 ) {
-    let batch_max = ctx.admission.config().batch_max.max(1);
+    let width = ctx.cfg.pool_width.max(1);
     loop {
-        let first = match jobs_rx.recv_timeout(Duration::from_millis(10)) {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => {
-                // Exit only once no handler can admit another job.
-                if ctx.gen_exit.load(Ordering::Relaxed)
-                    && ctx.active_conns.load(Ordering::Relaxed) == 0
-                {
-                    return;
-                }
-                continue;
+        let Some(job) = ctx.admission.take(Duration::from_millis(10)) else {
+            if ctx.gen_exit.load(Ordering::Relaxed) && ctx.active_conns.load(Ordering::Relaxed) == 0
+            {
+                return;
             }
-            Err(RecvTimeoutError::Disconnected) => return,
+            continue;
         };
-        ctx.admission.note_dequeued();
-        let mut batch = vec![first];
-        while batch.len() < batch_max {
-            match jobs_rx.try_recv() {
-                Ok(job) => {
-                    ctx.admission.note_dequeued();
-                    batch.push(job);
-                }
-                Err(_) => break,
+        let resp = if Instant::now() >= job.deadline {
+            deadline_exceeded(&job)
+        } else {
+            // A one-job map runs inline on this thread, so the job's own
+            // scoring can still fan out to `width` threads, and a panic in
+            // it is contained to this job.
+            let scored = m3d_par::with_threads(width, || {
+                m3d_par::try_par_map(std::slice::from_ref(&job), |job| {
+                    run_job(job, ctx, diagnoser, bundle, fsim)
+                })
+            });
+            match scored {
+                Ok(mut responses) => responses.pop().expect("one job in, one response out"),
+                Err(p) => contained_panic(&job, &p, ctx),
             }
-        }
-        process_batch(batch, ctx, diagnoser, bundle, fsim);
+        };
+        finish_job(&job, resp, ctx);
     }
 }
 
-fn process_batch(
-    batch: Vec<Job>,
-    ctx: &GenCtx<'_>,
-    diagnoser: &Diagnoser<'_>,
-    bundle: &ArtifactBundle,
-    fsim: &FaultSim<'_>,
-) {
-    // Jobs that expired while queued are answered without scoring.
-    let now = Instant::now();
-    let (live, expired): (Vec<Job>, Vec<Job>) = batch
-        .into_iter()
-        .partition(|j| j.deadline > now && !j.cancel.load(Ordering::Relaxed));
-    for job in expired {
-        ctx.counters.bump(&ctx.counters.deadline_exceeded);
-        m3d_obs::counter("serve.deadline_exceeded", 1);
-        let _ = job.reply.send(Response::DeadlineExceeded {
-            id: job.id,
-            budget_ms: job.budget_ms,
-        });
+/// Accounts for a panic contained while scoring `job`, and returns the
+/// typed `internal` error that answers it.
+fn contained_panic(job: &Job, p: &m3d_par::WorkerPanic, ctx: &GenCtx<'_>) -> Response {
+    ctx.counters.bump(&ctx.counters.panics_contained);
+    m3d_obs::counter("serve.panics_contained", 1);
+    m3d_obs::counter("serve.internal_errors", 1);
+    m3d_obs::flight_record(
+        "serve",
+        "panic_contained",
+        format!("id={} seq={}: {}", job.id, job.seq, p.message),
+    );
+    // A contained worker panic is exactly what the flight recorder exists
+    // for: dump unconditionally, one artifact per poisoned sequence number.
+    if let Some(dir) = &ctx.cfg.flight_dir {
+        let _ = telemetry::dump_flight(dir, &format!("panic-seq{}", job.seq));
     }
-    if live.is_empty() {
-        return;
+    Response::Error {
+        id: Some(job.id),
+        kind: "internal".into(),
+        message: format!("diagnosis worker panicked: {}", p.message),
     }
+}
 
-    let mut sp = m3d_obs::span("serve_batch");
-    sp.add("jobs", live.len() as u64);
-    let width = ctx.cfg.pool_width.max(1);
-    // `with_threads` is a thread-local override, so the batcher must apply
-    // the pool width itself — connection threads never score.
-    let scored = m3d_par::with_threads(width, || {
-        m3d_par::try_par_map(&live, |job| run_job(job, ctx, diagnoser, bundle, fsim))
-    });
-    match scored {
-        Ok(responses) => {
-            for (job, resp) in live.iter().zip(responses) {
-                finish_job(job, resp, ctx);
-            }
-        }
-        Err(_first_panic) => {
-            // A worker panicked. Every sibling's result is discarded with
-            // the batch, so re-run each job alone: the poisoned one (the
-            // chaos hook keys on the stable admission sequence number)
-            // earns a typed internal error, the rest complete normally.
-            for job in &live {
-                let one = std::slice::from_ref(job);
-                let retried = m3d_par::with_threads(width, || {
-                    m3d_par::try_par_map(one, |job| run_job(job, ctx, diagnoser, bundle, fsim))
-                });
-                match retried {
-                    Ok(mut responses) => {
-                        let resp = responses.pop().expect("one job in, one response out");
-                        finish_job(job, resp, ctx);
-                    }
-                    Err(p) => {
-                        ctx.counters.bump(&ctx.counters.panics_contained);
-                        m3d_obs::counter("serve.panics_contained", 1);
-                        m3d_obs::counter("serve.internal_errors", 1);
-                        m3d_obs::flight_record(
-                            "serve",
-                            "panic_contained",
-                            format!("id={} seq={}: {}", job.id, job.seq, p.message),
-                        );
-                        // A contained worker panic is exactly what the
-                        // flight recorder exists for: dump unconditionally,
-                        // one artifact per poisoned sequence number.
-                        if let Some(dir) = &ctx.cfg.flight_dir {
-                            let _ = telemetry::dump_flight(dir, &format!("panic-seq{}", job.seq));
-                        }
-                        finish_job(
-                            job,
-                            Response::Error {
-                                id: Some(job.id),
-                                kind: "internal".into(),
-                                message: format!("diagnosis worker panicked: {}", p.message),
-                            },
-                            ctx,
-                        );
-                    }
-                }
-            }
-        }
+/// The answer to a job whose budget ran out.
+fn deadline_exceeded(job: &Job) -> Response {
+    Response::DeadlineExceeded {
+        id: job.id,
+        budget_ms: job.budget_ms,
     }
 }
 
@@ -583,22 +505,11 @@ fn run_job(
             panic!("chaos: injected worker panic (seq {})", job.seq);
         }
     }
-    let report = match diagnoser.try_diagnose(&job.log, &job.cancel) {
-        Ok(report) => report,
-        Err(Cancelled) => {
-            return Response::DeadlineExceeded {
-                id: job.id,
-                budget_ms: job.budget_ms,
-            }
-        }
-    };
     // The budget covers enhancement too.
-    if job.cancel.load(Ordering::Relaxed) {
-        return Response::DeadlineExceeded {
-            id: job.id,
-            budget_ms: job.budget_ms,
-        };
-    }
+    let report = match diagnoser.try_diagnose(&job.log, Some(job.deadline)) {
+        Ok(report) if Instant::now() < job.deadline => report,
+        Ok(_) | Err(Cancelled) => return deadline_exceeded(job),
+    };
     let (report, enhanced, action) = if job.degrade {
         // Shedding rung two: admitted past the watermark, so the optional
         // enhancement stage is skipped and the baseline ranking is served,
@@ -651,7 +562,7 @@ fn finish_job(job: &Job, resp: Response, ctx: &GenCtx<'_>) {
         job.enqueued.elapsed().as_secs_f64() * 1e3,
     );
     // The handler (and its client) may already be gone — that is its
-    // problem, not the batcher's.
+    // problem, not the worker's.
     let _ = job.reply.send(resp);
 }
 
@@ -925,16 +836,12 @@ fn handle_frame(frame: &str, ctx: &GenCtx<'_>, replies: &Sender<Response>, conn_
                 .admission
                 .admit(id, log, deadline_ms, no_enhance, replies.clone())
             {
-                Ok((deadline, cancel)) => {
+                Ok(()) => {
                     m3d_obs::flight_record(
                         &format!("conn-{conn_id}"),
                         "admit",
                         format!("id={id} deadline_ms={}", deadline_ms.unwrap_or(0)),
                     );
-                    ctx.reaper
-                        .lock()
-                        .expect("reaper registry")
-                        .push((deadline, Arc::downgrade(&cancel)));
                     true
                 }
                 Err(resp) => {

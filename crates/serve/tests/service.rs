@@ -12,7 +12,7 @@ use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use m3d_diagnosis::Diagnoser;
+use m3d_diagnosis::{Diagnoser, DiagnosisConfig};
 use m3d_fault_localization::{try_generate_samples, InjectionKind};
 use m3d_netlist::generate::Benchmark;
 use m3d_serve::proto::{encode_frame, read_frame, write_frame, Decoder, Request, Response};
@@ -20,7 +20,7 @@ use m3d_serve::{
     run_load, spawn_server, AdmissionConfig, ArtifactBundle, BundleSource, BundleSpec, LoadConfig,
     ServeConfig,
 };
-use m3d_tdf::{read_failure_log, write_failure_log};
+use m3d_tdf::{read_failure_log, write_failure_log, FailureLog};
 
 fn spec(target: usize, enhance_samples: usize) -> BundleSpec {
     BundleSpec {
@@ -107,7 +107,12 @@ struct Offline {
 fn offline_chips(spec: &BundleSpec, kind: InjectionKind, n: usize) -> Vec<Offline> {
     let bundle = ArtifactBundle::load(spec).expect("offline bundle");
     let fsim = bundle.env.fault_sim();
-    let diagnoser = Diagnoser::new(&fsim, &bundle.env.scan, bundle.mode, bundle.diag_cfg);
+    let diagnoser = Diagnoser::new(
+        &fsim,
+        &bundle.env.scan,
+        bundle.mode,
+        DiagnosisConfig::default(),
+    );
     try_generate_samples(&bundle.env, &fsim, bundle.mode, kind, n, 0xBEEF)
         .expect("samples")
         .iter()
@@ -245,7 +250,6 @@ fn full_queues_refuse_with_typed_backpressure() {
         &cfg_with(AdmissionConfig {
             queue_capacity: 1,
             shed_watermark: 1,
-            batch_max: 1,
             ..AdmissionConfig::default()
         }),
     )
@@ -293,7 +297,7 @@ fn full_queues_refuse_with_typed_backpressure() {
     server.join().expect("clean shutdown");
 }
 
-/// Requests carrying a 1 ms budget against a serial (batch_max = 1) queue:
+/// Requests carrying a 1 ms budget against a serial queue (one worker):
 /// jobs expire while queued or mid-scoring and are answered with typed
 /// `DeadlineExceeded` echoing the budget — never a hang, never a stale
 /// report after cancellation.
@@ -315,7 +319,6 @@ fn expired_budgets_are_typed_deadline_exceeded() {
         &cfg_with(AdmissionConfig {
             queue_capacity: 64,
             shed_watermark: 64,
-            batch_max: 1,
             ..AdmissionConfig::default()
         }),
     )
@@ -439,8 +442,13 @@ fn junk_log_entries_serve_a_degraded_enhanced_report() {
     let bundle = ArtifactBundle::load(&spec).expect("offline bundle");
     let fsim = bundle.env.fault_sim();
     let log = read_failure_log(&log_text).expect("well-formed text");
-    let report =
-        Diagnoser::new(&fsim, &bundle.env.scan, bundle.mode, bundle.diag_cfg).diagnose(&log);
+    let report = Diagnoser::new(
+        &fsim,
+        &bundle.env.scan,
+        bundle.mode,
+        DiagnosisConfig::default(),
+    )
+    .diagnose(&log);
     let expected = bundle
         .localizer
         .as_ref()
@@ -578,20 +586,25 @@ fn shutdown_completes_while_a_client_never_reads() {
     summary.expect("clean shutdown");
 }
 
-/// The reaper cancels a job mid-score: on an idle server, a log whose
+/// A deadline cancels a job mid-score: on an idle server, a log whose
 /// diagnosis takes tens of milliseconds gets a budget of a tenth of its
-/// offline time. The job is dequeued long before that budget runs out,
-/// so only the reaper's flag, polled by the scoring loops, can turn the
-/// reply into `DeadlineExceeded`.
+/// offline time. A worker takes the job long before that budget runs out,
+/// so only the scoring loops, which read the clock against the job's
+/// deadline, can turn the reply into `DeadlineExceeded`.
 ///
 /// The multi-fault log runs the cover over many suspects: about 40 ms in
 /// a release build and 0.3 s in a debug build on a 2-core host.
 #[test]
-fn the_reaper_cancels_a_job_mid_score() {
+fn a_deadline_cancels_a_job_mid_score() {
     let spec = leon3mp_spec(30_000);
     let bundle = ArtifactBundle::load(&spec).expect("offline bundle");
     let fsim = bundle.env.fault_sim();
-    let diagnoser = Diagnoser::new(&fsim, &bundle.env.scan, bundle.mode, bundle.diag_cfg);
+    let diagnoser = Diagnoser::new(
+        &fsim,
+        &bundle.env.scan,
+        bundle.mode,
+        DiagnosisConfig::default(),
+    );
     let sample = try_generate_samples(
         &bundle.env,
         &fsim,
@@ -638,4 +651,109 @@ fn the_reaper_cancels_a_job_mid_score() {
     let summary = server.join().expect("clean shutdown");
     assert_eq!(summary.stats.deadline_exceeded, 1);
     assert_eq!(summary.stats.completed, 0);
+}
+
+/// A short request does not wait behind a long one: at `pool_width` 2, a
+/// single-fault log sent on a second connection while a multi-fault log
+/// is being scored gets its report while the long one is still pending.
+/// A server that scores one job at a time, or replies to a batch only
+/// once all of it is scored, answers the short request after the long one.
+///
+/// Both logs are timed offline at the server's pool width: about 40 ms
+/// against 3 ms in a release build, and 0.4 s against 25 ms in a debug
+/// build, on a 2-core host. The margin check keeps the long diagnosis
+/// several times longer than the short one, so it is still running when
+/// the short reply arrives (8–18 ms in release, 40–130 ms in debug).
+#[test]
+fn a_short_request_is_answered_while_a_long_one_is_scored() {
+    const WIDTH: usize = 2;
+    let spec = leon3mp_spec(30_000);
+    let bundle = ArtifactBundle::load(&spec).expect("offline bundle");
+    let fsim = bundle.env.fault_sim();
+    let diagnoser = Diagnoser::new(
+        &fsim,
+        &bundle.env.scan,
+        bundle.mode,
+        DiagnosisConfig::default(),
+    );
+    let chip = |kind| {
+        try_generate_samples(&bundle.env, &fsim, bundle.mode, kind, 1, 0xBEEF)
+            .expect("sample")
+            .remove(0)
+            .log
+    };
+    // The report text and the fastest of three runs, in milliseconds.
+    let offline = |log: &FailureLog| {
+        let text = diagnoser.diagnose(log).to_string();
+        let ms = (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                m3d_par::with_threads(WIDTH, || diagnoser.diagnose(log));
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .fold(f64::INFINITY, f64::min);
+        (text, ms)
+    };
+    let (long, short) = (
+        chip(InjectionKind::MultiSameTier),
+        chip(InjectionKind::Single),
+    );
+    let ((long_text, long_ms), (short_text, short_ms)) = (offline(&long), offline(&short));
+    assert!(
+        long_ms >= 4.0 * short_ms,
+        "the multi-fault log ({long_ms:.1} ms) must take far longer than the single-fault \
+         one ({short_ms:.1} ms)"
+    );
+
+    let server = spawn_server(
+        &spec,
+        &ServeConfig {
+            pool_width: WIDTH,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("spawn");
+    let mut first = Client::connect(server.addr());
+    let mut second = Client::connect(server.addr());
+    first.send(&Request::Diagnose {
+        id: 1,
+        log: write_failure_log(&long),
+        deadline_ms: None,
+        no_enhance: false,
+    });
+    // The reader answers the ping only after admitting the diagnosis.
+    let pong = first.call(&Request::Ping { id: 2 });
+    assert!(matches!(pong, Response::Pong { id: 2, .. }), "{pong:?}");
+
+    let sent = Instant::now();
+    let reply = second.call(&Request::Diagnose {
+        id: 3,
+        log: write_failure_log(&short),
+        deadline_ms: None,
+        no_enhance: false,
+    });
+    let waited_ms = sent.elapsed().as_secs_f64() * 1e3;
+    first.stream.set_nonblocking(true).expect("nonblocking");
+    let peeked = first.stream.peek(&mut [0u8; 1]);
+    first.stream.set_nonblocking(false).expect("blocking");
+    match reply {
+        Response::Report { text, .. } => assert_eq!(text, short_text, "short report diverged"),
+        other => panic!("expected the short report, got {other:?}"),
+    }
+    assert!(
+        matches!(&peeked, Err(e) if e.kind() == ErrorKind::WouldBlock),
+        "the short request ({short_ms:.1} ms offline) was answered after {waited_ms:.1} ms, \
+         once the long one ({long_ms:.1} ms offline) had replied: {peeked:?}"
+    );
+    match first.recv() {
+        Response::Report { id, text, .. } => {
+            assert_eq!(id, 1);
+            assert_eq!(text, long_text, "long report diverged");
+        }
+        other => panic!("expected the long report, got {other:?}"),
+    }
+
+    second.call(&Request::Shutdown { id: 4 });
+    let summary = server.join().expect("clean shutdown");
+    assert_eq!(summary.stats.completed, 2);
 }

@@ -400,12 +400,11 @@ const COMMANDS: &[CommandHelp] = &[
                 --sample-seed S       training-sample seed (default 1)\n  \
                 --model-seed S        model-init seed (default 7)\n  \
                 --model-cache F       checkpoint file caching the trained weights\n  \
-                --width N             diagnosis pool width (default 1)\n  \
+                --width N             scoring workers, each one job at a time, and the pool\n                        width one job's scoring may use (default 1)\n  \
                 --queue N             admission queue capacity (default 64)\n  \
                 --watermark N         shed watermark: degrade past this depth (default 48)\n  \
                 --default-deadline-ms N  budget when the request names none (default 2000)\n  \
                 --max-deadline-ms N   hard cap on requested budgets (default 10000)\n  \
-                --batch-max N         max jobs per scoring batch (default 8)\n  \
                 --frame-timeout-ms N  slow-peer timeout: partial frames, and stalled replies\n                        once shutting down (default 2000)\n  \
                 --chaos-panic-every N chaos hook: panic every Nth job's worker\n  \
                 --telemetry-addr A    bind the live telemetry exporter (:0 picks a port)\n  \
@@ -418,13 +417,13 @@ const COMMANDS: &[CommandHelp] = &[
         flags: "  --addr A              target an external server (default: in-process per width)\n  \
                 --clients N           concurrent client sessions per width (default 1000)\n  \
                 --requests N          clean exchanges per client (default 2)\n  \
-                --widths LIST         pool widths to phase through (default 1,4)\n  \
+                --widths LIST         server --width values to phase through (default 1,4)\n  \
                 --chaos-seed S        chaos schedule seed (default 1)\n  \
                 --chaos-rate X        per-request fault probability 0..1 (default 0)\n  \
                 --deadline-ms N       per-request budget sent to the server\n  \
                 --log-pool N          distinct synthetic failure logs (default 32)\n  \
                 --server-panic-every N  in-process chaos: panic every Nth job\n  \
-                --queue N / --watermark N / --batch-max N   in-process admission knobs\n  \
+                --queue N / --watermark N   in-process admission knobs\n  \
                 --frame-timeout-ms N  in-process slow-writer timeout (default 400)\n  \
                 --telemetry           run + scrape a telemetry exporter on in-process servers\n  \
                 --flight-dir D        verify flight dumps land here (w<width> subdirs)\n  \
@@ -1081,7 +1080,6 @@ const ADMISSION_FLAGS: &[&str] = &[
     "watermark",
     "default-deadline-ms",
     "max-deadline-ms",
-    "batch-max",
 ];
 
 /// Builds the serve/load artifact spec from the shared bundle flags.
@@ -1114,7 +1112,6 @@ fn admission_of(flags: &Flags) -> Result<AdmissionConfig, String> {
         shed_watermark: flags.num("watermark", d.shed_watermark)?,
         default_deadline_ms: flags.num("default-deadline-ms", d.default_deadline_ms)?,
         max_deadline_ms: flags.num("max-deadline-ms", d.max_deadline_ms)?,
-        batch_max: flags.num("batch-max", d.batch_max)?,
     })
 }
 
@@ -1156,7 +1153,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
     let server = spawn_server(&spec, &cfg)?;
     eprintln!(
-        "m3d-serve listening on {} (pool width {}, queue {}, watermark {}) — loading artifacts…",
+        "m3d-serve listening on {} ({} scoring workers, queue {}, watermark {}) — loading artifacts…",
         server.addr(),
         cfg.pool_width,
         cfg.admission.queue_capacity,
