@@ -300,9 +300,8 @@ fn paper_archetype(
     // the kept pattern blocks, blocks fanned across the pool.
     let sim = Simulator::new(nl);
     let blocks = env.test_set.patterns.blocks();
-    // Every block's frame-2 values and captures, and the transition table.
-    type GoodSim = (Vec<m3d_tdf::BlockSim>, m3d_tdf::Transitions);
-    let sim_eq = |a: &GoodSim, b: &GoodSim| a == b;
+    // The net-major table of frame-2 values, transitions and captures.
+    let sim_eq = |a: &m3d_tdf::GoodMachine, b: &m3d_tdf::GoodMachine| a == b;
     let (_, good_sim) = stage(
         "good_sim",
         1,

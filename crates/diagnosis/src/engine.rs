@@ -144,8 +144,8 @@ impl<'a> Diagnoser<'a> {
         }
     }
 
-    /// Simulates both polarities of a site — one propagation per block,
-    /// split by lane — and keeps the better match, using the caller's
+    /// Simulates both polarities of a site — one propagation over every
+    /// block, split by lane — and keeps the better match, using the caller's
     /// propagation scratch (one [`m3d_tdf::BlockDetector`] per worker when
     /// suspects are scored in parallel).
     fn best_candidate(
@@ -365,6 +365,10 @@ impl<'a> Diagnoser<'a> {
     /// worker, so the report is bitwise identical at any thread count —
     /// which is also why the cost gate (suspects × design size) can keep
     /// small-design diagnoses serial without changing any report.
+    ///
+    /// The `suspect_score` span's `gate_evals` counter is the wave's gate
+    /// evaluations: each suspect's count comes back with its result and
+    /// this thread records the sum, so it is the same at any width.
     fn score_suspects(
         &self,
         sites: &[SiteId],
@@ -382,15 +386,18 @@ impl<'a> Diagnoser<'a> {
                     // Deadline early-out: skip the simulation and return
                     // a stub; the wave's result is discarded.
                     if passed(deadline) {
-                        return Self::cancelled_stub(s);
+                        return (Self::cancelled_stub(s), 0);
                     }
-                    self.best_candidate(det, s, tester)
+                    let scored = self.best_candidate(det, s, tester);
+                    (scored, det.take_gate_evals())
                 },
             )
         });
         if passed(deadline) {
             return Err(Cancelled);
         }
+        let (scored, gate_evals): (Vec<_>, Vec<u64>) = scored.into_iter().unzip();
+        span.add("gate_evals", gate_evals.iter().sum());
         m3d_obs::counter("diagnosis.suspects_scored", sites.len() as u64);
         Ok(scored)
     }

@@ -6,7 +6,8 @@
 //!
 //! The spans also say which path scoring took, which report equality
 //! cannot see: a single-fault log whose perfect candidate is in wave 1
-//! skips suspects, and a log that reaches the cover skips none.
+//! skips suspects, and a log that reaches the cover skips none. The
+//! scoring spans count their gate evaluations, the same at every width.
 //!
 //! Single `#[test]`: obs state is process-global, so the scenarios run
 //! sequentially inside one test function.
@@ -71,6 +72,7 @@ fn diagnosis_telemetry_is_a_pure_read() {
 
     let baseline = run(1, false);
     assert!(baseline.iter().all(|r| r.resolution() > 0));
+    let mut gate_evals_by_width = Vec::new();
     for threads in [1, 4] {
         let traced = run(threads, true);
         assert_eq!(
@@ -111,6 +113,7 @@ fn diagnosis_telemetry_is_a_pure_read() {
         };
         let mut phases: HashMap<(u64, &str), u64> = HashMap::new();
         let mut scored_in_phases = 0;
+        let mut gate_evals = 0;
         for (&id, (name, _, counters)) in &all {
             let phase = name.as_str();
             if !["suspect_count", "suspect_score", "cover_rank"].contains(&phase) {
@@ -119,10 +122,14 @@ fn diagnosis_telemetry_is_a_pure_read() {
             let diagnosis = diagnosis_of(id).expect("phase spans nest under `diagnosis`");
             *phases.entry((diagnosis, phase)).or_default() += 1;
             if phase == "suspect_score" {
-                scored_in_phases += counters
-                    .iter()
-                    .find(|(k, _)| k == "suspects")
-                    .map_or(0, |&(_, v)| v);
+                let counter = |key: &str| {
+                    counters
+                        .iter()
+                        .find(|(k, _)| k == key)
+                        .map_or(0, |&(_, v)| v)
+                };
+                scored_in_phases += counter("suspects");
+                gate_evals += counter("gate_evals");
             }
         }
         for (&id, (name, ..)) in &all {
@@ -174,5 +181,11 @@ fn diagnosis_telemetry_is_a_pure_read() {
             scored_in_phases, scored,
             "scoring spans cover every suspect"
         );
+        assert!(gate_evals > 0, "scoring evaluated gates at width {threads}");
+        gate_evals_by_width.push(gate_evals);
     }
+    assert_eq!(
+        gate_evals_by_width[0], gate_evals_by_width[1],
+        "gate evaluations at widths 1 and 4"
+    );
 }

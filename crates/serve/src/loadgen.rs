@@ -130,7 +130,10 @@ pub struct WidthResult {
     pub degraded: u64,
     /// Chaos frames the server rejected with a typed protocol error.
     pub protocol_rejections: u64,
-    /// Typed `internal` errors from contained worker panics.
+    /// Worker panics the server contained: an in-process server's own
+    /// count, or, for a server at [`LoadConfig::addr`], the typed
+    /// `internal` errors its clients received. Never the sum of the two,
+    /// which would count a contained panic once per side.
     pub panics_contained: u64,
     /// Requests abandoned after exhausting retries (never silent: each
     /// received only typed Overloaded/DeadlineExceeded answers).
@@ -370,19 +373,22 @@ fn run_width(
         telemetry_errors += 1;
     }
 
-    let mut panics_contained = 0;
-    if let Some(rs) = server {
-        shutdown_server(addr);
-        let summary = rs.join()?;
-        panics_contained = summary.stats.panics_contained;
-    }
+    // An in-process server counts its own contained panics; a server at
+    // `--addr` is seen only through its clients' typed `internal` errors.
+    let server_panics = match server {
+        Some(rs) => {
+            shutdown_server(addr);
+            Some(rs.join()?.stats.panics_contained)
+        }
+        None => None,
+    };
 
     // Post-mortem: every contained worker panic must have left one
     // parsable, renderable `flight-panic-*.jsonl` artifact naming the
     // poisoned request.
     let mut flight_dumps = 0u64;
     if let Some(dir) = &phase_flight_dir {
-        let (verified, failures) = verify_flight_dumps(dir, panics_contained);
+        let (verified, failures) = verify_flight_dumps(dir, server_panics.unwrap_or(0));
         flight_dumps = verified;
         telemetry_errors += failures;
     }
@@ -407,7 +413,7 @@ fn run_width(
         deadline_exceeded: stats.deadline_exceeded,
         degraded: stats.degraded_seen,
         protocol_rejections: stats.protocol_rejections,
-        panics_contained: panics_contained + stats.panic_errors,
+        panics_contained: server_panics.unwrap_or(stats.panic_errors),
         gave_up: stats.gave_up,
         telemetry_scrapes,
         telemetry_errors,

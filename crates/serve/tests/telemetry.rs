@@ -161,15 +161,12 @@ fn chaos_run_stays_bit_neutral_under_scraping_and_dumps_every_panic() {
             "width {}: telemetry plane violated (bad snapshot or flight dump)",
             w.width
         );
-        // `telemetry_errors == 0` above already proves every contained
-        // panic left a verified dump (the loadgen counts any shortfall
-        // against the server's panic count as an error); this only pins
-        // the happy-path visibility of the artifacts themselves.
-        assert!(
-            w.panics_contained == 0 || w.flight_dumps > 0,
-            "width {}: {} panic(s) but no verified flight dump",
-            w.width,
-            w.panics_contained
+        // One verified dump per contained panic: the reported count is the
+        // server's own, so it matches the artifacts exactly.
+        assert_eq!(
+            w.panics_contained, w.flight_dumps,
+            "width {}: contained panics against verified flight dumps",
+            w.width
         );
         panics += w.panics_contained;
     }

@@ -101,7 +101,7 @@ pub fn generate_patterns(design: &M3dDesign, config: &AtpgConfig) -> TestSet {
     {
         let count = 64.min(config.max_patterns - patterns.len()) as u8;
         let block = PatternSet::random_block(design.netlist(), &mut rng, count);
-        let (base, trans) = sim.run_block(&block);
+        let good = sim.run_block(&block);
         // The sweep dominates ATPG runtime. Faults are grouped by site:
         // the two polarities have disjoint activation lanes and the
         // bit-parallel propagation is lane-wise independent, so one
@@ -132,13 +132,13 @@ pub fn generate_patterns(design: &M3dDesign, config: &AtpgConfig) -> TestSet {
                 let (i0, i1) = (2 * s as usize, 2 * s as usize + 1);
                 debug_assert_eq!(faults[i0].site.index(), s as usize);
                 let net = site_net(design, faults[i0].site).index();
-                let (t, f2) = (trans.word(net, 0), base.f2[net]);
+                let (t, f2) = (good.transitions(net)[0], good.f2(net)[0]);
                 let act = [
                     faults[i0].polarity.activation(t, f2),
                     faults[i1].polarity.activation(t, f2),
                 ];
                 let lanes = (if want[0] { act[0] } else { 0 }) | (if want[1] { act[1] } else { 0 });
-                let diff = det.propagate_site_mask(&base, faults[i0].site, lanes);
+                let diff = det.propagate_site_mask(&good, 0, faults[i0].site, lanes);
                 [want[0] && diff & act[0] != 0, want[1] && diff & act[1] != 0]
             },
         );

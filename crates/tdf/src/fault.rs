@@ -17,9 +17,9 @@ impl Polarity {
     pub const ALL: [Polarity; 2] = [Polarity::SlowToRise, Polarity::SlowToFall];
 
     /// Lanes (patterns) in which a site that transitions in `trans`
-    /// ([`crate::Transitions`]) and has capture value `f2` has the
-    /// sensitizing transition for this polarity: a rise ends at 1, a fall
-    /// at 0.
+    /// ([`crate::GoodMachine::transitions`]) and has capture value `f2`
+    /// has the sensitizing transition for this polarity: a rise ends at 1,
+    /// a fall at 0.
     #[inline]
     pub fn activation(self, trans: u64, f2: u64) -> u64 {
         match self {

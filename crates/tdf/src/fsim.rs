@@ -7,15 +7,22 @@
 //! the frame-2 logic to the scan-capture points. Activation is evaluated on
 //! the fault-free frames — the standard single-transition approximation of
 //! TDF simulation.
+//!
+//! One propagation covers a range of pattern blocks: each net it touches
+//! carries a row of lane words, one per block, so the gates a fault
+//! reaches are queued and evaluated once for all of its patterns instead
+//! of once per block.
+
+use std::ops::Range;
 
 use m3d_dft::{ObsMode, ObsPoint, ScanChains};
-use m3d_netlist::{FlopId, GateId, SiteId};
+use m3d_netlist::{FlopId, GateId, GateKind, SiteId};
 use m3d_part::{M3dDesign, TopEdge};
 
 use crate::fault::{injection_scope, site_net, Fault, InjectionScope, Polarity};
 use crate::log::{FailEntry, ObsWord, Signature};
 use crate::pattern::{PatternId, PatternSet};
-use crate::sim::{BlockSim, Simulator, Transitions};
+use crate::sim::{GoodMachine, Simulator};
 
 /// One failing scan capture: pattern id plus the failing cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -26,21 +33,39 @@ pub struct Detection {
     pub flop: FlopId,
 }
 
-/// Reusable scratch state for block-level fault propagation over a
-/// compiled netlist.
+/// Blocks per task of [`FaultSim::try_detections_par`]: eight lane words
+/// make a row one 64-byte cache line.
+const PAR_BLOCKS: usize = 8;
+
+/// Reusable scratch state for fault propagation over a compiled netlist.
 ///
-/// Create one per worker and reuse it across faults and blocks; every call
-/// resets only the entries it touched. The compiled netlist
-/// ([`Simulator`]) is borrowed, so it is built once per [`FaultSim`] or
-/// ATPG run and a detector only allocates scratch.
+/// A call covers a range of pattern blocks of a [`GoodMachine`] and
+/// propagates one row of lane words per net, one word per block in the
+/// range. The overlay is sparse: a net the propagation touches gets one
+/// row, so scratch grows with the frontier, not with nets × blocks.
+///
+/// Create one per worker and reuse it across faults; every call resets
+/// only the entries it touched. The compiled netlist ([`Simulator`]) is
+/// borrowed, so it is built once per [`FaultSim`] or ATPG run and a
+/// detector only allocates scratch.
 #[derive(Debug)]
 pub struct BlockDetector<'a> {
     design: &'a M3dDesign,
     sim: &'a Simulator<'a>,
-    /// Faulty frame-2 net values; valid only where `net_dirty`.
-    overlay: Vec<u64>,
-    net_dirty: Vec<bool>,
-    touched_nets: Vec<u32>,
+    /// The first block the current call covers.
+    first: usize,
+    /// How many blocks the current call covers: the width of every row.
+    width: usize,
+    /// Per net: whether it has a row in `rows`.
+    dirty: Vec<bool>,
+    /// Per net: its row in `rows`; valid only where `dirty`.
+    slot: Vec<u32>,
+    /// Faulty frame-2 rows of the touched nets, in slot order.
+    rows: Vec<u64>,
+    /// The nets holding a slot, in slot order.
+    touched: Vec<u32>,
+    /// One gate's evaluated row.
+    eval: Vec<u64>,
     /// Per compiled gate: whether it waits in `buckets`.
     queued: Vec<bool>,
     /// The event queue: compiled gates to evaluate, one bucket per logic
@@ -50,48 +75,114 @@ pub struct BlockDetector<'a> {
     buckets: Vec<Vec<u32>>,
     /// The lowest level holding a gate, and one past the highest.
     pending: (usize, usize),
-    /// Input-pin flips on compiled gates, sorted by key = gate << 8 | pin.
-    pin_flips: Vec<(u64, u64)>,
+    /// Input-pin flips on compiled gates, sorted by key = gate << 8 | pin,
+    /// each with its row in `flip_rows`.
+    pin_flips: Vec<(u64, u32)>,
     /// D-pin flips, sorted by flop index.
-    d_flips: Vec<(u32, u64)>,
+    d_flips: Vec<(u32, u32)>,
+    /// Output-pin (stem) flips, sorted by net.
+    net_flips: Vec<(u32, u32)>,
+    /// The flip rows.
+    flip_rows: Vec<u64>,
+    /// One fault's activation row.
+    act: Vec<u64>,
     /// Scratch for candidate-flop collection.
     cand_flops: Vec<u32>,
-    /// `(flop index, differing lanes)` of the last compare, ascending by
-    /// flop.
-    hits: Vec<(u32, u64)>,
+    /// Flops whose capture differs after the last call, ascending.
+    hit_flops: Vec<u32>,
+    /// The differing lanes of each hit flop: one row per flop.
+    hit_rows: Vec<u64>,
+    /// One block's observation words, for [`FaultSim::signatures`].
+    obs_words: Vec<(ObsPoint, u64)>,
+    /// Gates evaluated since the last [`BlockDetector::take_gate_evals`].
+    gate_evals: u64,
 }
 
 impl<'a> BlockDetector<'a> {
     /// Creates propagation scratch for `design` over its compiled netlist
     /// `sim`.
     pub fn new(design: &'a M3dDesign, sim: &'a Simulator<'a>) -> Self {
-        let nets = design.netlist().net_count();
         BlockDetector {
             design,
             sim,
-            overlay: vec![0; nets],
-            net_dirty: vec![false; nets],
-            touched_nets: Vec::new(),
+            first: 0,
+            width: 1,
+            dirty: vec![false; design.netlist().net_count()],
+            slot: vec![0; design.netlist().net_count()],
+            rows: Vec::new(),
+            touched: Vec::new(),
+            eval: Vec::new(),
             queued: vec![false; sim.gate_count()],
             buckets: vec![Vec::new(); sim.level_count()],
             pending: (usize::MAX, 0),
             pin_flips: Vec::new(),
             d_flips: Vec::new(),
+            net_flips: Vec::new(),
+            flip_rows: Vec::new(),
+            act: Vec::new(),
             cand_flops: Vec::new(),
-            hits: Vec::new(),
+            hit_flops: Vec::new(),
+            hit_rows: Vec::new(),
+            obs_words: Vec::new(),
+            gate_evals: 0,
         }
     }
 
-    /// Delays input `pin` of `gate` on `flip` lanes. A combinational gate
-    /// is queued; a flop's D pin joins the capture compare; other pins
-    /// (primary outputs) observe nothing at speed.
-    fn add_pin_flip(&mut self, gate: GateId, pin: u8, flip: u64) {
+    /// Gate evaluations since the last call, which resets the count. One
+    /// evaluation of a gate over a row of blocks counts once.
+    pub fn take_gate_evals(&mut self) -> u64 {
+        std::mem::take(&mut self.gate_evals)
+    }
+
+    /// Starts a call over `blocks`.
+    fn begin(&mut self, blocks: Range<usize>) {
+        debug_assert!(self.touched.is_empty() && self.flip_rows.is_empty());
+        self.first = blocks.start;
+        self.width = blocks.len();
+    }
+
+    /// Net `net`'s frame-2 row over the call's blocks: its overlay row if
+    /// it is dirty, its fault-free row otherwise.
+    #[inline]
+    fn row<'r>(&'r self, good: &'r GoodMachine, net: u32) -> &'r [u64] {
+        let (n, width) = (net as usize, self.width);
+        if self.dirty[n] {
+            let at = self.slot[n] as usize * width;
+            &self.rows[at..at + width]
+        } else {
+            let at = n * good.blocks + self.first;
+            &good.f2[at..at + width]
+        }
+    }
+
+    /// Gives `net` the frame-2 row `value`, one word per block of the
+    /// call.
+    #[inline]
+    fn set_row(&mut self, net: u32, value: &[u64]) {
+        let n = net as usize;
+        if !self.dirty[n] {
+            self.dirty[n] = true;
+            self.slot[n] = self.touched.len() as u32;
+            self.touched.push(net);
+            self.rows.extend_from_slice(value);
+        } else {
+            let at = self.slot[n] as usize * value.len();
+            self.rows[at..at + value.len()].copy_from_slice(value);
+        }
+    }
+
+    /// Delays input `pin` of `gate` on the `flip` row. A combinational
+    /// gate is queued; a flop's D pin joins the capture compare; other
+    /// pins (primary outputs) observe nothing at speed.
+    fn add_pin_flip(&mut self, gate: GateId, pin: u8, flip: &[u64]) {
         if let Some(t) = self.sim.topo_pos(gate) {
-            add_flip(&mut self.pin_flips, pin_key(t, usize::from(pin)), flip);
+            let key = pin_key(t, usize::from(pin));
+            add_flip(&mut self.pin_flips, &mut self.flip_rows, key, flip);
             self.push(t);
         } else if pin == 0 {
             if let Some(f) = self.design.netlist().flop_of(gate) {
-                add_flip(&mut self.d_flips, f.index() as u32, flip);
+                let key = f.index() as u32;
+                add_flip(&mut self.d_flips, &mut self.flip_rows, key, flip);
             }
         }
     }
@@ -106,39 +197,23 @@ impl<'a> BlockDetector<'a> {
         self.pending = (self.pending.0.min(level), self.pending.1.max(level + 1));
     }
 
-    #[inline]
-    fn set_net(&mut self, net: u32, value: u64) {
-        let n = net as usize;
-        if !self.net_dirty[n] {
-            self.net_dirty[n] = true;
-            self.touched_nets.push(net);
-        }
-        self.overlay[n] = value;
-    }
-
-    #[inline]
-    fn net_value(&self, base: &BlockSim, net: u32) -> u64 {
-        let n = net as usize;
-        if self.net_dirty[n] {
-            self.overlay[n]
-        } else {
-            base.f2[n]
-        }
-    }
-
-    /// Seeds the frame-2 flip of one injection scope on `act` lanes.
+    /// Seeds the frame-2 flip of one injection scope on the `act` row.
     ///
-    /// An output-pin (stem) flip is written into the net's value once. If
-    /// another injected fault's effect later reaches the stem's driver,
-    /// the driver's re-evaluated output replaces the flipped value: with
-    /// several faults, a stem fault holds only while its driver sees no
-    /// faulty input. Input-pin flips are applied on every evaluation.
-    fn seed(&mut self, base: &BlockSim, scope: &InjectionScope, act: u64) {
+    /// An output-pin (stem) flip is written into the net's row once. If
+    /// another injected fault's effect later reaches the stem's driver in
+    /// a block, the driver's re-evaluated output replaces the flipped
+    /// word there ([`BlockDetector::hold_stem`]): with several faults, a
+    /// stem fault holds only while its driver sees no faulty input.
+    /// Input-pin flips are applied on every evaluation.
+    fn seed(&mut self, good: &GoodMachine, scope: &InjectionScope, act: &[u64]) {
         match scope {
             InjectionScope::Net(n) => {
                 let net = n.index() as u32;
-                let v = self.net_value(base, net) ^ act;
-                self.set_net(net, v);
+                let mut value = std::mem::take(&mut self.eval);
+                value.clear();
+                value.extend(self.row(good, net).iter().zip(act).map(|(&v, &a)| v ^ a));
+                self.set_row(net, &value);
+                self.eval = value;
                 for &t in self.sim.sinks(net) {
                     self.push(t);
                 }
@@ -152,31 +227,69 @@ impl<'a> BlockDetector<'a> {
         }
     }
 
+    /// Propagates the seeded flips and compares the captures: the one
+    /// event-driven pass, instantiated for rows of one word when the table
+    /// has one block (ATPG's sweep, on every call) and for rows of any
+    /// width otherwise. Afterwards [`BlockDetector::hits`] holds every
+    /// capture that differs, and the rest of the scratch is reset.
+    fn run(&mut self, good: &GoodMachine) {
+        if good.blocks == 1 {
+            self.propagate::<OneBlock>(good);
+            self.compare::<OneBlock>(good);
+        } else {
+            self.propagate::<Blocks>(good);
+            self.compare::<Blocks>(good);
+        }
+    }
+
     /// Event-driven frame-2 propagation: drains the level buckets in
-    /// ascending order.
-    fn propagate(&mut self, base: &BlockSim) {
+    /// ascending order, evaluating each queued gate once over the call's
+    /// row of blocks, its input rows read as `W` reads them.
+    fn propagate<W: Width>(&mut self, good: &GoodMachine) {
+        let width = W::width(self);
         let sim = self.sim;
+        let mut eval = std::mem::take(&mut self.eval);
+        eval.clear();
+        eval.resize(width, 0);
+        let new = &mut eval[..width];
         let mut level = self.pending.0;
         while level < self.pending.1 {
             let mut bucket = std::mem::take(&mut self.buckets[level]);
+            self.gate_evals += bucket.len() as u64;
             for &t in &bucket {
                 self.queued[t as usize] = false;
                 let (kind, ins, out) = sim.gate(t);
-                let mut words = [0u64; 4];
-                for (pin, &n) in ins.iter().enumerate() {
-                    words[pin] = self.net_value(base, n);
+                let mut pins = [W::empty(); 4];
+                for (pin, &n) in pins.iter_mut().zip(ins) {
+                    *pin = W::row(self, good, n);
                 }
-                if !self.pin_flips.is_empty() {
-                    for (pin, w) in words[..ins.len()].iter_mut().enumerate() {
-                        *w ^= flip_at(&self.pin_flips, pin_key(t, pin));
+                let pins = &pins[..ins.len()];
+                let current = W::row(self, good, out);
+                let mut changed = if self.has_pin_flip(t) {
+                    let mut flips: [Option<&[u64]>; 4] = [None; 4];
+                    for (pin, flip) in flips[..pins.len()].iter_mut().enumerate() {
+                        *flip = self.flip(&self.pin_flips, pin_key(t, pin));
                     }
+                    eval_gate::<W>(kind, pins, Some(&flips), current, new)
+                } else {
+                    eval_gate::<W>(kind, pins, None, current, new)
+                };
+                if changed != 0 && self.dirty[out as usize] {
+                    // Only a seed dirties a net before its driver runs,
+                    // and keeping its seeded words changes nothing that
+                    // is unchanged already.
+                    self.hold_stem(good, t, new);
+                    changed = new
+                        .iter()
+                        .enumerate()
+                        .fold(0, |acc, (w, &v)| acc | (v ^ W::word(current, w)));
                 }
-                let new = kind.eval(&words[..ins.len()]);
-                if new != self.net_value(base, out) {
-                    self.set_net(out, new);
-                    for &s in sim.sinks(out) {
-                        self.push(s);
-                    }
+                if changed == 0 {
+                    continue;
+                }
+                self.set_row(out, new);
+                for &s in sim.sinks(out) {
+                    self.push(s);
                 }
             }
             bucket.clear();
@@ -184,82 +297,170 @@ impl<'a> BlockDetector<'a> {
             level += 1;
         }
         self.pending = (usize::MAX, 0);
+        self.eval = eval;
     }
 
-    /// The shared tail of every detection query: propagates the seeded
-    /// flips, compares scan captures at the flops the propagation could
-    /// have reached (touched D nets plus D-pin flips; an untouched flop
-    /// captures the fault-free value by construction), fills `hits` with
-    /// every capture that differs, and resets the scratch.
-    fn propagate_and_compare(&mut self, base: &BlockSim) {
-        let sim = self.sim;
-        self.propagate(base);
+    /// Keeps a stem flip where its driver, compiled gate `t`, is not
+    /// re-evaluated: in each block where no input of `t` is disturbed —
+    /// no flipped pin, no seeded input net, no input off its fault-free
+    /// value — `new` takes the seeded word back. Only a multi-fault
+    /// injection reaches a seeded net's driver.
+    fn hold_stem(&self, good: &GoodMachine, t: u32, new: &mut [u64]) {
+        let (_, ins, out) = self.sim.gate(t);
+        let seeded = self.row(good, out);
+        for (w, word) in new.iter_mut().enumerate() {
+            let disturbed = ins.iter().enumerate().any(|(pin, &n)| {
+                let flipped = |f: Option<&[u64]>| f.is_some_and(|f| f[w] != 0);
+                flipped(self.flip(&self.pin_flips, pin_key(t, pin)))
+                    || flipped(self.flip(&self.net_flips, n))
+                    || self.row(good, n)[w] != good.f2(n as usize)[self.first + w]
+            });
+            if !disturbed {
+                *word = seeded[w];
+            }
+        }
+    }
+
+    /// Compares scan captures at the flops the propagation could have
+    /// reached (touched D nets plus D-pin flips; an untouched flop
+    /// captures the fault-free value by construction), fills the hits
+    /// with every capture that differs, and resets the scratch.
+    fn compare<W: Width>(&mut self, good: &GoodMachine) {
+        let width = W::width(self);
+        let (sim, first) = (self.sim, self.first);
         self.cand_flops.clear();
-        for &n in &self.touched_nets {
+        for &n in &self.touched {
             self.cand_flops.extend_from_slice(sim.captures(n));
         }
         self.cand_flops
             .extend(self.d_flips.iter().map(|&(fi, _)| fi));
         self.cand_flops.sort_unstable();
         self.cand_flops.dedup();
-        self.hits.clear();
+        self.hit_flops.clear();
+        self.hit_rows.clear();
+        let lanes = &good.lanes()[first..first + width];
+        let mut diff = std::mem::take(&mut self.eval);
+        diff.clear();
+        diff.resize(width, 0);
         for &fi in &self.cand_flops {
-            let val = self.net_value(base, sim.flop_d_net(fi)) ^ flip_at(&self.d_flips, fi);
-            let diff = (val ^ base.capture2[fi as usize]) & base.lanes;
-            if diff != 0 {
-                self.hits.push((fi, diff));
+            let value = W::row(self, good, sim.flop_d_net(fi));
+            let flip = self.flip(&self.d_flips, fi);
+            let at = fi as usize * good.blocks + first;
+            let capture = &good.capture[at..at + width];
+            let mut any = 0;
+            for (w, d) in diff.iter_mut().enumerate() {
+                let val = W::word(value, w) ^ flip.map_or(0, |f| f[w]);
+                *d = (val ^ capture[w]) & lanes[w];
+                any |= *d;
+            }
+            if any != 0 {
+                self.hit_flops.push(fi);
+                for &d in &diff {
+                    self.hit_rows.push(d);
+                }
             }
         }
-        for &n in &self.touched_nets {
-            self.net_dirty[n as usize] = false;
+        self.eval = diff;
+        for &n in &self.touched {
+            self.dirty[n as usize] = false;
         }
-        self.touched_nets.clear();
+        self.touched.clear();
+        self.rows.clear();
         self.pin_flips.clear();
         self.d_flips.clear();
+        self.net_flips.clear();
+        self.flip_rows.clear();
     }
 
-    /// Simulates `faults` simultaneously against block `block`, whose
-    /// fault-free run is `base` and whose transitions are `trans`'s words
-    /// at `block`, and returns the failing `(lane, flop)` pairs, sorted.
+    /// Whether an input pin of compiled gate `t` is flipped.
+    #[inline]
+    fn has_pin_flip(&self, t: u32) -> bool {
+        !self.pin_flips.is_empty() && {
+            let i = self.pin_flips.partition_point(|&(k, _)| k < pin_key(t, 0));
+            self.pin_flips
+                .get(i)
+                .is_some_and(|&(k, _)| k >> 8 == u64::from(t))
+        }
+    }
+
+    /// The flip row `flips` holds for `key`, if any.
+    #[inline]
+    fn flip<K: Ord + Copy>(&self, flips: &[(K, u32)], key: K) -> Option<&[u64]> {
+        flip_row(flips, &self.flip_rows, self.width, key)
+    }
+
+    /// The captures that differed in the last call: `(flop index,
+    /// differing lanes per block of the call)`, ascending by flop.
+    fn hits(&self) -> impl Iterator<Item = (usize, &[u64])> + '_ {
+        self.hit_flops
+            .iter()
+            .zip(self.hit_rows.chunks_exact(self.width))
+            .map(|(&fi, diff)| (fi as usize, diff))
+    }
+
+    /// Simulates `faults` simultaneously over `blocks` of `good` and
+    /// returns the failing captures, sorted; `patterns` numbers them.
     ///
     /// Multiple faults model the paper's tier-specific systematic defects
     /// (Section VII-A); activation of each fault uses the fault-free frames.
-    pub fn detect(
+    fn detect(
         &mut self,
-        base: &BlockSim,
-        trans: &Transitions,
-        block: usize,
+        good: &GoodMachine,
+        patterns: &PatternSet,
+        blocks: Range<usize>,
         faults: &[Fault],
-    ) -> Vec<(u8, FlopId)> {
+    ) -> Vec<Detection> {
         // Duplicate faults are skipped: stem injections flip bits, so a
         // repeated fault would otherwise cancel itself.
         let mut unique: Vec<Fault> = faults.to_vec();
         unique.sort_unstable();
         unique.dedup();
+        self.begin(blocks.clone());
+        let mut act = std::mem::take(&mut self.act);
         for fault in &unique {
             let net = site_net(self.design, fault.site).index();
-            let act = fault
-                .polarity
-                .activation(trans.word(net, block), base.f2[net]);
-            if act == 0 {
+            let trans = &good.transitions(net)[blocks.clone()];
+            let f2 = &good.f2(net)[blocks.clone()];
+            act.clear();
+            act.extend(
+                trans
+                    .iter()
+                    .zip(f2)
+                    .map(|(&t, &v)| fault.polarity.activation(t, v)),
+            );
+            if act.iter().all(|&w| w == 0) {
                 continue;
             }
-            self.seed(base, &injection_scope(self.design, fault.site), act);
+            let scope = injection_scope(self.design, fault.site);
+            if let InjectionScope::Net(n) = scope {
+                // Another fault may reach this stem's driver.
+                let net = n.index() as u32;
+                add_flip(&mut self.net_flips, &mut self.flip_rows, net, &act);
+            }
+            self.seed(good, &scope, &act);
         }
-        self.propagate_and_compare(base);
+        self.act = act;
+        self.run(good);
         let mut detections = Vec::new();
-        for &(fi, mut lanes) in &self.hits {
-            while lanes != 0 {
-                detections.push((lanes.trailing_zeros() as u8, FlopId::new(fi as usize)));
-                lanes &= lanes - 1;
+        for (fi, diff) in self.hits() {
+            for (block, &word) in blocks.clone().zip(diff) {
+                let mut lanes = word;
+                while lanes != 0 {
+                    detections.push(Detection {
+                        pattern: patterns.id_at(block, lanes.trailing_zeros() as u8),
+                        flop: FlopId::new(fi),
+                    });
+                    lanes &= lanes - 1;
+                }
             }
         }
         detections.sort_unstable();
         detections
     }
 
-    /// Propagates a frame-2 flip at `site` on `lanes` and returns the
-    /// union, over all scan flops, of the lanes whose captures differ.
+    /// Propagates a frame-2 flip at `site` on `lanes` of block `block` of
+    /// `good` and returns the union, over all scan flops, of the lanes
+    /// whose captures differ.
     ///
     /// Because the bit-parallel propagation is lane-wise independent, this
     /// one call answers detection for *both* polarities of the site at
@@ -267,14 +468,144 @@ impl<'a> BlockDetector<'a> {
     /// `returned & act != 0`, exactly as if it had been propagated alone
     /// (the ATPG sweep relies on this to pay for each site's fanout cone
     /// once instead of once per fault).
-    pub fn propagate_site_mask(&mut self, base: &BlockSim, site: SiteId, lanes: u64) -> u64 {
+    pub fn propagate_site_mask(
+        &mut self,
+        good: &GoodMachine,
+        block: usize,
+        site: SiteId,
+        lanes: u64,
+    ) -> u64 {
         if lanes == 0 {
             return 0;
         }
-        self.seed(base, &injection_scope(self.design, site), lanes);
-        self.propagate_and_compare(base);
-        self.hits.iter().fold(0, |acc, &(_, diff)| acc | diff)
+        self.begin(block..block + 1);
+        self.seed(good, &injection_scope(self.design, site), &[lanes]);
+        self.run(good);
+        self.hit_rows.iter().fold(0, |acc, &diff| acc | diff)
     }
+}
+
+/// How a propagation reads net rows: [`OneBlock`] over a one-block
+/// table, [`Blocks`] over any other. The event-driven loop is written once
+/// over this trait; over one block a row is a plain word, which keeps
+/// ATPG's sweep, one block on every call, as cheap as a loop written for
+/// single words.
+trait Width {
+    /// A net's row as gate evaluation reads it.
+    type Row<'r>: Copy;
+    /// The row of no net, for unused pins.
+    fn empty<'r>() -> Self::Row<'r>;
+    /// The width of `det`'s current call.
+    fn width(det: &BlockDetector<'_>) -> usize;
+    /// Net `net`'s frame-2 row over `det`'s current call.
+    fn row<'r>(det: &'r BlockDetector<'_>, good: &'r GoodMachine, net: u32) -> Self::Row<'r>;
+    /// Word `w` of `row`.
+    fn word(row: Self::Row<'_>, w: usize) -> u64;
+    /// A gate of kind `kind` evaluated on word `w` of its input rows.
+    fn eval(kind: GateKind, pins: &[Self::Row<'_>], w: usize) -> u64;
+}
+
+/// A call over a one-block table: a row is one word.
+struct OneBlock;
+
+impl Width for OneBlock {
+    type Row<'r> = u64;
+
+    #[inline]
+    fn empty<'r>() -> Self::Row<'r> {
+        0
+    }
+
+    #[inline]
+    fn width(_: &BlockDetector<'_>) -> usize {
+        1
+    }
+
+    #[inline]
+    fn row(det: &BlockDetector<'_>, good: &GoodMachine, net: u32) -> u64 {
+        let n = net as usize;
+        debug_assert_eq!(good.blocks, 1);
+        if det.dirty[n] {
+            det.rows[det.slot[n] as usize]
+        } else {
+            good.f2[n]
+        }
+    }
+
+    #[inline]
+    fn word(row: u64, _: usize) -> u64 {
+        row
+    }
+
+    #[inline]
+    fn eval(kind: GateKind, pins: &[u64], _: usize) -> u64 {
+        kind.eval(pins)
+    }
+}
+
+/// A call over blocks of a wider table: a row is a slice of words.
+struct Blocks;
+
+impl Width for Blocks {
+    type Row<'r> = &'r [u64];
+
+    #[inline]
+    fn empty<'r>() -> Self::Row<'r> {
+        &[]
+    }
+
+    #[inline]
+    fn width(det: &BlockDetector<'_>) -> usize {
+        det.width
+    }
+
+    #[inline]
+    fn row<'r>(det: &'r BlockDetector<'_>, good: &'r GoodMachine, net: u32) -> &'r [u64] {
+        det.row(good, net)
+    }
+
+    #[inline]
+    fn word(row: &[u64], w: usize) -> u64 {
+        row[w]
+    }
+
+    #[inline]
+    fn eval(kind: GateKind, pins: &[&[u64]], w: usize) -> u64 {
+        let mut words = [0u64; 4];
+        for (x, row) in words.iter_mut().zip(pins) {
+            *x = row[w];
+        }
+        kind.eval(&words[..pins.len()])
+    }
+}
+
+/// Evaluates a gate of kind `kind` word by word over its input rows
+/// `pins` into `new`, XORing the flip rows `flips` into its inputs where
+/// it has any, and returns the OR of `new`'s differences from the
+/// `current` row.
+#[inline(always)]
+fn eval_gate<W: Width>(
+    kind: GateKind,
+    pins: &[W::Row<'_>],
+    flips: Option<&[Option<&[u64]>; 4]>,
+    current: W::Row<'_>,
+    new: &mut [u64],
+) -> u64 {
+    let mut changed = 0;
+    for (w, word) in new.iter_mut().enumerate() {
+        *word = match flips {
+            None => W::eval(kind, pins, w),
+            Some(flips) => {
+                let mut words = [0u64; 4];
+                for ((x, &row), flip) in words.iter_mut().zip(pins).zip(flips) {
+                    *x = W::word(row, w) ^ flip.map_or(0, |f| f[w]);
+                }
+                kind.eval(&words[..pins.len()])
+            }
+        };
+        changed |= *word ^ W::word(current, w);
+    }
+    changed
 }
 
 /// The key of input `pin` of compiled gate `t` in a pin-flip list.
@@ -283,21 +614,35 @@ fn pin_key(t: u32, pin: usize) -> u64 {
     u64::from(t) << 8 | pin as u64
 }
 
-/// The flip recorded for `key` in a key-sorted flip list, or 0.
+/// The `width`-word row a key-sorted flip list records for `key`, if any.
 #[inline]
-fn flip_at<K: Ord + Copy>(flips: &[(K, u64)], key: K) -> u64 {
-    flips
-        .binary_search_by_key(&key, |&(k, _)| k)
-        .map_or(0, |i| flips[i].1)
+fn flip_row<'r, K: Ord + Copy>(
+    flips: &[(K, u32)],
+    rows: &'r [u64],
+    width: usize,
+    key: K,
+) -> Option<&'r [u64]> {
+    let i = flips.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+    let at = flips[i].1 as usize * width;
+    Some(&rows[at..at + width])
 }
 
-/// ORs `flip` into `key`'s entry of a key-sorted flip list: the lists stay
-/// sorted so propagation looks flips up in O(log n), and flips several
-/// faults put on one pin combine.
-fn add_flip<K: Ord + Copy>(flips: &mut Vec<(K, u64)>, key: K, flip: u64) {
+/// ORs the `flip` row into `key`'s row of a key-sorted flip list, adding
+/// the row if the key has none: the lists stay sorted so propagation looks
+/// flips up in O(log n), and flips several faults put on one pin combine.
+fn add_flip<K: Ord + Copy>(flips: &mut Vec<(K, u32)>, rows: &mut Vec<u64>, key: K, flip: &[u64]) {
+    let width = flip.len();
     match flips.binary_search_by_key(&key, |&(k, _)| k) {
-        Ok(i) => flips[i].1 |= flip,
-        Err(i) => flips.insert(i, (key, flip)),
+        Ok(i) => {
+            let at = flips[i].1 as usize * width;
+            for (w, &f) in rows[at..at + width].iter_mut().zip(flip) {
+                *w |= f;
+            }
+        }
+        Err(i) => {
+            flips.insert(i, (key, (rows.len() / width) as u32));
+            rows.extend_from_slice(flip);
+        }
     }
 }
 
@@ -351,7 +696,7 @@ impl ObsGroup {
 }
 
 /// Fault simulation over a full pattern set, with the fault-free baseline
-/// cached: per block, and as net-major transition words.
+/// cached as one net-major [`GoodMachine`] table.
 ///
 /// # Examples
 ///
@@ -373,8 +718,7 @@ pub struct FaultSim<'a> {
     /// The compiled netlist, shared by the good-machine baseline and every
     /// detector's faulty-machine propagation.
     sim: Simulator<'a>,
-    blocks: Vec<BlockSim>,
-    trans: Transitions,
+    good: GoodMachine,
     /// The net of each site ([`site_net`]), so cone walks skip the gate
     /// lookups.
     site_nets: Vec<u32>,
@@ -382,12 +726,12 @@ pub struct FaultSim<'a> {
 
 impl<'a> FaultSim<'a> {
     /// Compiles the netlist and runs the fault-free baseline over every
-    /// block, fanned across the `m3d-par` pool (blocks are independent;
-    /// results are reassembled in block order, so the baseline is identical
-    /// at any thread count).
+    /// block, fanned across the `m3d-par` pool ([`Simulator::run_blocks`]:
+    /// blocks land in block order, so the baseline is identical at any
+    /// thread count).
     pub fn new(design: &'a M3dDesign, patterns: &'a PatternSet) -> Self {
         let sim = Simulator::new(design.netlist());
-        let (blocks, trans) = sim.run_blocks(patterns.blocks());
+        let good = sim.run_blocks(patterns.blocks());
         let site_nets = design
             .sites()
             .iter()
@@ -397,8 +741,7 @@ impl<'a> FaultSim<'a> {
             design,
             patterns,
             sim,
-            blocks,
-            trans,
+            good,
             site_nets,
         }
     }
@@ -415,10 +758,10 @@ impl<'a> FaultSim<'a> {
         self.patterns
     }
 
-    /// The cached fault-free baseline per block.
+    /// The cached fault-free baseline.
     #[inline]
-    pub fn block_sims(&self) -> &[BlockSim] {
-        &self.blocks
+    pub fn good(&self) -> &GoodMachine {
+        &self.good
     }
 
     /// Creates reusable propagation scratch over this simulator's compiled
@@ -428,18 +771,11 @@ impl<'a> FaultSim<'a> {
     }
 
     /// Simulates an injected fault set against every pattern and returns
-    /// all failing `(pattern, flop)` captures.
+    /// all failing `(pattern, flop)` captures, sorted: one propagation
+    /// over every block.
     pub fn detections(&self, detector: &mut BlockDetector<'_>, faults: &[Fault]) -> Vec<Detection> {
-        let mut out = Vec::new();
-        for (bi, base) in self.blocks.iter().enumerate() {
-            for (bit, flop) in detector.detect(base, &self.trans, bi, faults) {
-                out.push(Detection {
-                    pattern: self.patterns.id_at(bi, bit),
-                    flop,
-                });
-            }
-        }
-        out
+        let blocks = 0..self.good.block_count();
+        detector.detect(&self.good, self.patterns, blocks, faults)
     }
 
     /// The failure signatures of both single faults at `site`, indexed
@@ -447,14 +783,14 @@ impl<'a> FaultSim<'a> {
     /// `mode`: the word form of
     /// `FailureLog::from_detections(&self.detections(det, &[fault]), scan, mode)`.
     ///
-    /// One propagation per block, seeded with the union of both
+    /// One propagation over every block, seeded with the union of both
     /// polarities' activation lanes, answers both: the rising and falling
     /// activations (`trans & f2`, `trans & !f2`) are disjoint and the
     /// propagation is lane-wise independent, so masking the differing
     /// lanes by each polarity's activation gives each fault's own
-    /// failures. The differing captures map to observation words with
-    /// [`ScanChains::observe_words`], so no per-pattern detection list is
-    /// built.
+    /// failures. Each block's differing captures then map to observation
+    /// words with [`ScanChains::observe_words`], in ascending block order,
+    /// so no per-pattern detection list is built.
     pub fn signatures(
         &self,
         det: &mut BlockDetector<'_>,
@@ -463,28 +799,33 @@ impl<'a> FaultSim<'a> {
         mode: ObsMode,
     ) -> [Signature; 2] {
         let net = self.site_nets[site.index()] as usize;
-        let row = self.trans.row(net);
-        let scope = injection_scope(self.design, site);
+        let (trans, f2) = (self.good.transitions(net), self.good.f2(net));
         let mut sigs = [Signature::default(), Signature::default()];
-        let mut words: Vec<(ObsPoint, u64)> = Vec::new();
-        for (block, base) in self.blocks.iter().enumerate() {
-            let act = Polarity::ALL.map(|p| p.activation(row[block], base.f2[net]));
-            if act[0] | act[1] == 0 {
+        if trans.iter().all(|&w| w == 0) {
+            return sigs;
+        }
+        det.begin(0..self.good.block_count());
+        det.seed(&self.good, &injection_scope(self.design, site), trans);
+        det.run(&self.good);
+        let mut words = std::mem::take(&mut det.obs_words);
+        for (block, (&t, &v)) in trans.iter().zip(f2).enumerate() {
+            // A block without activation has no differing capture.
+            if t == 0 {
                 continue;
             }
-            det.seed(base, &scope, act[0] | act[1]);
-            det.propagate_and_compare(base);
             let hits = det
-                .hits
-                .iter()
-                .map(|&(fi, diff)| (FlopId::new(fi as usize), diff));
+                .hits()
+                .map(|(fi, diff)| (FlopId::new(fi), diff[block]))
+                .filter(|&(_, diff)| diff != 0);
             scan.observe_words(hits, mode, &mut words);
-            for (sig, lanes) in sigs.iter_mut().zip(act) {
+            for (sig, p) in sigs.iter_mut().zip(Polarity::ALL) {
+                let lanes = p.activation(t, v);
                 for &(obs, diff) in &words {
                     sig.push(block as u32, obs, diff & lanes);
                 }
             }
         }
+        det.obs_words = words;
         sigs
     }
 
@@ -501,27 +842,26 @@ impl<'a> FaultSim<'a> {
     /// transition word per log word and propagates nothing.
     pub fn activation_support(&self, site: SiteId, log: &Signature) -> [u32; 2] {
         let net = self.site_nets[site.index()] as usize;
-        let row = self.trans.row(net);
+        let (trans, f2) = (self.good.transitions(net), self.good.f2(net));
         let mut support = [0u32; 2];
         for w in log.words() {
             let block = w.block as usize;
-            let f2 = self.blocks[block].f2[net];
             for (s, p) in support.iter_mut().zip(Polarity::ALL) {
-                *s += (p.activation(row[block], f2) & w.lanes).count_ones();
+                *s += (p.activation(trans[block], f2[block]) & w.lanes).count_ones();
             }
         }
         support
     }
 
-    /// Like [`FaultSim::detections`], but fans the per-block propagation
+    /// Like [`FaultSim::detections`], but fans ranges of eight blocks
     /// across the `m3d_par` pool with one [`BlockDetector`] scratch per
     /// worker. Results are identical to the serial method (blocks are
-    /// independent and reassembled in block order).
+    /// independent and the ranges are reassembled in block order).
     ///
     /// # Panics
     ///
     /// Re-raises a worker panic (with its chunk index) after the sibling
-    /// blocks finish; use [`FaultSim::try_detections_par`] to receive it as
+    /// ranges finish; use [`FaultSim::try_detections_par`] to receive it as
     /// a typed error instead.
     pub fn detections_par(&self, faults: &[Fault]) -> Vec<Detection> {
         self.try_detections_par(faults)
@@ -531,7 +871,8 @@ impl<'a> FaultSim<'a> {
     /// Panic-containing [`FaultSim::detections_par`]: a panic in any
     /// propagation worker is caught per chunk and returned as a typed
     /// [`m3d_par::WorkerPanic`] naming the chunk, deterministically at any
-    /// thread count, while sibling blocks complete.
+    /// thread count (the ranges depend only on the block count), while
+    /// sibling ranges complete.
     ///
     /// # Errors
     ///
@@ -542,23 +883,19 @@ impl<'a> FaultSim<'a> {
     ) -> Result<Vec<Detection>, m3d_par::WorkerPanic> {
         let mut span = m3d_obs::span("fault_simulation");
         span.add("faults", faults.len() as u64);
-        span.add("blocks", self.blocks.len() as u64);
+        let blocks = self.good.block_count();
+        span.add("blocks", blocks as u64);
         let start = std::time::Instant::now();
-        let block_ids: Vec<usize> = (0..self.blocks.len()).collect();
-        let per_block = m3d_par::try_par_map_init(
-            &block_ids,
+        let ranges: Vec<Range<usize>> = (0..blocks)
+            .step_by(PAR_BLOCKS)
+            .map(|b| b..(b + PAR_BLOCKS).min(blocks))
+            .collect();
+        let per_range = m3d_par::try_par_map_init(
+            &ranges,
             || self.detector(),
-            |det, &b| det.detect(&self.blocks[b], &self.trans, b, faults),
+            |det, range| det.detect(&self.good, self.patterns, range.clone(), faults),
         )?;
-        let mut out = Vec::new();
-        for (bi, hits) in per_block.into_iter().enumerate() {
-            for (bit, flop) in hits {
-                out.push(Detection {
-                    pattern: self.patterns.id_at(bi, bit),
-                    flop,
-                });
-            }
-        }
+        let out: Vec<Detection> = per_range.into_iter().flatten().collect();
         span.add("detections", out.len() as u64);
         m3d_obs::counter("tdf.fsim.calls", 1);
         m3d_obs::counter("tdf.fsim.detections", out.len() as u64);
@@ -712,7 +1049,7 @@ impl<'a> FaultSim<'a> {
     /// The transition row of `site`'s net.
     #[inline]
     fn site_row(&self, site: SiteId) -> &[u64] {
-        self.trans.row(self.site_nets[site.index()] as usize)
+        self.good.transitions(self.site_nets[site.index()] as usize)
     }
 
     /// Whether a log entry references a pattern and scan cells that exist
@@ -801,7 +1138,7 @@ mod tests {
                 let net = site_net(&d, f.site);
                 let act = f.polarity.activation(
                     sim.transition_mask(f.site, blk),
-                    sim.block_sims()[blk].f2[net.index()],
+                    sim.good().f2(net.index())[blk],
                 );
                 assert_ne!(act & (1 << bit), 0, "detected without activation");
             }
@@ -810,7 +1147,9 @@ mod tests {
 
     #[test]
     fn parallel_detections_match_serial_at_any_thread_count() {
-        let (d, p) = env();
+        let (d, _) = env();
+        // Ten blocks, the last partial: two block ranges.
+        let p = PatternSet::random(d.netlist(), 600, 17);
         let sim = FaultSim::new(&d, &p);
         let mut det = sim.detector();
         let faults = full_fault_list(&d);

@@ -51,5 +51,5 @@ pub use fsim::{ActiveSiteCounts, BlockDetector, Detection, FaultSim};
 pub use log::{FailEntry, FailureLog, ObsWord, Signature};
 pub use log_io::{read_failure_log, write_failure_log, ParseLogError};
 pub use pattern::{PatternBlock, PatternId, PatternSet};
-pub use sim::{eval_single_frame, BlockSim, Simulator, Transitions};
+pub use sim::{eval_single_frame, GoodMachine, Simulator};
 pub use timing::{StaticTiming, TimingModel};

@@ -7,56 +7,90 @@
 //! A node *transitions* when its frame-1 and frame-2 values differ — the
 //! condition that can activate a transition-delay fault.
 //!
-//! A run keeps the frame-2 values and the captures per block
-//! ([`BlockSim`]) and the transitions net-major ([`Transitions`]); frame-1
-//! values live only while their block is simulated. A net's frame-1 value
-//! is its frame-2 value flipped in the lanes where it transitions.
+//! A run keeps one net-major table ([`GoodMachine`]): per net its frame-2
+//! and transition words, per flop its capture words, one word per block.
+//! Frame-1 values live only while their block is simulated. A net's
+//! frame-1 value is its frame-2 value flipped in the lanes where it
+//! transitions.
 
 use m3d_netlist::{GateKind, Netlist};
 
 use crate::pattern::PatternBlock;
 
-/// Fault-free simulation results for one pattern block: what faulty-machine
-/// propagation starts from and compares against. The block's transitions
-/// are in the [`Transitions`] its run returns beside it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BlockSim {
-    /// Frame-2 (capture) value of every net.
-    pub f2: Vec<u64>,
-    /// Final captured D value per flop (the scan-out response).
-    pub capture2: Vec<u64>,
-    /// Valid-lane mask of the block.
-    pub lanes: u64,
-}
-
-/// Fault-free transitions of a pattern set, net-major: each net has one
-/// row of `u64` words, one per pattern block, holding the lanes in which
-/// the net's frame-1 and frame-2 values differ, masked to the block's
-/// valid lanes. A net's words are contiguous, so a walk over many sites
-/// reads one short row per site instead of one word from each block's
-/// arrays.
+/// The fault-free (good-machine) two-frame values of a pattern set: what
+/// faulty-machine propagation starts from and compares against.
+///
+/// The table is net-major. Each net has a row of frame-2 words and a row
+/// of transition words, each flop a row of capture words, and each row
+/// holds one `u64` lane word per pattern block; each block also has its
+/// valid-lane mask. The transition words are the lanes in which the net's
+/// frame-1 and frame-2 values differ, masked to the block's valid lanes.
+/// A net's words are contiguous, so a propagation over many blocks reads
+/// one short row per net, and a walk over many sites one row per site.
 ///
 /// With frame-2 value `f2`, a slow-to-rise fault is activated in
 /// `trans & f2` and a slow-to-fall fault in `trans & !f2`
 /// ([`crate::Polarity::activation`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Transitions {
-    blocks: usize,
-    words: Vec<u64>,
+pub struct GoodMachine {
+    pub(crate) blocks: usize,
+    pub(crate) f2: Vec<u64>,
+    pub(crate) trans: Vec<u64>,
+    pub(crate) capture: Vec<u64>,
+    lanes: Vec<u64>,
 }
 
-impl Transitions {
-    /// The transition words of net `net`, one per block.
+impl GoodMachine {
+    /// Number of pattern blocks: the width of every row.
     #[inline]
-    pub fn row(&self, net: usize) -> &[u64] {
-        &self.words[net * self.blocks..(net + 1) * self.blocks]
+    pub fn block_count(&self) -> usize {
+        self.blocks
     }
 
-    /// The lanes of `block` in which net `net` transitions.
+    /// The frame-2 (capture-frame) words of net `net`, one per block.
     #[inline]
-    pub fn word(&self, net: usize, block: usize) -> u64 {
-        debug_assert!(block < self.blocks);
-        self.words[net * self.blocks + block]
+    pub fn f2(&self, net: usize) -> &[u64] {
+        &self.f2[net * self.blocks..(net + 1) * self.blocks]
+    }
+
+    /// The transition words of net `net`, one per block.
+    #[inline]
+    pub fn transitions(&self, net: usize) -> &[u64] {
+        &self.trans[net * self.blocks..(net + 1) * self.blocks]
+    }
+
+    /// The final captured D words of flop `flop` (the scan-out response),
+    /// one per block.
+    #[inline]
+    pub fn capture(&self, flop: usize) -> &[u64] {
+        &self.capture[flop * self.blocks..(flop + 1) * self.blocks]
+    }
+
+    /// The valid-lane mask of every block.
+    #[inline]
+    pub fn lanes(&self) -> &[u64] {
+        &self.lanes
+    }
+}
+
+/// Blocks simulated per wave of [`Simulator::run_blocks`]: two per
+/// worker of a 2-wide pool, and few enough that a wave's columns stay
+/// below what the table they replace held beside it (every block's
+/// transition column) even when the pattern set is only a few blocks.
+const WAVE_BLOCKS: usize = 4;
+
+/// Copies `columns` into words `first..first + columns.len()` of every
+/// `width`-word row of `table` (row `r` gets word `r` of each column), a
+/// tile of rows at a time, so a tile stays in cache while every column
+/// writes its words into it.
+fn scatter_columns(table: &mut [u64], width: usize, first: usize, columns: &[&[u64]]) {
+    const TILE: usize = 256;
+    for (tile, rows) in table.chunks_mut(TILE * width).enumerate() {
+        for (j, column) in columns.iter().enumerate() {
+            for (row, &w) in rows.chunks_exact_mut(width).zip(&column[tile * TILE..]) {
+                row[first + j] = w;
+            }
+        }
     }
 }
 
@@ -85,9 +119,9 @@ impl Transitions {
 /// let nl = Benchmark::Aes.generate(&GenParams::small(1));
 /// let sim = Simulator::new(&nl);
 /// let pats = PatternSet::random(&nl, 64, 3);
-/// let (block, trans) = sim.run_block(&pats.blocks()[0]);
-/// assert_eq!(block.capture2.len(), nl.flops().len());
-/// assert_eq!(trans.row(0).len(), 1);
+/// let good = sim.run_block(&pats.blocks()[0]);
+/// assert_eq!(good.block_count(), 1);
+/// assert_eq!(good.capture(nl.flops().len() - 1).len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct Simulator<'a> {
@@ -309,58 +343,57 @@ impl<'a> Simulator<'a> {
         (nets, capture)
     }
 
-    /// Runs both frames of the LOC test for one pattern block. The
-    /// transitions come back as a one-block table: one word per row.
-    pub fn run_block(&self, block: &PatternBlock) -> (BlockSim, Transitions) {
+    /// Runs both frames of the LOC test for one pattern block: the
+    /// one-block form of the table, one word per row.
+    pub fn run_block(&self, block: &PatternBlock) -> GoodMachine {
         debug_assert_eq!(block.pi.len(), self.netlist.inputs().len());
         debug_assert_eq!(block.scan.len(), self.netlist.flops().len());
         let lanes = block.lane_mask();
         let (mut f1, capture1) = self.eval_frame(&block.pi, &block.scan);
-        let (f2, capture2) = self.eval_frame(&block.pi, &capture1);
+        let (f2, capture) = self.eval_frame(&block.pi, &capture1);
         // The frame-1 values become the transition words in place.
         for (t, &v) in f1.iter_mut().zip(&f2) {
             *t = (*t ^ v) & lanes;
         }
-        let trans = Transitions {
+        GoodMachine {
             blocks: 1,
-            words: f1,
-        };
-        let sim = BlockSim {
             f2,
-            capture2,
-            lanes,
-        };
-        (sim, trans)
+            trans: f1,
+            capture,
+            lanes: vec![lanes],
+        }
     }
 
-    /// Runs [`Simulator::run_block`] over every block on the `m3d-par`
-    /// pool and gathers the per-block transitions into one net-major
-    /// table. Blocks are independent and reassembled in block order, so
-    /// the result is identical to mapping `run_block` serially, at any
-    /// thread count.
-    pub fn run_blocks(&self, blocks: &[PatternBlock]) -> (Vec<BlockSim>, Transitions) {
-        let (sims, columns): (Vec<BlockSim>, Vec<Transitions>) =
-            m3d_par::par_map(blocks, |b| self.run_block(b))
-                .into_iter()
-                .unzip();
-        // Rows are filled a tile at a time, so a tile stays in cache while
-        // every block's column writes its word into each of its rows.
-        const TILE: usize = 256;
-        let count = columns.len();
-        let mut words = vec![0u64; self.netlist.net_count() * count];
-        for (tile, rows) in words.chunks_mut(TILE * count.max(1)).enumerate() {
-            for (b, column) in columns.iter().enumerate() {
-                let column = &column.words[tile * TILE..];
-                for (row, &w) in rows.chunks_exact_mut(count).zip(column) {
-                    row[b] = w;
-                }
-            }
-        }
-        let trans = Transitions {
+    /// Runs [`Simulator::run_block`] over every block and gathers the
+    /// one-block tables into one net-major table.
+    ///
+    /// Blocks are simulated in waves of `WAVE_BLOCKS` (4) on the `m3d-par`
+    /// pool, and each wave's columns are copied into the rows
+    /// and dropped before the next wave runs, so the transient beside the
+    /// table is one wave's columns, not the whole pattern set's. Blocks are
+    /// independent and land in block order, so the table is identical to
+    /// running them serially, at any thread count.
+    pub fn run_blocks(&self, blocks: &[PatternBlock]) -> GoodMachine {
+        let count = blocks.len();
+        let nets = self.netlist.net_count();
+        let mut good = GoodMachine {
             blocks: count,
-            words,
+            f2: vec![0; nets * count],
+            trans: vec![0; nets * count],
+            capture: vec![0; self.netlist.flops().len() * count],
+            lanes: blocks.iter().map(PatternBlock::lane_mask).collect(),
         };
-        (sims, trans)
+        for (wave, chunk) in blocks.chunks(WAVE_BLOCKS).enumerate() {
+            let columns = m3d_par::par_map(chunk, |b| self.run_block(b));
+            let first = wave * WAVE_BLOCKS;
+            let gather = |column: fn(&GoodMachine) -> &[u64]| -> Vec<&[u64]> {
+                columns.iter().map(column).collect()
+            };
+            scatter_columns(&mut good.f2, count, first, &gather(|c| &c.f2));
+            scatter_columns(&mut good.trans, count, first, &gather(|c| &c.trans));
+            scatter_columns(&mut good.capture, count, first, &gather(|c| &c.capture));
+        }
+        good
     }
 }
 
@@ -403,7 +436,7 @@ mod tests {
         let pats = PatternSet::random(&nl, 64, 11);
         let sim = Simulator::new(&nl);
         let block = &pats.blocks()[0];
-        let (blk, trans) = sim.run_block(block);
+        let good = sim.run_block(block);
         let d_nets: Vec<usize> = nl
             .flops()
             .iter()
@@ -421,11 +454,12 @@ mod tests {
             let launch: Vec<bool> = d_nets.iter().map(|&n| frame1[n]).collect();
             let frame2 = eval_single_frame(&nl, &pi, &launch);
             for (i, (&v1, &v2)) in frame1.iter().zip(&frame2).enumerate() {
-                assert_eq!(bit(blk.f2[i]), v2, "frame 2, net {i}, lane {lane}");
-                assert_eq!(bit(trans.word(i, 0)), v1 ^ v2, "net {i}, lane {lane}");
+                assert_eq!(bit(good.f2(i)[0]), v2, "frame 2, net {i}, lane {lane}");
+                assert_eq!(bit(good.transitions(i)[0]), v1 ^ v2, "net {i}, lane {lane}");
             }
             let capture: Vec<bool> = d_nets.iter().map(|&n| frame2[n]).collect();
-            assert_eq!(bits(&blk.capture2), capture, "lane {lane}");
+            let captured: Vec<bool> = (0..d_nets.len()).map(|f| bit(good.capture(f)[0])).collect();
+            assert_eq!(captured, capture, "lane {lane}");
         }
     }
 
@@ -447,26 +481,35 @@ mod tests {
             count: 1,
         };
         let sim = Simulator::new(&nl);
-        let (s, trans) = sim.run_block(&block);
-        assert_eq!(s.capture2[0] & 1, 0);
+        let good = sim.run_block(&block);
+        assert_eq!(good.capture(0)[0] & 1, 0);
         // The D net falls between frames: frame 1 captured 1.
         let d = nl.gate(nl.flops()[0]).inputs()[0];
-        assert_eq!(trans.word(d.index(), 0) & 1, 1);
+        assert_eq!(good.transitions(d.index())[0] & 1, 1);
     }
 
     #[test]
     fn run_blocks_matches_serial_at_any_thread_count() {
         let nl = Benchmark::Netcard.generate(&GenParams::small(2));
-        let pats = PatternSet::random(&nl, 300, 7);
+        // 19 blocks, the last partial: more than two waves.
+        let pats = PatternSet::random(&nl, 1200, 7);
         let sim = Simulator::new(&nl);
-        let (serial, columns): (Vec<BlockSim>, Vec<Transitions>) =
-            pats.blocks().iter().map(|b| sim.run_block(b)).unzip();
+        let columns: Vec<GoodMachine> = pats.blocks().iter().map(|b| sim.run_block(b)).collect();
+        let row = |column: fn(&GoodMachine, usize) -> &[u64], i: usize| -> Vec<u64> {
+            columns.iter().map(|c| column(c, i)[0]).collect()
+        };
         for threads in [1, 4] {
-            let (par, trans) = m3d_par::with_threads(threads, || sim.run_blocks(pats.blocks()));
-            assert_eq!(par, serial, "threads {threads}");
+            let good = m3d_par::with_threads(threads, || sim.run_blocks(pats.blocks()));
+            assert_eq!(good.block_count(), columns.len());
+            let lanes: Vec<u64> = columns.iter().map(|c| c.lanes()[0]).collect();
+            assert_eq!(good.lanes(), lanes, "threads {threads}");
             for net in 0..nl.net_count() {
-                let want: Vec<u64> = columns.iter().map(|c| c.word(net, 0)).collect();
-                assert_eq!(trans.row(net), want, "threads {threads}, net {net}");
+                assert_eq!(good.f2(net), row(GoodMachine::f2, net), "net {net}");
+                let trans = row(GoodMachine::transitions, net);
+                assert_eq!(good.transitions(net), trans, "threads {threads}, net {net}");
+            }
+            for flop in 0..nl.flops().len() {
+                assert_eq!(good.capture(flop), row(GoodMachine::capture, flop));
             }
         }
     }
@@ -476,9 +519,9 @@ mod tests {
         let nl = Benchmark::Aes.generate(&GenParams::small(1));
         let pats = PatternSet::random(&nl, 5, 2);
         let sim = Simulator::new(&nl);
-        let (blk, trans) = sim.run_block(&pats.blocks()[0]);
-        assert_eq!(blk.lanes, (1 << 5) - 1);
-        assert!((0..nl.net_count()).all(|n| trans.word(n, 0) & !blk.lanes == 0));
+        let good = sim.run_block(&pats.blocks()[0]);
+        assert_eq!(good.lanes(), [(1 << 5) - 1]);
+        assert!((0..nl.net_count()).all(|n| good.transitions(n)[0] & !good.lanes()[0] == 0));
     }
 
     #[test]
@@ -488,11 +531,11 @@ mod tests {
         let nl = Benchmark::Aes.generate(&GenParams::small(1));
         let pats = PatternSet::random(&nl, 64, 4);
         let sim = Simulator::new(&nl);
-        let (_, trans) = sim.run_block(&pats.blocks()[0]);
+        let good = sim.run_block(&pats.blocks()[0]);
         // PI-driven nets never transition (PIs are held across frames).
         for &g in nl.inputs() {
             let out = nl.gate(g).output().unwrap();
-            assert_eq!(trans.word(out.index(), 0), 0);
+            assert_eq!(good.transitions(out.index()), [0]);
         }
     }
 }

@@ -15,10 +15,14 @@
 //!   output-pin, input-branch, MIV and 2–5-fault injections, and for a
 //!   stem fault and an input-branch fault of one gate active in the same
 //!   lane.
-//! - [`FaultSim::signatures`] must equal, for both polarities, the log
-//!   `FailureLog::from_detections` builds from a single-fault
-//!   [`FaultSim::detections`] call, regrouped into `(block, observation,
-//!   lanes)` words, in bypass and compacted modes.
+//! - [`FaultSim::signatures`] must equal, for both polarities of every
+//!   site, the log `FailureLog::from_detections` builds from the
+//!   brute-force machine's single-fault detections, regrouped into
+//!   `(block, observation, lanes)` words, in bypass and compacted modes.
+//!   A second environment runs 200 random patterns, so its last block
+//!   has 8 valid lanes, and holds sites activated in only some blocks:
+//!   there signatures, multi-fault detections and the stem/branch pairs
+//!   must match the brute-force machine too.
 //! - [`FaultSim::activation_support`] must bound every polarity's
 //!   explained failures from above: for every site and both polarities,
 //!   `signatures(site)[p].overlap(log) <= activation_support(site, log)[p]`
@@ -39,7 +43,8 @@ use m3d_netlist::{FlopId, GateId, NetId, SiteId, SitePos};
 use m3d_part::{DesignConfig, FaninCones, M3dDesign};
 use m3d_tdf::{
     full_fault_list, generate_patterns, injection_scope, site_net, AtpgConfig, Detection,
-    FailEntry, FailureLog, Fault, FaultSim, InjectionScope, Polarity, Signature, TestSet,
+    FailEntry, FailureLog, Fault, FaultSim, InjectionScope, PatternSet, Polarity, Signature,
+    TestSet,
 };
 
 struct Env {
@@ -161,18 +166,20 @@ fn reference_counts(
 fn brute_force_detections(sim: &FaultSim<'_>, faults: &[Fault]) -> Vec<Detection> {
     let design = sim.design();
     let nl = design.netlist();
+    let good = sim.good();
     let mut distinct = faults.to_vec();
     distinct.sort_unstable();
     distinct.dedup();
     let mut out = Vec::new();
-    for (block, base) in sim.block_sims().iter().enumerate() {
+    for block in 0..good.block_count() {
+        let f2: Vec<u64> = (0..nl.net_count()).map(|n| good.f2(n)[block]).collect();
         let mut net_flips: HashMap<NetId, u64> = HashMap::new();
         let mut pin_flips: HashMap<(GateId, usize), u64> = HashMap::new();
         for fault in &distinct {
             let net = site_net(design, fault.site).index();
             let act = fault
                 .polarity
-                .activation(sim.transition_mask(fault.site, block), base.f2[net]);
+                .activation(sim.transition_mask(fault.site, block), f2[net]);
             match injection_scope(design, fault.site) {
                 InjectionScope::Net(n) => *net_flips.entry(n).or_default() |= act,
                 InjectionScope::Branch(g, pin) => {
@@ -187,14 +194,14 @@ fn brute_force_detections(sim: &FaultSim<'_>, faults: &[Fault]) -> Vec<Detection
         }
         let net_flip = |n: NetId| net_flips.get(&n).copied().unwrap_or(0);
         let pin_flip = |g: GateId, pin: usize| pin_flips.get(&(g, pin)).copied().unwrap_or(0);
-        let mut values = base.f2.clone();
+        let mut values = f2.clone();
         for (&n, &flip) in &net_flips {
             values[n.index()] ^= flip;
         }
         for &g in nl.topo_order() {
             let gate = nl.gate(g);
             let disturbed = gate.inputs().iter().enumerate().any(|(pin, &n)| {
-                pin_flip(g, pin) != 0 || net_flip(n) != 0 || values[n.index()] != base.f2[n.index()]
+                pin_flip(g, pin) != 0 || net_flip(n) != 0 || values[n.index()] != f2[n.index()]
             });
             if !disturbed {
                 continue;
@@ -210,7 +217,8 @@ fn brute_force_detections(sim: &FaultSim<'_>, faults: &[Fault]) -> Vec<Detection
         }
         for (fi, &g) in nl.flops().iter().enumerate() {
             let d = nl.gate(g).inputs()[0].index();
-            let mut diff = ((values[d] ^ pin_flip(g, 0)) ^ base.capture2[fi]) & base.lanes;
+            let capture = good.capture(fi)[block];
+            let mut diff = ((values[d] ^ pin_flip(g, 0)) ^ capture) & good.lanes()[block];
             while diff != 0 {
                 out.push(Detection {
                     pattern: sim.patterns().id_at(block, diff.trailing_zeros() as u8),
@@ -226,36 +234,46 @@ fn brute_force_detections(sim: &FaultSim<'_>, faults: &[Fault]) -> Vec<Detection
 
 /// A stem fault and an input-branch fault of one gate, active in a common
 /// lane: the branch flip re-evaluates the gate, and its output replaces
-/// the stem's seeded value, as [`brute_force_detections`] states.
+/// the stem's seeded value, as [`brute_force_detections`] states. On the
+/// 200 random patterns the two faults are also active apart in other
+/// blocks, where the stem's value must hold.
 #[test]
 fn stem_and_branch_faults_of_one_gate_match_the_brute_force_machine() {
     let e = env();
-    let sim = FaultSim::new(&e.design, &e.ts.patterns);
-    let nl = e.design.netlist();
+    check_stem_branch_pairs(&FaultSim::new(&e.design, &e.ts.patterns));
+    let random = PatternSet::random(e.design.netlist(), 200, 5);
+    check_stem_branch_pairs(&FaultSim::new(&e.design, &random));
+}
+
+/// Checks 200 stem/branch fault pairs that share an activation lane
+/// against the brute-force machine.
+fn check_stem_branch_pairs(sim: &FaultSim<'_>) {
+    let design = sim.design();
+    let nl = design.netlist();
     let activation = |f: Fault, block: usize| {
-        let f2 = sim.block_sims()[block].f2[site_net(&e.design, f.site).index()];
+        let f2 = sim.good().f2(site_net(design, f.site).index())[block];
         f.polarity
             .activation(sim.transition_mask(f.site, block), f2)
     };
     let mut det = sim.detector();
     let pairs = nl.topo_order().iter().flat_map(|&g| {
-        let stem = e.design.sites().output_site(nl, g);
+        let stem = design.sites().output_site(nl, g);
         (0..nl.gate(g).inputs().len() as u8)
-            .flat_map(move |pin| stem.map(|s| (s, e.design.sites().input_site(g, pin))))
+            .flat_map(move |pin| stem.map(|s| (s, design.sites().input_site(g, pin))))
     });
     let mut checked = 0;
     for (stem, branch) in pairs {
         for sp in Polarity::ALL {
             for bp in Polarity::ALL {
                 let faults = [Fault::new(stem, sp), Fault::new(branch, bp)];
-                let shared = (0..sim.block_sims().len())
+                let shared = (0..sim.good().block_count())
                     .any(|b| activation(faults[0], b) & activation(faults[1], b) != 0);
                 if !shared {
                     continue;
                 }
                 assert_eq!(
                     sim.detections(&mut det, &faults),
-                    brute_force_detections(&sim, &faults),
+                    brute_force_detections(sim, &faults),
                     "faults {faults:?}"
                 );
                 checked += 1;
@@ -266,6 +284,89 @@ fn stem_and_branch_faults_of_one_gate_match_the_brute_force_machine() {
         }
     }
     panic!("only {checked} stem/branch pairs share an activation lane");
+}
+
+/// Checks every site's signatures, in both modes, against the brute-force
+/// machine's single-fault logs regrouped into words, and returns every
+/// site's signatures per mode of [`ObsMode::ALL`].
+fn check_signatures(sim: &FaultSim<'_>, scan: &ScanChains) -> SiteSignatures {
+    let mut det = sim.detector();
+    let mut sigs: SiteSignatures = [Vec::new(), Vec::new()];
+    for (site, _) in sim.design().sites().iter() {
+        let dets = Polarity::ALL.map(|p| brute_force_detections(sim, &[Fault::new(site, p)]));
+        for (mode, per_mode) in ObsMode::ALL.into_iter().zip(&mut sigs) {
+            let got = sim.signatures(&mut det, site, scan, mode);
+            for ((pol, sig), dets) in Polarity::ALL.into_iter().zip(&got).zip(&dets) {
+                let log = FailureLog::from_detections(dets, scan, mode);
+                let words: Vec<(u32, ObsPoint, u64)> = sig
+                    .words()
+                    .iter()
+                    .map(|w| (w.block, w.obs, w.lanes))
+                    .collect();
+                assert_eq!(words, log_words(&log), "{pol:?} at {site:?}, {mode:?}");
+                assert_eq!(sig.failures() as usize, log.len());
+                assert_eq!(*sig, Signature::from_log(&log, sim.patterns()));
+            }
+            per_mode.push((site, got));
+        }
+    }
+    sigs
+}
+
+#[test]
+fn signatures_equal_the_brute_force_logs_at_every_site() {
+    let e = env();
+    let sim = FaultSim::new(&e.design, &e.ts.patterns);
+    let sigs = check_signatures(&sim, &e.scan);
+    for per_mode in &sigs {
+        assert!(per_mode
+            .iter()
+            .any(|(_, s)| !s[0].is_empty() && !s[1].is_empty()));
+    }
+}
+
+/// 200 random patterns: three full blocks and one of 8 lanes.
+#[test]
+fn a_partial_last_block_keeps_the_kernels_exact() {
+    let e = env();
+    let patterns = PatternSet::random(e.design.netlist(), 200, 5);
+    let sim = FaultSim::new(&e.design, &patterns);
+    let good = sim.good();
+    assert_eq!(good.lanes(), [!0, !0, !0, 0xff]);
+    let sigs = check_signatures(&sim, &e.scan);
+    // Sites that fail in some blocks and are not activated in others, and
+    // failures in the partial block: the lane masks and the mapping from
+    // block to word both matter here.
+    let last = good.block_count() as u32 - 1;
+    for per_mode in &sigs {
+        let mut some_blocks = 0;
+        let mut in_last = 0;
+        for (site, sig) in per_mode {
+            let row = sim.good().transitions(site_net(&e.design, *site).index());
+            let idle = row.contains(&0);
+            for sig in sig {
+                some_blocks += usize::from(idle && !sig.is_empty());
+                in_last += sig.words().iter().filter(|w| w.block == last).count();
+            }
+        }
+        assert!(some_blocks > 0, "a failing site is idle in some block");
+        assert!(in_last > 0, "some signature fails in the partial block");
+    }
+    let mut det = sim.detector();
+    let mut rng = StdRng::seed_from_u64(7);
+    for k in [1, 2, 3, 4, 5].repeat(8) {
+        let picks: Vec<Fault> = (0..k)
+            .map(|_| e.detected[rng.gen_range(0..e.detected.len())])
+            .collect();
+        let dets = sim.detections(&mut det, &picks);
+        assert_eq!(
+            dets,
+            brute_force_detections(&sim, &picks),
+            "faults {picks:?}"
+        );
+        let par = m3d_par::with_threads(2, || sim.detections_par(&picks));
+        assert_eq!(par, dets, "faults {picks:?}");
+    }
 }
 
 /// Every site with its signatures, per mode of [`ObsMode::ALL`].
@@ -442,30 +543,6 @@ proptest! {
                 "faults {:?}",
                 faults
             );
-        }
-    }
-
-    #[test]
-    fn signature_words_equal_the_regrouped_log(
-        kind in 0usize..3,
-        pick in any::<usize>(),
-        compacted in any::<bool>(),
-    ) {
-        let e = env();
-        let sim = FaultSim::new(&e.design, &e.ts.patterns);
-        let mut det = sim.detector();
-        let sites = &e.sites_by_kind[kind];
-        let site = sites[pick % sites.len()];
-        let mode = if compacted { ObsMode::Compacted } else { ObsMode::Bypass };
-        let sigs = sim.signatures(&mut det, site, &e.scan, mode);
-        for (pol, sig) in Polarity::ALL.into_iter().zip(sigs) {
-            let dets = sim.detections(&mut det, &[Fault::new(site, pol)]);
-            let log = FailureLog::from_detections(&dets, &e.scan, mode);
-            let got: Vec<(u32, ObsPoint, u64)> =
-                sig.words().iter().map(|w| (w.block, w.obs, w.lanes)).collect();
-            prop_assert_eq!(got, log_words(&log), "{:?} at {:?}", pol, site);
-            prop_assert_eq!(sig.failures() as usize, log.len());
-            prop_assert_eq!(sig, Signature::from_log(&log, &e.ts.patterns));
         }
     }
 

@@ -65,7 +65,7 @@ proptest! {
         let pats = PatternSet::random(nl, 32, 99);
         let sim = Simulator::new(nl);
         let block = &pats.blocks()[0];
-        let (run, trans) = sim.run_block(block);
+        let good = sim.run_block(block);
         let bit = |w: u64| (w >> lane) & 1 == 1;
         let pi: Vec<bool> = block.pi.iter().map(|&w| bit(w)).collect();
         let st: Vec<bool> = block.scan.iter().map(|&w| bit(w)).collect();
@@ -78,8 +78,8 @@ proptest! {
             .collect();
         let frame2 = eval_single_frame(nl, &pi, &launch);
         for (i, (&v1, &v2)) in frame1.iter().zip(&frame2).enumerate() {
-            prop_assert_eq!(bit(run.f2[i]), v2);
-            prop_assert_eq!(bit(trans.word(i, 0)), v1 ^ v2);
+            prop_assert_eq!(bit(good.f2(i)[0]), v2);
+            prop_assert_eq!(bit(good.transitions(i)[0]), v1 ^ v2);
         }
     }
 
